@@ -67,11 +67,11 @@ def install(tracer: Tracer) -> None:
         tracer.count(module, "map_diagnosis", "targets.map_diagnosis_calls")
 
 
-def distinct_input_bytes(commands, work: Path) -> int:
-    """Sum over commands of the sizes of the distinct files each was given."""
+def distinct_input_bytes(commands, chain: Path) -> int:
+    """Sum over commands of the sizes of the distinct files each was given;
+    paths are relative to ``chain``, where the commands ran."""
     total = 0
     for step in commands:
-        chain = work / f"chain{step.rep}"
         files = set()
         for flag in ("--meta", "--folds-csv", "--cnn", "--preds", "--sizes", "--scores"):
             if flag in step.argv:
@@ -151,13 +151,14 @@ def _rate(amount: float, seconds: float) -> float:
     return amount / seconds if seconds > 0 else 0.0
 
 
-def metrics(tracer: Tracer, *, workload, seed: int, rows: int, input_bytes: int,
-            import_s: float, overhead_frac: float) -> dict[str, float]:
+def metrics(tracer: Tracer, *, rows: int, input_bytes: int, import_s: float, overhead_frac: float,
+            micro_ms: tuple[list[float], list[float]]) -> dict[str, float]:
+    """Per-layer metrics from the spans; ``micro_ms`` is ``step_micro_ms``'s result."""
     def size(name: str) -> int:
         return sum(s.size for s in tracer.by_name(name))
 
     t = tracer.total
-    fwd, bwd = step_micro_ms(workload, seed)
+    fwd, bwd = micro_ms
     other = step_other_ms(tracer)
     train_s = t("fusion.train")
     out = {

@@ -3,19 +3,21 @@
     python3 perfbench/run.py --workload paper_meta --seed 1 --seconds 60 --trace 0
 
 Run it from the repository root; it needs nothing but ``src/`` and numpy.
-Each run builds a 58,457-image synthetic cohort from ``--seed`` with the
-library's public writers, in a fresh interpreter, ``SETUP_REPEATS`` times
-(``setup_s`` is the median). It then drives the workload's steps (see
-``workloads.py``) through the real CLI entry point, one process per command
-and one command after another: a closed loop with a single client. Further passes run while
-they fit in ``--seconds``; there is always at least one. Every output is
-checked, every metric is printed with its unit, and the last line is a JSON
-object with ``correct``, ``attempted``, ``failed`` and ``metrics``.
+A run builds a 58,457-image synthetic cohort from ``--seed`` with the
+library's public writers, in a fresh interpreter, and drives the workload's
+steps (see ``workloads.py``) through the real CLI entry point, one process
+per command and one command after another: a closed loop with a single
+client. It does so in rounds until ``--seconds`` are spent, at least
+``MIN_ROUNDS`` of them; each round sets up the inputs again and repeats
+every step but ``train``, and its outputs must match round 0's. Every
+output is checked, every metric is printed with its unit, and the last line
+is a JSON object with ``correct``, ``attempted``, ``failed`` and ``metrics``.
 
-``--trace 0`` reports the end-to-end metrics. ``--trace 1`` runs one
-repetition of the steps twice in this process through ``cli.main``, plain
-and then with span wrappers at the library's layer boundaries, and reports
-the per-layer metrics and the tracing overhead.
+``--trace 1`` runs round 0 twice in this process through ``cli.main``,
+plain and with span wrappers at the library's layer boundaries, step by
+step in turn, and reports the per-layer metrics and the tracing overhead;
+its length is set by those two passes, not by ``--seconds``. ``--trace 0``
+reports the end-to-end metrics.
 
 Each run writes ``.perfbench/results/<workload>-seed<seed>-trace<t>.json``
 (environment, every check, the sha256 of every input and artifact) in the
@@ -36,13 +38,12 @@ import json
 import os
 import platform
 import shutil
-import statistics
 import subprocess
 import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,17 +52,17 @@ import layers
 from checks import (Labels, aligned_scores, artifact_digests, check_cv_output, check_ensemble,
                     check_folds, check_stability, compare_digests, read_folds)
 from spans import Tracer
-from workloads import END_TO_END, N_BOOT, N_FOLDS, PER_LAYER, REPEATS, SETUP_REPEATS, WORKLOADS, steps
+from workloads import END_TO_END, N_BOOT, N_FOLDS, PER_LAYER, WORKLOADS, steps
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 SRC = ROOT / "src"
 COMMAND_TIMEOUT_S = 170.0
+MIN_ROUNDS = 2  # so that every run checks a repetition against round 0
 
 
 @dataclass
 class StepResult:
-    rep: int
     metric: str | None
     argv: tuple[str, ...] | None  # None: the in-process bootstrap
     returncode: int
@@ -73,12 +74,13 @@ class StepResult:
 
 
 @dataclass
-class Pass:
-    steps: list[StepResult] = field(default_factory=list)
-    pipeline_s: float = 0.0
+class Round:
+    rep: int  # the round ran in ``chain<rep>``
+    steps: list[StepResult]
+    seconds: float  # wall time of the whole step sequence
 
-    def fastest_s(self, metric: str) -> float:
-        return min(s.seconds for s in self.steps if s.metric == metric)
+    def seconds_of(self, metric: str) -> float:
+        return sum(s.seconds for s in self.steps if s.metric == metric)
 
     def commands(self) -> list[StepResult]:
         return [s for s in self.steps if s.argv is not None]
@@ -175,58 +177,62 @@ def run_in_process(argv: tuple[str, ...], cwd: Path, tracer=None) -> tuple[int, 
     return rc, out.getvalue(), err.getvalue()
 
 
-def run_sequence(workload, seed: int, work: Path, labels, repeats: int, in_process: bool = False,
-                 tracer=None) -> Pass:
-    """Run every step of the workload once, one after another.
-
-    Commands run as child processes of the real CLI entry point unless
-    ``in_process`` is set, in which case they go through ``cli.main`` here
-    (with ``tracer``'s wrappers, if given).
-    """
-    for r in range(repeats):
-        (work / f"chain{r}").mkdir()
-    env = command_env(workload.threads)
-    saved_threads = os.environ.pop("LESIONBENCH_THREADS", None)
-    if in_process and workload.threads is not None:
-        os.environ["LESIONBENCH_THREADS"] = workload.threads
-    result = Pass()
+@contextlib.contextmanager
+def threads_env(threads: str | None):
+    """LESIONBENCH_THREADS for commands run in this process, as ``command_env`` sets it for children."""
+    saved = os.environ.pop("LESIONBENCH_THREADS", None)
+    if threads is not None:
+        os.environ["LESIONBENCH_THREADS"] = threads
     try:
-        start = time.perf_counter()
-        for i, step in enumerate(steps(workload, seed, repeats)):
-            chain = work / f"chain{step.rep}"
-            t0 = time.perf_counter()
-            if step.argv is None:
-                try:
-                    boot, rc, err = bootstrap(chain, labels, seed, tracer), 0, ""
-                except Exception:  # recorded as a failed step, like a crashing command
-                    boot, rc, err = None, 1, traceback.format_exc()
-                result.steps.append(StepResult(step.rep, step.metric, None, rc, time.perf_counter() - t0,
-                                               stderr=err, bootstrap=boot))
-            elif in_process:
-                rc, out, err = run_in_process(step.argv, chain, tracer)
-                result.steps.append(StepResult(step.rep, step.metric, step.argv, rc,
-                                               time.perf_counter() - t0, out, err))
-            else:
-                cmd = [sys.executable, "-m", "lesionbench.cli", *step.argv]
-                rc, seconds, rss, out, err = run_process(cmd, chain, env, work / "logs" / f"step{i:02d}")
-                result.steps.append(StepResult(step.rep, step.metric, step.argv, rc, seconds, out, err, rss))
-        result.pipeline_s = time.perf_counter() - start
+        yield
     finally:
         os.environ.pop("LESIONBENCH_THREADS", None)
-        if saved_threads is not None:
-            os.environ["LESIONBENCH_THREADS"] = saved_threads
-    return result
+        if saved is not None:
+            os.environ["LESIONBENCH_THREADS"] = saved
 
 
-def check_pass(p: Pass, work: Path, labels, checks: Checks, tag: str) -> dict[str, str]:
-    """Record every output check of one pass; return repetition 0's artifact digests."""
+def run_step(step, chain: Path, labels, seed: int, *, env: dict[str, str] | None = None,
+             log: Path | None = None, tracer=None) -> StepResult:
+    """Run one step in ``chain``: a child process of the real CLI entry point
+    when ``env`` is given, else ``cli.main`` in this process (with
+    ``tracer``'s wrappers, if given)."""
+    t0 = time.perf_counter()
+    if step.argv is None:
+        try:
+            boot, rc, err = bootstrap(chain, labels, seed, tracer), 0, ""
+        except Exception:  # recorded as a failed step, like a crashing command
+            boot, rc, err = None, 1, traceback.format_exc()
+        return StepResult(step.metric, None, rc, time.perf_counter() - t0, stderr=err, bootstrap=boot)
+    if env is None:
+        rc, out, err = run_in_process(step.argv, chain, tracer)
+        return StepResult(step.metric, step.argv, rc, time.perf_counter() - t0, out, err)
+    cmd = [sys.executable, "-m", "lesionbench.cli", *step.argv]
+    rc, seconds, rss, out, err = run_process(cmd, chain, env, log)
+    return StepResult(step.metric, step.argv, rc, seconds, out, err, rss)
+
+
+def run_round(workload, seed: int, work: Path, labels, rep: int) -> Round:
+    """Run every step of round ``rep`` in ``chain<rep>``, one child process after another."""
+    chain = work / f"chain{rep}"
+    chain.mkdir()
+    env = command_env(workload.threads)
+    start = time.perf_counter()
+    done = [run_step(step, chain, labels, seed, env=env, log=work / "logs" / f"round{rep}-step{i:02d}")
+            for i, step in enumerate(steps(workload, seed, rep))]
+    return Round(rep, done, time.perf_counter() - start)
+
+
+def check_round(rnd: Round, work: Path, labels, checks: Checks, tag: str,
+                read: dict[Path, np.ndarray]) -> dict[str, str]:
+    """Record every output check of one round; return its artifact digests.
+
+    ``read`` caches prediction files already parsed, by resolved path.
+    """
     def check(what: str, fn, *args) -> None:
         try:
             checks.record(f"{tag} {what}", fn(*args))
         except (OSError, ValueError, KeyError, IndexError, StopIteration) as exc:
             checks.record(f"{tag} {what}", f"{type(exc).__name__}: {exc}")
-
-    read: dict[Path, np.ndarray] = {}
 
     def scores(path: Path) -> np.ndarray:
         path = path.resolve()
@@ -234,25 +240,23 @@ def check_pass(p: Pass, work: Path, labels, checks: Checks, tag: str) -> dict[st
             read[path] = aligned_scores(path, labels)
         return read[path]
 
-    chain0 = work / "chain0"
+    chain = work / f"chain{rnd.rep}"
     fold = np.zeros(len(labels.names), dtype=np.int64)
     try:
-        fold_of = read_folds(chain0 / "folds.csv")
+        fold_of = read_folds(chain / "folds.csv")
         fold = np.array([fold_of[n] for n in labels.names])
         checks.record(f"{tag} folds cover images, patients whole", check_folds(fold_of, labels, N_FOLDS))
     except (OSError, ValueError, KeyError, StopIteration) as exc:
         checks.record(f"{tag} folds.csv readable", f"{type(exc).__name__}: {exc}")
 
-    for s in p.steps:
-        chain = work / f"chain{s.rep}"
+    for s in rnd.steps:
         if s.argv is None:
             boot = s.bootstrap
             ok = boot is not None and boot.n_used + boot.n_skipped == N_BOOT and 0.0 <= boot.std <= 0.5
-            checks.record(f"{tag} bootstrap {s.rep} used {N_BOOT} resamples",
+            checks.record(f"{tag} bootstrap used {N_BOOT} resamples",
                           None if ok else f"got {boot} {s.stderr.strip()[-300:]}")
             continue
-        what = f"{tag} {s.argv[0]} {s.rep}"
-        checks.record(f"{what} exits 0", None if s.returncode == 0 else
+        checks.record(f"{tag} {s.argv[0]} exits 0", None if s.returncode == 0 else
                       f"exit {s.returncode}: {s.stderr.strip()[-300:]}")
         if s.argv[0] == "train":
             check("train cv equals pair counting on oof.csv",
@@ -261,19 +265,14 @@ def check_pass(p: Pass, work: Path, labels, checks: Checks, tag: str) -> dict[st
             preds = chain / s.argv[s.argv.index("--preds") + 1]
             check(f"evaluate {preds.name} equals pair counting",
                   lambda out: check_cv_output(out, scores(preds), labels, fold), s.stdout)
-        elif s.argv[0] == "ensemble" and s.rep == 0:
+        elif s.argv[0] == "ensemble":
             members = [chain / m for m in s.argv[s.argv.index("--preds") + 1].split(",")]
             check("ensemble equals the rank mean",
-                  lambda: check_ensemble(scores(chain / "ensemble.csv"), [scores(m) for m in members]))
+                  lambda: check_ensemble(aligned_scores(chain / "ensemble.csv", labels),
+                                         [scores(m) for m in members]))
         elif s.argv[0] == "stability":
             check("stability stds", check_stability, s.stdout, SRC / "lesionbench" / "data" / "model_scores.csv")
-
-    digests = artifact_digests(chain0)
-    shared = {k: v for k, v in digests.items() if not k.startswith("run/")}
-    for r in range(1, 1 + max(s.rep for s in p.steps)):
-        checks.record(f"{tag} repetition {r} artifacts identical to repetition 0",
-                      compare_digests(shared, artifact_digests(work / f"chain{r}"), "repetition"))
-    return digests
+    return artifact_digests(chain)
 
 
 def environment(workload) -> dict[str, object]:
@@ -327,92 +326,104 @@ def check_rerun(state_dir: Path, key: str, digests: dict[str, str], checks: Chec
         path.write_text(json.dumps(digests, indent=1, sort_keys=True))
 
 
-def clear_chains(work: Path) -> None:
-    for chain in work.glob("chain*"):
-        shutil.rmtree(chain)
-
-
 def end_to_end(workload, seed: int, seconds: float, scale: float, work: Path, checks: Checks) -> tuple[dict, dict]:
-    setup = []
-    for rep in range(SETUP_REPEATS):
+    start = time.perf_counter()
+    setup: list[float] = []
+    rounds: list[Round] = []
+    read: dict[Path, np.ndarray] = {}
+    while True:
+        rep = len(rounds)
+        t0 = time.perf_counter()
         dest = work / ("inputs" if rep == 0 else f"inputs_{rep}")
         setup.append(setup_inputs(workload, seed, scale, dest, work / "logs"))
-    input_digests = artifact_digests(work / "inputs")
-    for rep in range(1, SETUP_REPEATS):
-        checks.record(f"set-up {rep} inputs identical to set-up 0",
-                      compare_digests(input_digests, artifact_digests(work / f"inputs_{rep}"), "set-up"))
-        shutil.rmtree(work / f"inputs_{rep}")
-    labels = Labels(work / "inputs" / "meta.csv")
-
-    passes: list[Pass] = []
-    digests: list[dict[str, str]] = []
-    measure_start = time.perf_counter()
-    while True:
-        p = run_sequence(workload, seed, work, labels, REPEATS)
-        passes.append(p)
-        digests.append(check_pass(p, work, labels, checks, f"pass {len(passes) - 1}"))
-        if len(passes) > 1:
-            checks.record(f"pass {len(passes) - 1} artifacts identical to pass 0",
-                          compare_digests(digests[0], digests[-1], "rerun"))
-        clear_chains(work)
-        if time.perf_counter() - measure_start + p.pipeline_s > seconds:
+        if rep == 0:
+            input_digests = artifact_digests(dest)
+            labels = Labels(dest / "meta.csv")
+        else:
+            checks.record(f"set-up {rep} inputs identical to set-up 0",
+                          compare_digests(input_digests, artifact_digests(dest), "set-up"))
+            shutil.rmtree(dest)
+        rnd = run_round(workload, seed, work, labels, rep)
+        rounds.append(rnd)
+        digests = check_round(rnd, work, labels, checks, f"round {rep}", read)
+        if rep == 0:
+            first = digests
+        else:
+            shared = {k: v for k, v in first.items() if not k.startswith("run/")}
+            checks.record(f"round {rep} artifacts identical to round 0", compare_digests(shared, digests, "round"))
+            shutil.rmtree(work / f"chain{rep}")
+        next_round_s = time.perf_counter() - t0 - rnd.seconds_of("train_s")
+        if len(rounds) >= MIN_ROUNDS and time.perf_counter() - start + next_round_s > seconds:
             break
     check_rerun(work.parent.parent / "state",
-                f"{workload.name}-seed{seed}-scale{scale}-{code_digest()}", digests[0], checks)
+                f"{workload.name}-seed{seed}-scale{scale}-{code_digest()}", first, checks)
 
-    med = statistics.median
     metrics = {
-        "setup_s": med(setup),
-        "pipeline_s": med(p.pipeline_s for p in passes),
-        **{m: med(p.fastest_s(m) for p in passes)
-           for m in ("split_s", "features_s", "train_s", "evaluate_s", "ensemble_s", "bootstrap_s")},
-        "peak_rss_mb": med(max(s.rss_mb for s in p.commands()) for p in passes),
+        "setup_s": min(setup),
+        "pipeline_s": rounds[0].seconds,
+        **{m: min(r.seconds_of(m) for r in rounds)
+           for m in ("split_s", "features_s", "evaluate_s", "ensemble_s", "bootstrap_s")},
+        "train_s": rounds[0].seconds_of("train_s"),
+        "peak_rss_mb": max(s.rss_mb for r in rounds for s in r.commands()),
     }
     record = {
         "setup_s_each": setup,
-        "passes": [{"pipeline_s": p.pipeline_s,
-                    "steps": [{"rep": s.rep, "argv": s.argv, "seconds": s.seconds, "rss_mb": s.rss_mb,
-                               "returncode": s.returncode} for s in p.steps]} for p in passes],
+        "rounds": [{"seconds": r.seconds,
+                    "steps": [{"argv": s.argv, "seconds": s.seconds, "rss_mb": s.rss_mb,
+                               "returncode": s.returncode} for s in r.steps]} for r in rounds],
         "input_sha256": input_digests,
-        "artifact_sha256": digests[0],
+        "artifact_sha256": first,
     }
     return metrics, record
 
 
 def traced(workload, seed: int, scale: float, work: Path, checks: Checks) -> tuple[dict, dict]:
-    setup_inputs(workload, seed, scale, work / "inputs", work / "logs")
-    labels = Labels(work / "inputs" / "meta.csv")
+    setup_inputs(workload, seed, scale, work / "plain" / "inputs", work / "logs")
+    shutil.copytree(work / "plain" / "inputs", work / "traced" / "inputs")
+    labels = Labels(work / "plain" / "inputs" / "meta.csv")
 
-    plain = run_sequence(workload, seed, work, labels, 1, in_process=True)
-    digests = check_pass(plain, work, labels, checks, "plain")
-    clear_chains(work)
+    # The step micro-timings run first and also warm BLAS and the fusion
+    # code. Round 0 then runs twice in this process, plain and traced, each
+    # in its own directory. The two advance step by step and take turns
+    # going first, so that neither side alone pays a cold start or a slow
+    # stretch of the host, and the tracing overhead is the ratio of their sums.
+    micro_ms = layers.step_micro_ms(workload, seed)
     tracer = Tracer()
-    layers.install(tracer)
-    try:
-        traced_pass = run_sequence(workload, seed, work, labels, 1, in_process=True, tracer=tracer)
-    finally:
-        tracer.close()
+    done: dict[str, list[StepResult]] = {"plain": [], "traced": []}
+    with threads_env(workload.threads):
+        for i, step in enumerate(steps(workload, seed, 0)):
+            for kind in ("plain", "traced") if i % 2 == 0 else ("traced", "plain"):
+                chain = work / kind / "chain0"
+                chain.mkdir(exist_ok=True)
+                if kind == "plain":
+                    done[kind].append(run_step(step, chain, labels, seed))
+                    continue
+                layers.install(tracer)
+                try:
+                    done[kind].append(run_step(step, chain, labels, seed, tracer=tracer))
+                finally:
+                    tracer.close()
+    rounds = {kind: Round(0, ran, sum(s.seconds for s in ran)) for kind, ran in done.items()}
+    digests = {kind: check_round(r, work / kind, labels, checks, kind, {}) for kind, r in rounds.items()}
     checks.record("traced artifacts identical to plain ones",
-                  compare_digests(digests, check_pass(traced_pass, work, labels, checks, "traced"), "traced"))
+                  compare_digests(digests["plain"], digests["traced"], "traced"))
 
     metrics = layers.metrics(
         tracer,
-        workload=workload,
-        seed=seed,
+        micro_ms=micro_ms,
         rows=len(labels.names),
-        input_bytes=layers.distinct_input_bytes(traced_pass.commands(), work),
+        input_bytes=layers.distinct_input_bytes(rounds["traced"].commands(), work / "traced" / "chain0"),
         import_s=layers.import_seconds(command_env(None)),
-        overhead_frac=traced_pass.pipeline_s / plain.pipeline_s - 1.0,
+        overhead_frac=rounds["traced"].seconds / rounds["plain"].seconds - 1.0,
     )
-    clear_chains(work)
     spans_path = work.parent.parent / "results" / f"{workload.name}-seed{seed}-spans.json"
     spans_path.parent.mkdir(parents=True, exist_ok=True)
     spans_path.write_text(json.dumps({"spans": [s.as_dict() for s in tracer.spans], "counts": tracer.counts}))
     record = {
-        "plain_pipeline_s": plain.pipeline_s,
-        "traced_pipeline_s": traced_pass.pipeline_s,
+        "plain_steps_s": [s.seconds for s in rounds["plain"].steps],
+        "traced_steps_s": [s.seconds for s in rounds["traced"].steps],
         "spans_file": spans_path.name,
-        "artifact_sha256": digests,
+        "artifact_sha256": digests["plain"],
     }
     return metrics, record
 

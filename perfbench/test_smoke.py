@@ -52,6 +52,11 @@ def test_end_to_end_run_passes_its_checks(tmp_path, workload):
     assert result["correct"] and result["failed"] == 0 and result["attempted"] > 5
     assert set(result["metrics"]) == set(workloads.END_TO_END)
     assert all(m["value"] > 0 for m in result["metrics"].values())
+    record = json.loads((tmp_path / ".perfbench" / "results" / f"{workload}-seed5-trace0.json").read_text())
+    # Even a one-second run makes a second round, checked against the first.
+    assert len(record["rounds"]) == len(record["setup_s_each"]) == 2
+    assert any(c["check"] == "round 1 artifacts identical to round 0" for c in record["checks"])
+    assert result["metrics"]["setup_s"]["value"] == min(record["setup_s_each"])
 
 
 def test_traced_run_reports_every_layer_metric(tmp_path):

@@ -4,22 +4,24 @@ expected to move which end-to-end metric.
 Both workloads run the same command sequence on the same 58,457-image
 cohort, so every end-to-end metric exists on both: split, features, train,
 evaluate, ensemble and an in-process bootstrap of the ensemble's 2020 AUC.
-Everything but ``train`` is short (one to three seconds), so the sequence
-runs those steps ``REPEATS`` times and each metric is the fastest call: on
-a shared host the speed of a call swings by up to 2x over minutes, and the
-least-disturbed call varies least from run to run (medians of the same
-calls varied by up to 31%, the fastest by at most 23%, over ten runs). What
-differs between the workloads is where the work sits:
+A run repeats the input set-up and every step but ``train`` in rounds until
+its time is spent, and each such metric is the fastest round. The host's
+speed swings within seconds (a fixed pure-Python loop takes 12 to 20 ms from
+one call to the next on a shared two-vCPU VM), so the least-disturbed round
+of a one-second step varies least from run to run. ``train`` (two epochs,
+the CLI's minimum) runs once and averages over its own 10 to 20 seconds.
+What differs between the workloads is where the work sits:
 
 * ``paper_meta``: a metadata-only fusion head (D=0, hidden 512,128,
   batch 64, serial folds). The training step dominates ``train_s``.
 * ``paper_wide``: a D=24 external feature CSV (about 28 MB), hidden 128,32
-  and two fold threads; the OOF scores are evaluated and rank-averaged
-  together with an external prediction file rounded to three decimals
-  (ties), and the stability table is printed. Reading and digesting input dominates; it is
-  the only workload on the fold-thread code path. The paper's pooled image
-  features have 1.5k-2.5k columns; D is cut to 24 so that every run, with
-  its set-up, fits the benchmark's time budget.
+  and two fold threads; every round evaluates both the OOF scores and an
+  external prediction file rounded to three decimals (ties), so
+  ``evaluate_s`` is the sum of the two calls, and rank-averages the two;
+  round 0 also prints the stability table. Reading and digesting input
+  dominates; it is the only workload on the fold-thread code path. The
+  paper's pooled image features have 1.5k-2.5k columns; D is cut to 24 so
+  that every run, with its set-up, fits the benchmark's time budget.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from dataclasses import dataclass
 N_FOLDS = 5
 EPOCHS = 2
 N_BOOT = 1000
-REPEATS = 4
-SETUP_REPEATS = 3
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,9 @@ WORKLOADS = {
     )
 }
 
-# name -> (unit, better, bound). Over ten runs on a shared two-vCPU host the
-# timings spread by 10-23% (quartile distance over median), so they get the
-# widest bound allowed; peak RSS repeats within 1%.
+# name -> (unit, better, bound). The host's speed drifts by 10-15% over tens
+# of minutes, so timings get the widest bound allowed; peak RSS repeats
+# within 1%.
 END_TO_END = {
     "setup_s": ("s", "lower", 0.25),
     "pipeline_s": ("s", "lower", 0.25),
@@ -123,37 +123,35 @@ PER_LAYER = {
 
 @dataclass(frozen=True)
 class Step:
-    rep: int  # the step runs in chain directory ``chain<rep>``
     metric: str | None  # end-to-end metric the step's time counts towards
     argv: tuple[str, ...] | None  # CLI arguments; None is the in-process bootstrap
 
 
-def steps(w: Workload, seed: int, repeats: int = REPEATS) -> list[Step]:
-    """Every step of the workload's sequence, in order.
+def steps(w: Workload, seed: int, rep: int) -> list[Step]:
+    """The steps of round ``rep``, in order; they run in ``chain<rep>``.
 
-    Repetition ``r`` runs in ``chain<r>`` and repeats every step but
-    ``train``; its outputs must match repetition 0 byte for byte. The traced
-    run makes a single repetition. Paths are
+    Round 0 also trains and prints the stability table; later rounds
+    evaluate and blend round 0's OOF scores, and their outputs must match
+    round 0's byte for byte. Paths are
     relative to the chain directory, so the arguments recorded in manifests
-    are the same in every repetition and every run.
+    are the same in every round and every run.
     """
     meta = "../inputs/meta.csv"
     preds = ["../chain0/run/oof.csv"] + [f"../inputs/model_{i:02d}.csv" for i in range(w.external_preds)]
-    out = []
-    for r in range(repeats):
-        out.append(Step(r, "split_s", ("split", "--meta", meta, "--folds", str(N_FOLDS),
-                                       "--seed", str(seed), "--out", "folds.csv")))
-        out.append(Step(r, "features_s", ("features", "--meta", meta, "--out", "features.csv")))
-        if r == 0:
-            cnn = ("--cnn", "../inputs/cnn.csv") if w.cnn_dim else ()
-            out.append(Step(r, "train_s", ("train", "--meta", meta, "--folds-csv", "folds.csv", *cnn,
-                                           "--epochs", str(EPOCHS), "--batch-size", str(w.batch_size),
-                                           "--hidden", f"{w.hidden[0]},{w.hidden[1]}",
-                                           "--seed", str(seed), "--out-dir", "run")))
-        out.append(Step(r, "evaluate_s", ("evaluate", "--meta", meta, "--folds-csv", "folds.csv",
-                                          "--preds", preds[r % len(preds)])))
-        out.append(Step(r, "ensemble_s", ("ensemble", "--preds", ",".join(preds), "--out", "ensemble.csv")))
-        if r == 0 and w.external_preds:
-            out.append(Step(r, None, ("stability",)))
-        out.append(Step(r, "bootstrap_s", None))
+    out = [
+        Step("split_s", ("split", "--meta", meta, "--folds", str(N_FOLDS), "--seed", str(seed), "--out", "folds.csv")),
+        Step("features_s", ("features", "--meta", meta, "--out", "features.csv")),
+    ]
+    if rep == 0:
+        cnn = ("--cnn", "../inputs/cnn.csv") if w.cnn_dim else ()
+        out.append(Step("train_s", ("train", "--meta", meta, "--folds-csv", "folds.csv", *cnn,
+                                    "--epochs", str(EPOCHS), "--batch-size", str(w.batch_size),
+                                    "--hidden", f"{w.hidden[0]},{w.hidden[1]}",
+                                    "--seed", str(seed), "--out-dir", "run")))
+    out += [Step("evaluate_s", ("evaluate", "--meta", meta, "--folds-csv", "folds.csv", "--preds", p))
+            for p in preds]
+    out.append(Step("ensemble_s", ("ensemble", "--preds", ",".join(preds), "--out", "ensemble.csv")))
+    if rep == 0 and w.external_preds:
+        out.append(Step(None, ("stability",)))
+    out.append(Step("bootstrap_s", None))
     return out
