@@ -7,11 +7,12 @@ A run builds a 58,457-image synthetic cohort from ``--seed`` with the
 library's public writers, in a fresh interpreter, and drives the workload's
 steps (see ``workloads.py``) through the real CLI entry point, one process
 per command and one command after another: a closed loop with a single
-client. It does so in rounds until ``--seconds`` are spent, at least
-``MIN_ROUNDS`` of them; each round sets up the inputs again and repeats
-every step but ``train``, and its outputs must match round 0's. Every
-output is checked, every metric is printed with its unit, and the last line
-is a JSON object with ``correct``, ``attempted``, ``failed`` and ``metrics``.
+client. It sets the inputs up ``SETUPS`` times, then runs the steps in
+rounds until ``--seconds`` are spent, at least ``MIN_ROUNDS`` of them;
+each round after the first repeats every step but ``train``, and its
+outputs must match round 0's. Every output is checked, every metric is
+printed with its unit, and the last line is a JSON object with
+``correct``, ``attempted``, ``failed`` and ``metrics``.
 
 ``--trace 1`` runs round 0 twice in this process through ``cli.main``,
 plain and with span wrappers at the library's layer boundaries, step by
@@ -38,6 +39,7 @@ import json
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 import threading
@@ -46,19 +48,27 @@ import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
+# Every process of a run, this one included, gets one BLAS thread. paper_wide's
+# two fold threads then fill the two cores without oversubscribing them, and
+# paper_meta's 64-row products never wait for a second BLAS thread that the
+# host has descheduled: over five runs each, the quartile spread of its
+# train_s was 0.21 of the median with two BLAS threads and 0.09 with one.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
-import layers
-from checks import (Labels, aligned_scores, artifact_digests, check_cv_output, check_ensemble,
+import numpy as np  # noqa: E402
+
+import layers  # noqa: E402
+from checks import (Labels, aligned_scores, artifact_digests, check_cv_output, check_ensemble,  # noqa: E402
                     check_folds, check_stability, compare_digests, read_folds)
-from spans import Tracer
-from workloads import END_TO_END, N_BOOT, N_FOLDS, PER_LAYER, WORKLOADS, steps
+from spans import Tracer  # noqa: E402
+from workloads import END_TO_END, N_BOOT, N_FOLDS, PER_LAYER, WORKLOADS, steps  # noqa: E402
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 SRC = ROOT / "src"
 COMMAND_TIMEOUT_S = 170.0
 MIN_ROUNDS = 2  # so that every run checks a repetition against round 0
+SETUPS = 3
 
 
 @dataclass
@@ -328,21 +338,20 @@ def check_rerun(state_dir: Path, key: str, digests: dict[str, str], checks: Chec
 
 def end_to_end(workload, seed: int, seconds: float, scale: float, work: Path, checks: Checks) -> tuple[dict, dict]:
     start = time.perf_counter()
-    setup: list[float] = []
+    setup = [setup_inputs(workload, seed, scale, work / "inputs", work / "logs")]
+    input_digests = artifact_digests(work / "inputs")
+    for i in range(1, SETUPS):
+        dest = work / f"inputs_{i}"
+        setup.append(setup_inputs(workload, seed, scale, dest, work / "logs"))
+        checks.record(f"set-up {i} inputs identical to set-up 0",
+                      compare_digests(input_digests, artifact_digests(dest), "set-up"))
+        shutil.rmtree(dest)
+    labels = Labels(work / "inputs" / "meta.csv")
     rounds: list[Round] = []
     read: dict[Path, np.ndarray] = {}
     while True:
         rep = len(rounds)
         t0 = time.perf_counter()
-        dest = work / ("inputs" if rep == 0 else f"inputs_{rep}")
-        setup.append(setup_inputs(workload, seed, scale, dest, work / "logs"))
-        if rep == 0:
-            input_digests = artifact_digests(dest)
-            labels = Labels(dest / "meta.csv")
-        else:
-            checks.record(f"set-up {rep} inputs identical to set-up 0",
-                          compare_digests(input_digests, artifact_digests(dest), "set-up"))
-            shutil.rmtree(dest)
         rnd = run_round(workload, seed, work, labels, rep)
         rounds.append(rnd)
         digests = check_round(rnd, work, labels, checks, f"round {rep}", read)
@@ -352,16 +361,18 @@ def end_to_end(workload, seed: int, seconds: float, scale: float, work: Path, ch
             shared = {k: v for k, v in first.items() if not k.startswith("run/")}
             checks.record(f"round {rep} artifacts identical to round 0", compare_digests(shared, digests, "round"))
             shutil.rmtree(work / f"chain{rep}")
+        # Start another round while it would end, on average, within
+        # ``seconds``; the run then lasts ``seconds`` give or take half a round.
         next_round_s = time.perf_counter() - t0 - rnd.seconds_of("train_s")
-        if len(rounds) >= MIN_ROUNDS and time.perf_counter() - start + next_round_s > seconds:
+        if len(rounds) >= MIN_ROUNDS and time.perf_counter() - start + next_round_s / 2 > seconds:
             break
     check_rerun(work.parent.parent / "state",
                 f"{workload.name}-seed{seed}-scale{scale}-{code_digest()}", first, checks)
 
     metrics = {
-        "setup_s": min(setup),
+        "setup_s": statistics.median(setup),
         "pipeline_s": rounds[0].seconds,
-        **{m: min(r.seconds_of(m) for r in rounds)
+        **{m: statistics.median(r.seconds_of(m) for r in rounds)
            for m in ("split_s", "features_s", "evaluate_s", "ensemble_s", "bootstrap_s")},
         "train_s": rounds[0].seconds_of("train_s"),
         "peak_rss_mb": max(s.rss_mb for r in rounds for s in r.commands()),

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -53,10 +54,14 @@ def test_end_to_end_run_passes_its_checks(tmp_path, workload):
     assert set(result["metrics"]) == set(workloads.END_TO_END)
     assert all(m["value"] > 0 for m in result["metrics"].values())
     record = json.loads((tmp_path / ".perfbench" / "results" / f"{workload}-seed5-trace0.json").read_text())
-    # Even a one-second run makes a second round, checked against the first.
-    assert len(record["rounds"]) == len(record["setup_s_each"]) == 2
+    # Even a one-second run sets up more than once and makes a second round,
+    # each checked against the first.
+    assert len(record["rounds"]) == 2 and len(record["setup_s_each"]) > 2
     assert any(c["check"] == "round 1 artifacts identical to round 0" for c in record["checks"])
-    assert result["metrics"]["setup_s"]["value"] == min(record["setup_s_each"])
+    assert any(c["check"] == "set-up 1 inputs identical to set-up 0" for c in record["checks"])
+    assert result["metrics"]["setup_s"]["value"] == statistics.median(record["setup_s_each"])
+    assert result["metrics"]["split_s"]["value"] == statistics.median(
+        sum(s["seconds"] for s in r["steps"] if s["argv"] and s["argv"][0] == "split") for r in record["rounds"])
 
 
 def test_traced_run_reports_every_layer_metric(tmp_path):
