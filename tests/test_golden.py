@@ -1,0 +1,123 @@
+"""Behaviour lock: the CLI pipeline's artifacts, byte for byte.
+
+Runs split -> features -> train (D=0 and D=16) -> ensemble on a fixed small
+cohort and pins the sha256 of every artifact and of every manifest with its
+``timestamp=`` line dropped. A change that moves any of these digests changes
+the toolkit's output and must say so.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lesionbench.cli import main
+from lesionbench.datamodel import Sex, write_metadata_csv
+from lesionbench.features import FeatureTable, write_feature_csv
+from util import make_dataset, make_record
+
+DIAGNOSES = (
+    "nevus", "NV", "seborrheic keratosis", "BCC", "lentigo NOS", "unknown",
+    None, "AK", "solar lentigo", "DF",
+)
+SITES = ("torso", "head/neck", "upper extremity", "lower extremity", None)
+
+GOLDEN = {
+    "folds.csv":
+        "3796972f2eaa28ae33518592687792821ef62c14adc9f3aaf0da00ed098d09bb",
+    "folds.csv.manifest.txt":
+        "566e16f5cc005d625214c7c4b938918283c3dcb3484ad9db530e1b652e33b258",
+    "features.csv":
+        "cc0e8c65c0697bf061206a7575ee38b3fe97a33ab23f181bb8648a46966204a2",
+    "features.csv.manifest.txt":
+        "247ecbdd47438ede1fb4cd6a19dddd87847b6715a63ba5682fbecf09ce39f724",
+    "meta/oof.csv":
+        "717dd7969e74d3f97eef18381090c783e1d2b94e06b3b4ccf0b4ea6dcdfab4b3",
+    "meta/history.csv":
+        "ece4a6767588b3352689b5e32b0228d686595fdb9bb568a82ce7e397f1e41aa0",
+    "meta/model_fold0.lsnb":
+        "87a15e9ae7aaf4cc806ddc4b2e3a6242bddc559c52091b776b4b80719291b91c",
+    "meta/model_fold1.lsnb":
+        "6efdfa80c24ab13310e9ee81124bf1f9ac5c059484c91fbae7588899cc01575a",
+    "meta/model_fold2.lsnb":
+        "4a8117cc35319d632dd697f5fe11fb1b3f987ae5ebc4938db0076b2dec730d31",
+    "meta/train.manifest.txt":
+        "0614e9b52a6ee9dc51a7929d096249d91659af62c0c794b0ac119d1869a0bf38",
+    "wide/oof.csv":
+        "04abc639a1685dc5b85ad212beecf78806bef5787ae5a3a514892afdd6ea6879",
+    "wide/history.csv":
+        "46bafa6d1ba7d4a11fa85556040feeeac3c1adbea46b99e0d163fef571641a35",
+    "wide/model_fold0.lsnb":
+        "f8a1079a56c80cbc6f42b7a1a01c9e68edcfa59a817f7d2f05d3ad638ff6f337",
+    "wide/model_fold1.lsnb":
+        "9c722b986f9988f4967609b85221a16f6a0f447c31f5233227717f01afa04a8a",
+    "wide/model_fold2.lsnb":
+        "a0dc870dbf6a62d70dc6219d0aa0a4b2756d8706398a9ff89e479798cebf52e1",
+    "wide/train.manifest.txt":
+        "0ac948f7f79e5675a1df370624f78fa5c45f0fbce918c18ba223dc374ee18ca2",
+    "ensemble.csv":
+        "8ec5a561216c066c579c14e53108cbe949d01dad70a54dea53453b17feea1cfb",
+    "ensemble.csv.manifest.txt":
+        "d5a3ba11b376880899d1beff4fe842b383f0f1abbbce9be793b62b73b519255c",
+}
+
+
+def golden_dataset(n_patients=30):
+    rng = np.random.default_rng(2020)
+    records = []
+    for p in range(n_patients):
+        malignant = p % 5 == 0
+        sex = (Sex.MALE, Sex.FEMALE, Sex.MISSING)[p % 3]
+        age = None if p % 7 == 3 else float(rng.integers(4, 18) * 5)
+        for i in range(1 + p % 3):
+            records.append(
+                make_record(
+                    f"ISIC_{p:03d}{i}",
+                    patient_id=f"IP_{p:03d}",
+                    sex=sex,
+                    age=age,
+                    site=SITES[(p + i) % len(SITES)],
+                    diagnosis="melanoma" if malignant else DIAGNOSES[(p + i) % len(DIAGNOSES)],
+                    malignant=malignant,
+                    year=2020 if p % 2 else 2019,
+                    size=int(rng.integers(10**4, 10**6)),
+                )
+            )
+    return make_dataset(records)
+
+
+def _sha256(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name.endswith(".manifest.txt"):
+        lines = data.decode("utf-8").splitlines(keepends=True)
+        data = "".join(l for l in lines if not l.startswith("timestamp=")).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_pipeline_artifacts_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LESIONBENCH_THREADS", raising=False)
+    d = golden_dataset()
+    Path("meta.csv").write_text(write_metadata_csv(d), encoding="utf-8")
+    cnn = np.random.default_rng(16).normal(size=(len(d), 16))
+    Path("cnn.csv").write_text(
+        write_feature_csv(FeatureTable(d.image_names, cnn), prefix="c"), encoding="utf-8"
+    )
+
+    train = ["train", "--meta", "meta.csv", "--folds-csv", "folds.csv",
+             "--hidden", "8,4", "--epochs", "2", "--batch-size", "8", "--seed", "5"]
+    assert main(["split", "--meta", "meta.csv", "--folds", "3", "--seed", "11",
+                 "--out", "folds.csv"]) == 0
+    assert main(["features", "--meta", "meta.csv", "--out", "features.csv"]) == 0
+    assert main(train + ["--out-dir", "meta"]) == 0
+    assert main(train + ["--cnn", "cnn.csv", "--out-dir", "wide"]) == 0
+    assert main(["ensemble", "--preds", "meta/oof.csv,wide/oof.csv",
+                 "--out", "ensemble.csv"]) == 0
+
+    produced = sorted(
+        str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+        if p.is_file() and p.name not in ("meta.csv", "cnn.csv")
+    )
+    assert produced == sorted(GOLDEN)
+    assert {name: _sha256(Path(name)) for name in GOLDEN} == GOLDEN
