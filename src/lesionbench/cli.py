@@ -20,12 +20,15 @@ from pathlib import Path
 from . import __version__
 from .datamodel import (
     Dataset,
+    csv_rows,
+    csv_text,
     parse_metadata_csv,
     parse_predictions_csv,
+    require_coverage,
     write_predictions_csv,
 )
 from .ensemble import rank_average
-from .errors import FormatError, LesionbenchError
+from .errors import FormatError, LesionbenchError, UniquenessError
 from .features import (
     FeatureTable,
     build_site_vocab,
@@ -38,6 +41,7 @@ from .folds import (
     DEFAULT_FOLDS,
     DEFAULT_SEED,
     assign_folds,
+    check_folds,
     fold_ratio_report,
     read_folds_csv,
     write_folds_csv,
@@ -56,15 +60,41 @@ from .targets import TargetScheme
 THREADS_ENV_VAR = "LESIONBENCH_THREADS"
 
 
-def _digest(path: Path) -> str:
-    return f"fnv1a:{fnv1a64(path.read_bytes()):016x}"
+def _read_input(path: str, digests: dict[str, str] | None = None, key: str = "") -> str:
+    """Read one input file, once, as UTF-8 text with LF, CRLF and lone CR all
+    made LF (as ``Path.read_text`` does); record its digest when asked."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+    if digests is not None:
+        digests[key] = f"fnv1a:{fnv1a64(data):016x}"
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _write_output(path: Path, data: str | bytes) -> None:
+    """Write ``path`` atomically: a temporary file beside it, then a rename,
+    so a failed write leaves any previous file at ``path`` intact."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_manifest(
     out_path: Path,
     command: str,
     args: dict[str, object],
-    inputs: dict[str, Path],
+    digests: dict[str, str],
     seed: int | None,
 ) -> None:
     lines = [
@@ -76,27 +106,22 @@ def _write_manifest(
         lines.append(f"seed={seed}")
     for key in sorted(args):
         lines.append(f"arg.{key}={args[key]}")
-    for key in sorted(inputs):
-        lines.append(f"input.{key}={_digest(inputs[key])}")
-    manifest = out_path.with_name(out_path.name + ".manifest.txt")
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _load_dataset(path: Path) -> Dataset:
-    return parse_metadata_csv(path.read_text(encoding="utf-8"))
+    for key in sorted(digests):
+        lines.append(f"input.{key}={digests[key]}")
+    _write_output(out_path.with_name(out_path.name + ".manifest.txt"), "\n".join(lines) + "\n")
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    meta_path = Path(args.meta)
-    out_path = Path(args.out)
-    dataset = _load_dataset(meta_path)
+    digests: dict[str, str] = {}
+    dataset = parse_metadata_csv(_read_input(args.meta, digests, "meta"))
     assignment = assign_folds(dataset, args.folds, args.seed)
-    out_path.write_text(write_folds_csv(dataset, assignment), encoding="utf-8")
+    out_path = Path(args.out)
+    _write_output(out_path, write_folds_csv(dataset, assignment))
     _write_manifest(
         out_path,
         "split",
         {"meta": args.meta, "folds": args.folds, "out": args.out},
-        {"meta": meta_path},
+        digests,
         seed=args.seed,
     )
     report = fold_ratio_report(dataset, assignment)
@@ -113,31 +138,24 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _read_sizes_csv(text: str) -> dict[str, int]:
-    import csv
-    import io
-
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    header, rows = csv_rows(text, "sizes")
     if header != ["image_name", "image_size_bytes"]:
-        raise FormatError(
-            "sizes CSV must have header image_name,image_size_bytes"
-        )
+        raise FormatError("sizes CSV must have header image_name,image_size_bytes")
     sizes: dict[str, int] = {}
-    for row_num, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise FormatError(f"row {row_num}: expected 2 fields, got {len(row)}")
+    for row_num, (name, size) in rows:
+        if name in sizes:
+            raise UniquenessError(f"duplicate image_name {name!r} in sizes CSV")
         try:
-            sizes[row[0]] = int(row[1])
+            sizes[name] = int(size)
         except ValueError:
             raise FormatError(
-                f"row {row_num}: non-integer image_size_bytes {row[1]!r}"
+                f"row {row_num}: non-integer image_size_bytes {size!r}"
             ) from None
     return sizes
 
 
 def _apply_sizes(dataset: Dataset, sizes: dict[str, int]) -> Dataset:
+    require_coverage(sizes, set(dataset.image_names), "metadata")
     records = [
         dataclasses.replace(r, image_size_bytes=sizes.get(r.image_name, r.image_size_bytes))
         for r in dataset.records
@@ -146,14 +164,10 @@ def _apply_sizes(dataset: Dataset, sizes: dict[str, int]) -> Dataset:
 
 
 def _cmd_features(args: argparse.Namespace) -> int:
-    meta_path = Path(args.meta)
-    out_path = Path(args.out)
-    dataset = _load_dataset(meta_path)
-    inputs = {"meta": meta_path}
+    digests: dict[str, str] = {}
+    dataset = parse_metadata_csv(_read_input(args.meta, digests, "meta"))
     if args.sizes:
-        sizes_path = Path(args.sizes)
-        dataset = _apply_sizes(dataset, _read_sizes_csv(sizes_path.read_text(encoding="utf-8")))
-        inputs["sizes"] = sizes_path
+        dataset = _apply_sizes(dataset, _read_sizes_csv(_read_input(args.sizes, digests, "sizes")))
     if any(r.image_size_bytes is None for r in dataset.records):
         print(
             "warning: image sizes missing for some records; their log-size "
@@ -165,12 +179,13 @@ def _cmd_features(args: argparse.Namespace) -> int:
     stats = fit_norm_stats(dataset, n_images)
     matrix = encode_dataset(dataset, vocab, stats, n_images)
     table = FeatureTable(dataset.image_names, matrix)
-    out_path.write_text(write_feature_csv(table), encoding="utf-8")
+    out_path = Path(args.out)
+    _write_output(out_path, write_feature_csv(table))
     _write_manifest(
         out_path,
         "features",
         {"meta": args.meta, "sizes": args.sizes or "", "out": args.out},
-        inputs,
+        digests,
         seed=None,
     )
     return 0
@@ -211,12 +226,10 @@ def _max_workers() -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    meta_path = Path(args.meta)
-    folds_path = Path(args.folds_csv)
-    out_dir = Path(args.out_dir)
-    dataset = _load_dataset(meta_path)
-    assignment = read_folds_csv(folds_path.read_text(encoding="utf-8"))
-    inputs = {"meta": meta_path, "folds": folds_path}
+    digests: dict[str, str] = {}
+    dataset = parse_metadata_csv(_read_input(args.meta, digests, "meta"))
+    assignment = read_folds_csv(_read_input(args.folds_csv, digests, "folds"))
+    check_folds(dataset, assignment)
 
     n_images = compute_n_images(dataset)
     vocab = build_site_vocab(dataset)
@@ -225,11 +238,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         dataset.image_names, encode_dataset(dataset, vocab, stats, n_images)
     )
 
-    cnn = None
-    if args.cnn:
-        cnn_path = Path(args.cnn)
-        cnn = read_cnn_csv(cnn_path.read_text(encoding="utf-8"))
-        inputs["cnn"] = cnn_path
+    cnn = read_cnn_csv(_read_input(args.cnn, digests, "cnn")) if args.cnn else None
 
     cfg = TrainConfig(
         epochs=args.epochs,
@@ -241,20 +250,20 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     result = train(dataset, feats, cnn, assignment, cfg, max_workers=_max_workers())
 
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    oof_path = out_dir / "oof.csv"
-    oof_path.write_text(write_predictions_csv(result.oof), encoding="utf-8")
+    _write_output(out_dir / "oof.csv", write_predictions_csv(result.oof))
     for k, model in enumerate(result.models):
-        (out_dir / f"model_fold{k}.lsnb").write_bytes(save_model(model))
-    history_lines = ["fold,epoch,lr,train_loss,val_auc"]
-    for row in result.history:
-        val = "" if row.val_auc is None else repr(row.val_auc)
-        history_lines.append(
-            f"{row.fold},{row.epoch},{row.lr!r},{row.train_loss!r},{val}"
-        )
-    (out_dir / "history.csv").write_text(
-        "\n".join(history_lines) + "\n", encoding="utf-8"
+        _write_output(out_dir / f"model_fold{k}.lsnb", save_model(model))
+    history = csv_text(
+        ["fold", "epoch", "lr", "train_loss", "val_auc"],
+        (
+            [str(row.fold), str(row.epoch), repr(row.lr), repr(row.train_loss),
+             "" if row.val_auc is None else repr(row.val_auc)]
+            for row in result.history
+        ),
     )
+    _write_output(out_dir / "history.csv", history)
     _write_manifest(
         out_dir / "train",
         "train",
@@ -269,7 +278,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "hidden": args.hidden,
             "out_dir": args.out_dir,
         },
-        inputs,
+        digests,
         seed=args.seed,
     )
     report = evaluate_cv(result.oof, dataset, assignment)
@@ -292,30 +301,32 @@ def _format_cv(report) -> str:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(Path(args.meta))
-    assignment = read_folds_csv(Path(args.folds_csv).read_text(encoding="utf-8"))
-    preds = parse_predictions_csv(Path(args.preds).read_text(encoding="utf-8"))
+    dataset = parse_metadata_csv(_read_input(args.meta))
+    assignment = read_folds_csv(_read_input(args.folds_csv))
+    check_folds(dataset, assignment)
+    preds = parse_predictions_csv(_read_input(args.preds))
     report = evaluate_cv(preds.to_scalar(), dataset, assignment)
     print(_format_cv(report))
     return 0
 
 
 def _cmd_ensemble(args: argparse.Namespace) -> int:
-    pred_paths = [Path(p) for p in args.preds.split(",") if p]
+    pred_paths = [p for p in args.preds.split(",") if p]
     if not pred_paths:
         raise FormatError("--preds expects a comma-separated list of CSV paths")
+    digests: dict[str, str] = {}
     models = [
-        parse_predictions_csv(p.read_text(encoding="utf-8")).to_scalar()
-        for p in pred_paths
+        parse_predictions_csv(_read_input(p, digests, f"preds{i}")).to_scalar()
+        for i, p in enumerate(pred_paths)
     ]
     combined = rank_average(models)
     out_path = Path(args.out)
-    out_path.write_text(write_predictions_csv(combined), encoding="utf-8")
+    _write_output(out_path, write_predictions_csv(combined))
     _write_manifest(
         out_path,
         "ensemble",
         {"preds": args.preds, "out": args.out},
-        {f"preds{i}": p for i, p in enumerate(pred_paths)},
+        digests,
         seed=None,
     )
     return 0
@@ -323,7 +334,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
 
 def _cmd_stability(args: argparse.Namespace) -> int:
     if args.scores:
-        table = parse_score_table(Path(args.scores).read_text(encoding="utf-8"))
+        table = parse_score_table(_read_input(args.scores))
     else:
         table = load_reference_scores()
     result = stability(table)

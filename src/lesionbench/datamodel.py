@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import IO, Iterable, Iterator
+from typing import IO, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -145,10 +145,48 @@ class ValidationReport:
         return not self.errors
 
 
-def _as_line_iter(stream: str | IO[str]) -> Iterator[str]:
-    if isinstance(stream, str):
-        return iter(io.StringIO(stream))
-    return iter(stream)
+Rows = Iterator[tuple[int, list[str]]]
+
+
+def csv_rows(text: str | IO[str], noun: str) -> tuple[list[str], Rows]:
+    """The one CSV reader: the header, and ``(row_num, row)`` per non-blank row.
+
+    Every row must be as wide as the header. A missing header, a wrong width,
+    or anything the csv module rejects (e.g. a field over its size limit)
+    raises FormatError; callers check the header's names and parse the cells.
+    """
+    reader = csv.reader(io.StringIO(text) if isinstance(text, str) else text)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise FormatError(f"{noun} header: {exc}") from None
+    if header is None:
+        raise FormatError(f"empty {noun} stream: no header row")
+    return header, _checked_rows(reader, len(header), noun)
+
+
+def _checked_rows(reader: Iterator[list[str]], width: int, noun: str) -> Rows:
+    row_num = 0
+    try:
+        for row_num, row in enumerate(reader, start=1):
+            if not row:  # tolerate blank lines
+                continue
+            if len(row) != width:
+                raise FormatError(
+                    f"row {row_num}: expected {width} fields, got {len(row)}"
+                )
+            yield row_num, row
+    except csv.Error as exc:
+        raise FormatError(f"{noun} row {row_num + 1}: {exc}") from None
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """The one CSV writer: a header and its rows, LF-terminated."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def parse_metadata_csv(stream: str | IO[str]) -> Dataset:
@@ -160,10 +198,7 @@ def parse_metadata_csv(stream: str | IO[str]) -> Dataset:
     ``target`` is 0/1 and ``source`` is 2019/2020. Records are returned in
     file order.
     """
-    reader = csv.reader(_as_line_iter(stream))
-    header = next(reader, None)
-    if header is None:
-        raise FormatError("empty metadata stream: no header row")
+    header, rows = csv_rows(stream, "metadata")
     expected = list(METADATA_COLUMNS)
     if header == expected:
         has_size = False
@@ -175,19 +210,10 @@ def parse_metadata_csv(stream: str | IO[str]) -> Dataset:
             raise FormatError(
                 "metadata header is missing column(s): " + ", ".join(missing)
             )
-        raise FormatError(f"unrecognized metadata header: {','.join(header)}")
-    width = len(expected) + (1 if has_size else 0)
-
-    records = []
-    for row_num, row in enumerate(reader, start=1):
-        if not row:  # tolerate blank trailing lines
-            continue
-        if len(row) != width:
-            raise FormatError(
-                f"row {row_num}: expected {width} fields, got {len(row)}"
-            )
-        records.append(_parse_metadata_row(row, row_num, has_size))
-    return Dataset.from_records(records)
+        raise FormatError(f"unrecognized metadata header: {','.join(header)!r}")
+    return Dataset.from_records(
+        _parse_metadata_row(row, row_num, has_size) for row_num, row in rows
+    )
 
 
 def _parse_metadata_row(row: list[str], row_num: int, has_size: bool) -> SampleRecord:
@@ -274,25 +300,24 @@ def _format_float(v: float) -> str:
 def write_metadata_csv(d: Dataset) -> str:
     """Serialize a Dataset back to metadata-CSV text (inverse of parsing)."""
     has_size = any(r.image_size_bytes is not None for r in d.records)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     header = list(METADATA_COLUMNS) + ([SIZE_COLUMN] if has_size else [])
-    writer.writerow(header)
-    for r in d.records:
-        row = [
-            r.image_name,
-            r.patient_id,
-            "" if r.sex is Sex.MISSING else r.sex.value,
-            "" if r.age_approx is None else _format_float(r.age_approx),
-            r.anatom_site or "",
-            r.diagnosis or "",
-            str(r.target_binary.value),
-            str(r.source_year.value),
-        ]
-        if has_size:
-            row.append("" if r.image_size_bytes is None else str(r.image_size_bytes))
-        writer.writerow(row)
-    return out.getvalue()
+    return csv_text(header, (_metadata_row(r, has_size) for r in d.records))
+
+
+def _metadata_row(r: SampleRecord, has_size: bool) -> list[str]:
+    row = [
+        r.image_name,
+        r.patient_id,
+        "" if r.sex is Sex.MISSING else r.sex.value,
+        "" if r.age_approx is None else _format_float(r.age_approx),
+        r.anatom_site or "",
+        r.diagnosis or "",
+        str(r.target_binary.value),
+        str(r.source_year.value),
+    ]
+    if has_size:
+        row.append("" if r.image_size_bytes is None else str(r.image_size_bytes))
+    return row
 
 
 def validate_consistency(d: Dataset) -> ValidationReport:
@@ -469,27 +494,25 @@ def _check_unit_interval(arr: np.ndarray) -> None:
 def write_predictions_csv(p: PredictionSet) -> str:
     """Serialize predictions: ``image_name,target`` for scalar sets, or
     ``image_name,prob_<CLASS>,...`` in scheme column order for full sets."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     if p.is_scalar:
         assert p.scores is not None
-        writer.writerow(_scalar_header())
-        for name, score in zip(p.image_names, p.scores):
-            writer.writerow([name, _format_float(float(score))])
-    else:
-        assert p.probs is not None and p.scheme is not None
-        writer.writerow(_full_header(p.scheme))
-        for name, row in zip(p.image_names, p.probs):
-            writer.writerow([name] + [_format_float(float(v)) for v in row])
-    return out.getvalue()
+        return csv_text(
+            _scalar_header(),
+            ([name, _format_float(float(s))] for name, s in zip(p.image_names, p.scores)),
+        )
+    assert p.probs is not None and p.scheme is not None
+    return csv_text(
+        _full_header(p.scheme),
+        (
+            [name] + [_format_float(float(v)) for v in row]
+            for name, row in zip(p.image_names, p.probs)
+        ),
+    )
 
 
 def parse_predictions_csv(stream: str | IO[str]) -> PredictionSet:
     """Parse a prediction CSV; the header decides scalar vs full shape."""
-    reader = csv.reader(_as_line_iter(stream))
-    header = next(reader, None)
-    if header is None:
-        raise FormatError("empty prediction stream: no header row")
+    header, rows = csv_rows(stream, "prediction")
     if header == _scalar_header():
         scheme = None
     elif header == _full_header(TargetScheme.NINE_CLASS):
@@ -497,18 +520,11 @@ def parse_predictions_csv(stream: str | IO[str]) -> PredictionSet:
     elif header == _full_header(TargetScheme.FOUR_CLASS):
         scheme = TargetScheme.FOUR_CLASS
     else:
-        raise FormatError(f"unrecognized prediction header: {','.join(header)}")
+        raise FormatError(f"unrecognized prediction header: {','.join(header)!r}")
 
-    width = 2 if scheme is None else 1 + scheme.class_count
     names: list[str] = []
     values: list[list[float]] = []
-    for row_num, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != width:
-            raise FormatError(
-                f"row {row_num}: expected {width} fields, got {len(row)}"
-            )
+    for row_num, row in rows:
         if not row[0]:
             raise FormatError(f"row {row_num}: empty image_name")
         try:
@@ -518,22 +534,18 @@ def parse_predictions_csv(stream: str | IO[str]) -> PredictionSet:
         names.append(row[0])
         values.append(vals)
 
+    arr = np.asarray(values, dtype=np.float64).reshape(-1, len(header) - 1)
     if scheme is None:
-        return PredictionSet.from_scores(names, [v[0] for v in values])
-    arr = (
-        np.asarray(values, dtype=np.float64)
-        if values
-        else np.zeros((0, scheme.class_count))
-    )
-    return PredictionSet.from_probs(names, arr, scheme)
+        return PredictionSet(tuple(names), scores=arr[:, 0])
+    return PredictionSet(tuple(names), probs=arr, scheme=scheme)
 
 
-def require_coverage(
-    required: Iterable[str], available: Iterable[str] | dict[str, object], what: str
-) -> None:
-    """Raise CoverageError naming the first image missing from ``available``."""
-    have = available if isinstance(available, (dict, set, frozenset)) else set(available)
-    missing = [name for name in required if name not in have]
+def require_coverage(required: Iterable[str], available: Container[str], what: str) -> None:
+    """Raise CoverageError naming the first of ``required`` not in ``available``.
+
+    ``available`` should answer ``in`` cheaply: a dict, set or FeatureTable.
+    """
+    missing = [name for name in required if name not in available]
     if missing:
         raise CoverageError(
             f"{what} missing {len(missing)} image(s), first: {missing[0]!r}"

@@ -13,8 +13,6 @@ vocabulary; a missing or out-of-vocabulary site leaves the whole block zero.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +20,15 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, SampleRecord, Sex, _as_line_iter, _format_float
+from .datamodel import (
+    Dataset,
+    SampleRecord,
+    Sex,
+    _format_float,
+    _frozen,
+    csv_rows,
+    csv_text,
+)
 from .errors import (
     CapacityError,
     DomainError,
@@ -226,9 +232,7 @@ class FeatureTable:
             raise UniquenessError("feature table image names are not unique")
         if not np.all(np.isfinite(arr)):
             raise DomainError("feature values must be finite")
-        frozen = arr.copy()
-        frozen.flags.writeable = False
-        object.__setattr__(self, "values", frozen)
+        object.__setattr__(self, "values", _frozen(arr))
 
     @property
     def width(self) -> int:
@@ -261,43 +265,32 @@ class FeatureTable:
 
 def write_feature_csv(table: FeatureTable, prefix: str = "f") -> str:
     """Serialize a feature table with header ``image_name,<prefix>0,...``."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["image_name"] + [f"{prefix}{i}" for i in range(table.width)])
-    for name, row in zip(table.image_names, table.values):
-        writer.writerow([name] + [_format_float(float(v)) for v in row])
-    return out.getvalue()
+    return csv_text(
+        ["image_name"] + [f"{prefix}{i}" for i in range(table.width)],
+        (
+            [name] + [_format_float(float(v)) for v in row]
+            for name, row in zip(table.image_names, table.values)
+        ),
+    )
 
 
 def read_feature_csv(
     stream: str | IO[str], prefix: str = "f", width: int | None = None
 ) -> FeatureTable:
     """Parse a feature CSV; ``width`` pins the expected column count."""
-    reader = csv.reader(_as_line_iter(stream))
-    header = next(reader, None)
-    if header is None:
-        raise FormatError("empty feature stream: no header row")
-    if len(header) < 2 or header[0] != "image_name":
-        raise FormatError(f"unrecognized feature header: {','.join(header)}")
+    header, rows = csv_rows(stream, "feature")
     n_cols = len(header) - 1
-    if header[1:] != [f"{prefix}{i}" for i in range(n_cols)]:
-        raise FormatError(f"unrecognized feature header: {','.join(header)}")
+    if n_cols < 1 or header != ["image_name"] + [f"{prefix}{i}" for i in range(n_cols)]:
+        raise FormatError(f"unrecognized feature header: {','.join(header)!r}")
     if width is not None and n_cols != width:
         raise FormatError(f"expected {width} feature columns, got {n_cols}")
 
     names: list[str] = []
-    rows: list[list[float]] = []
-    for row_num, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != n_cols + 1:
-            raise FormatError(
-                f"row {row_num}: expected {n_cols + 1} fields, got {len(row)}"
-            )
+    values: list[list[float]] = []
+    for row_num, row in rows:
         try:
-            rows.append([float(cell) for cell in row[1:]])
+            values.append([float(cell) for cell in row[1:]])
         except ValueError:
             raise FormatError(f"row {row_num}: non-numeric feature value") from None
         names.append(row[0])
-    values = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, n_cols))
-    return FeatureTable(tuple(names), values)
+    return FeatureTable(tuple(names), np.asarray(values, dtype=np.float64).reshape(-1, n_cols))

@@ -10,15 +10,13 @@ runs and platforms while still varying with the seed.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from .datamodel import Dataset, _as_line_iter
-from .errors import CoverageError, DomainError, FormatError, UniquenessError
+from .datamodel import Dataset, csv_rows, csv_text, require_coverage
+from .errors import DomainError, FormatError, UniquenessError
 from .hashing import MASK64, fnv1a64, splitmix64
 from .targets import TargetScheme, map_diagnosis
 
@@ -118,14 +116,11 @@ def assign_folds(d: Dataset, k: int, seed: int) -> FoldAssignment:
 
 def fold_ratio_report(d: Dataset, f: FoldAssignment) -> FoldRatioReport:
     """Exact per-fold sizes and positive ratios, plus the global ones."""
+    require_coverage(d.image_names, f.assignment, "fold assignment")
     sizes = [0] * f.k
     positives = [0] * f.k
     for r in d.records:
-        fold = f.assignment.get(r.image_name)
-        if fold is None:
-            raise CoverageError(
-                f"image {r.image_name!r} has no fold assignment"
-            )
+        fold = f.assignment[r.image_name]
         sizes[fold] += 1
         positives[fold] += int(r.is_positive)
     per_fold = tuple(FoldStats(s, p) for s, p in zip(sizes, positives))
@@ -133,35 +128,40 @@ def fold_ratio_report(d: Dataset, f: FoldAssignment) -> FoldRatioReport:
     return FoldRatioReport(per_fold=per_fold, total=total)
 
 
+def check_folds(d: Dataset, f: FoldAssignment) -> None:
+    """Check that ``f`` fits ``d``: each side names only the other's images,
+    and every patient's images share one fold.
+
+    Fold ids need not be contiguous: ``assign_folds`` leaves surplus folds
+    empty when there are fewer patients than folds.
+    """
+    require_coverage(d.image_names, f.assignment, "fold assignment")
+    if len(f.assignment) > len(d):  # names on both sides are unique
+        require_coverage(f.assignment, set(d.image_names), "metadata")
+    names = d.image_names
+    for pid, positions in d.by_patient.items():
+        folds = {f.assignment[names[pos]] for pos in positions}
+        if len(folds) > 1:
+            raise DomainError(f"patient {pid!r} is split across folds {sorted(folds)}")
+
+
 def write_folds_csv(d: Dataset, f: FoldAssignment) -> str:
     """Serialize an assignment in dataset record order (header
     ``image_name,fold``)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["image_name", "fold"])
-    for r in d.records:
-        fold = f.assignment.get(r.image_name)
-        if fold is None:
-            raise CoverageError(f"image {r.image_name!r} has no fold assignment")
-        writer.writerow([r.image_name, str(fold)])
-    return out.getvalue()
+    require_coverage(d.image_names, f.assignment, "fold assignment")
+    return csv_text(
+        ["image_name", "fold"],
+        ([r.image_name, str(f.assignment[r.image_name])] for r in d.records),
+    )
 
 
 def read_folds_csv(stream: str | IO[str]) -> FoldAssignment:
     """Parse a folds CSV; k is inferred as max fold index + 1."""
-    reader = csv.reader(_as_line_iter(stream))
-    header = next(reader, None)
-    if header is None:
-        raise FormatError("empty folds stream: no header row")
+    header, rows = csv_rows(stream, "folds")
     if header != ["image_name", "fold"]:
-        raise FormatError(f"unrecognized folds header: {','.join(header)}")
+        raise FormatError(f"unrecognized folds header: {','.join(header)!r}")
     assignment: dict[str, int] = {}
-    for row_num, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise FormatError(f"row {row_num}: expected 2 fields, got {len(row)}")
-        name, fold_cell = row
+    for row_num, (name, fold_cell) in rows:
         if name in assignment:
             raise UniquenessError(f"duplicate image_name {name!r} in folds CSV")
         try:

@@ -20,8 +20,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, PredictionSet
-from .errors import CoverageError, DomainError, FormatError, ShapeError
+from .datamodel import Dataset, PredictionSet, _frozen, require_coverage
+from .errors import DomainError, FormatError, ShapeError
 from .features import N_METADATA_FEATURES, FeatureTable, read_feature_csv
 from .folds import FoldAssignment
 from .hashing import MASK64
@@ -117,9 +117,7 @@ class FusionHeadModel:
                 f"{self.scheme.class_count} classes"
             )
         for name, arr in arrays.items():
-            frozen = arr.copy()
-            frozen.flags.writeable = False
-            object.__setattr__(self, name, frozen)
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def hidden(self) -> tuple[int, int]:
@@ -407,14 +405,10 @@ def train(
             f"metadata features must have width {N_METADATA_FEATURES}, "
             f"got {feats.width}"
         )
-    _require_names(names, feats, "feature table")
+    require_coverage(names, feats, "feature table")
     if cnn is not None:
-        _require_names(names, cnn, "external feature table")
-    missing = [n for n in names if n not in f.assignment]
-    if missing:
-        raise CoverageError(
-            f"fold assignment missing {len(missing)} image(s), first: {missing[0]!r}"
-        )
+        require_coverage(names, cnn, "external feature table")
+    require_coverage(names, f.assignment, "fold assignment")
 
     x_meta = feats.select(names)
     x_cnn = cnn.select(names) if cnn is not None else np.zeros((len(names), 0))
@@ -454,14 +448,6 @@ def train(
         oof=PredictionSet.from_scores(names, oof),
         history=tuple(history),
     )
-
-
-def _require_names(names: Sequence[str], table: FeatureTable, what: str) -> None:
-    missing = [n for n in names if n not in table]
-    if missing:
-        raise CoverageError(
-            f"{what} missing {len(missing)} image(s), first: {missing[0]!r}"
-        )
 
 
 def _train_one_fold(

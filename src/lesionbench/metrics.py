@@ -8,15 +8,21 @@ to the final double-precision division.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from importlib import resources
 from typing import IO, Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, PredictionSet, SourceYear, _as_line_iter, require_coverage
+from .datamodel import (
+    Dataset,
+    PredictionSet,
+    SourceYear,
+    _frozen,
+    csv_rows,
+    csv_text,
+    require_coverage,
+)
 from .errors import (
     DomainError,
     FormatError,
@@ -53,10 +59,8 @@ class LabeledScores:
             raise DomainError("scores must be finite")
         if not np.all((labels == 0) | (labels == 1)):
             raise DomainError("labels must be 0 or 1")
-        for name, arr in (("scores", scores), ("labels", labels)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "scores", _frozen(scores))
+        object.__setattr__(self, "labels", _frozen(labels))
 
     def __len__(self) -> int:
         return int(self.scores.size)
@@ -293,36 +297,24 @@ def bootstrap_auc_std(s: LabeledScores, n_boot: int, seed: int) -> BootstrapResu
 
 def parse_score_table(stream: str | IO[str]) -> ScoreTable:
     """Parse a score CSV with header ``model,cv_all,cv_2020,private_lb,public_lb``."""
-    reader = csv.reader(_as_line_iter(stream))
-    header = next(reader, None)
-    if header is None:
-        raise FormatError("empty score stream: no header row")
+    header, rows = csv_rows(stream, "score")
     if header != ["model", *METRIC_NAMES]:
-        raise FormatError(f"unrecognized score header: {','.join(header)}")
-    rows = []
-    for row_num, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise FormatError(f"row {row_num}: expected 5 fields, got {len(row)}")
+        raise FormatError(f"unrecognized score header: {','.join(header)!r}")
+    scores = []
+    for row_num, row in rows:
         try:
             values = [float(cell) for cell in row[1:]]
         except ValueError:
             raise FormatError(f"row {row_num}: non-numeric score") from None
-        rows.append(ScoreRow(row[0], *values))
-    return ScoreTable(tuple(rows))
+        scores.append(ScoreRow(row[0], *values))
+    return ScoreTable(tuple(scores))
 
 
 def write_score_table(t: ScoreTable) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["model", *METRIC_NAMES])
-    for r in t.rows:
-        writer.writerow(
-            [r.model_id]
-            + [repr(getattr(r, m)) for m in METRIC_NAMES]
-        )
-    return out.getvalue()
+    return csv_text(
+        ["model", *METRIC_NAMES],
+        ([r.model_id] + [repr(getattr(r, m)) for m in METRIC_NAMES] for r in t.rows),
+    )
 
 
 def load_reference_scores() -> ScoreTable:

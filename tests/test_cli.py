@@ -1,7 +1,13 @@
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from lesionbench.cli import main
+from lesionbench import cli
+from lesionbench.cli import _apply_sizes, _read_sizes_csv, main
 from lesionbench.datamodel import (
     parse_predictions_csv,
     write_metadata_csv,
@@ -9,7 +15,9 @@ from lesionbench.datamodel import (
     PredictionSet,
 )
 from lesionbench.ensemble import rank_transform
+from lesionbench.errors import CoverageError, UniquenessError
 from lesionbench.features import FeatureTable, write_feature_csv
+from lesionbench.hashing import fnv1a64
 from util import make_dataset, make_record
 
 
@@ -228,3 +236,179 @@ def test_bad_scheme_flag_exits_2(tmp_path, meta_csv, capsys):
     rc = main(["train", "--meta", str(meta_csv), "--folds-csv", str(folds),
                "--scheme", "5c", "--out-dir", str(tmp_path / "x")])
     assert rc == 2
+
+
+def _split(tmp_path, meta, folds=2):
+    out = tmp_path / "folds.csv"
+    assert main(["split", "--meta", str(meta), "--folds", str(folds), "--seed", "0",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+def _train_argv(meta, folds, out_dir):
+    return ["train", "--meta", str(meta), "--folds-csv", str(folds), "--epochs", "2",
+            "--batch-size", "8", "--hidden", "4,2", "--out-dir", str(out_dir)]
+
+
+@pytest.mark.parametrize("flag", ["--meta", "--folds-csv", "--preds", "--cnn", "--sizes",
+                                  "--scores"])
+def test_non_utf8_input_exits_2_with_one_error_line(tmp_path, meta_csv, capsys, flag):
+    folds = _split(tmp_path, meta_csv)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"image_name,fold\nP0_I0,\xff\n")
+    argv = {
+        "--meta": ["split", "--meta", str(bad), "--out", str(tmp_path / "f.csv")],
+        "--folds-csv": ["evaluate", "--meta", str(meta_csv), "--folds-csv", str(bad),
+                        "--preds", str(folds)],
+        "--preds": ["evaluate", "--meta", str(meta_csv), "--folds-csv", str(folds),
+                    "--preds", str(bad)],
+        "--cnn": _train_argv(meta_csv, folds, tmp_path / "run") + ["--cnn", str(bad)],
+        "--sizes": ["features", "--meta", str(meta_csv), "--sizes", str(bad),
+                    "--out", str(tmp_path / "feat.csv")],
+        "--scores": ["stability", "--scores", str(bad)],
+    }[flag]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "not UTF-8" in _one_error_line(capsys)
+
+
+def test_oversized_csv_field_exits_2(tmp_path, capsys):
+    meta = tmp_path / "meta.csv"
+    meta.write_text(write_metadata_csv(small_dataset()) + "x" * 200_000 + "\n",
+                    encoding="utf-8")
+    assert main(["split", "--meta", str(meta), "--out", str(tmp_path / "f.csv")]) == 2
+    assert "field larger than field limit" in _one_error_line(capsys)
+
+
+def test_crlf_and_lone_cr_inputs_parse_as_lf(tmp_path, meta_csv):
+    lf = _split(tmp_path, meta_csv).read_bytes()
+    text = meta_csv.read_text(encoding="utf-8")
+    for newline in ("\r\n", "\r"):
+        meta = tmp_path / "meta_nl.csv"
+        meta.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        assert _split(tmp_path, meta).read_bytes() == lf
+
+
+def test_manifest_digests_the_bytes_that_were_parsed(tmp_path, meta_csv):
+    _split(tmp_path, meta_csv)
+    manifest = (tmp_path / "folds.csv.manifest.txt").read_text(encoding="utf-8")
+    assert f"input.meta=fnv1a:{fnv1a64(meta_csv.read_bytes()):016x}" in manifest.splitlines()
+
+
+def test_every_input_is_read_once(tmp_path, meta_csv, monkeypatch):
+    folds = _split(tmp_path, meta_csv)
+    d = small_dataset()
+    cnn = tmp_path / "cnn.csv"
+    cnn.write_text(write_feature_csv(FeatureTable(d.image_names, np.ones((24, 2))), prefix="c"),
+                   encoding="utf-8")
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p.name) or read_bytes(p))
+    monkeypatch.setattr(Path, "read_text", lambda *a, **k: pytest.fail("read_text called"))
+    assert main(_train_argv(meta_csv, folds, tmp_path / "run") + ["--cnn", str(cnn)]) == 0
+    assert sorted(reads) == ["cnn.csv", "folds.csv", "meta.csv"]
+
+
+def test_stray_folds_row_exits_2(tmp_path, meta_csv, capsys):
+    folds = _split(tmp_path, meta_csv)
+    with folds.open("a", encoding="utf-8") as fh:
+        fh.write("Z,7\n")
+    out_dir = tmp_path / "run"
+    assert main(_train_argv(meta_csv, folds, out_dir)) == 2
+    assert "'Z'" in _one_error_line(capsys)
+    assert not out_dir.exists()
+    oof = tmp_path / "oof.csv"
+    oof.write_text(write_predictions_csv(PredictionSet.from_scores(
+        small_dataset().image_names, np.full(24, 0.5))), encoding="utf-8")
+    assert main(["evaluate", "--meta", str(meta_csv), "--folds-csv", str(folds),
+                 "--preds", str(oof)]) == 2
+    assert "'Z'" in _one_error_line(capsys)
+
+
+def test_split_patient_exits_2(tmp_path, meta_csv, capsys):
+    folds = _split(tmp_path, meta_csv)
+    lines = folds.read_text(encoding="utf-8").splitlines()
+    name, fold = lines[1].split(",")
+    assert name == "P0_I0"
+    lines[1] = f"{name},{1 - int(fold)}"
+    folds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(_train_argv(meta_csv, folds, tmp_path / "run")) == 2
+    assert "patient 'P0' is split across folds" in _one_error_line(capsys)
+    assert main(["evaluate", "--meta", str(meta_csv), "--folds-csv", str(folds),
+                 "--preds", str(tmp_path / "unused.csv")]) == 2
+    assert "patient 'P0'" in _one_error_line(capsys)
+
+
+def test_empty_surplus_folds_are_accepted(tmp_path, capsys):
+    meta = tmp_path / "meta.csv"
+    meta.write_text(write_metadata_csv(small_dataset(n_patients=3)), encoding="utf-8")
+    folds = _split(tmp_path, meta, folds=5)
+    used = {line.split(",")[1] for line in folds.read_text().splitlines()[1:]}
+    assert len(used) == 3  # two of the five folds stay empty
+    out_dir = tmp_path / "run"
+    assert main(_train_argv(meta, folds, out_dir)) == 0
+    assert main(["evaluate", "--meta", str(meta), "--folds-csv", str(folds),
+                 "--preds", str(out_dir / "oof.csv")]) == 0
+
+
+def test_sizes_duplicate_and_foreign_names_rejected(tmp_path, capsys):
+    meta = tmp_path / "meta.csv"
+    d = small_dataset(with_sizes=False)
+    meta.write_text(write_metadata_csv(d), encoding="utf-8")
+    with pytest.raises(UniquenessError, match="P0_I0"):
+        _read_sizes_csv("image_name,image_size_bytes\nP0_I0,10\nP0_I0,11\n")
+    with pytest.raises(CoverageError, match="ghost"):
+        _apply_sizes(d, {"P0_I0": 10, "ghost": 11})
+    sizes = tmp_path / "sizes.csv"
+    for body, message in (("P0_I0,10\nP0_I0,11\n", "duplicate image_name 'P0_I0'"),
+                          ("P0_I0,10\nghost,11\n", "'ghost'")):
+        sizes.write_text("image_name,image_size_bytes\n" + body, encoding="utf-8")
+        assert main(["features", "--meta", str(meta), "--sizes", str(sizes),
+                     "--out", str(tmp_path / "feat.csv")]) == 2
+        assert message in _one_error_line(capsys)
+
+
+def test_failed_write_keeps_previous_artifact_and_leaves_no_temp_file(
+        tmp_path, meta_csv, monkeypatch, capsys):
+    folds = _split(tmp_path, meta_csv)
+    before = folds.read_bytes()
+    listing = sorted(p.name for p in tmp_path.iterdir())
+
+    class HalfWriter(io.FileIO):
+        def write(self, data):
+            super().write(bytes(data)[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda path, mode: HalfWriter(path, "w"), raising=False)
+    assert main(["split", "--meta", str(meta_csv), "--folds", "3", "--seed", "9",
+                 "--out", str(folds)]) == 1
+    assert "No space left" in capsys.readouterr().err
+    assert folds.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.binary(max_size=300), flag=st.sampled_from(["--meta", "--folds-csv", "--preds"]))
+def test_arbitrary_input_bytes_exit_cleanly(tmp_path, meta_csv, capsys, data, flag):
+    folds = tmp_path / "folds.csv"
+    if not folds.exists():
+        _split(tmp_path, meta_csv)
+    bad = tmp_path / "input.bin"
+    bad.write_bytes(data)
+    if flag == "--meta":
+        argv = ["split", "--meta", str(bad), "--out", str(tmp_path / "out.csv")]
+    else:
+        inputs = {"--meta": meta_csv, "--folds-csv": folds, "--preds": folds, flag: bad}
+        argv = ["evaluate"] + [str(x) for kv in inputs.items() for x in kv]
+    capsys.readouterr()
+    rc = main(argv)  # any exception other than SystemExit fails the test
+    assert rc in (0, 1, 2)
+    if rc:
+        assert len(capsys.readouterr().err.splitlines()) == 1

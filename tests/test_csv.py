@@ -1,0 +1,122 @@
+"""The shared CSV layer: one checked row reader and one writer behind all six
+formats (metadata, predictions, features, folds, score table, sizes)."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lesionbench.cli import _read_sizes_csv
+from lesionbench.datamodel import (
+    METADATA_COLUMNS,
+    csv_rows,
+    csv_text,
+    parse_metadata_csv,
+    parse_predictions_csv,
+)
+from lesionbench.errors import FormatError, LesionbenchError
+from lesionbench.features import read_feature_csv
+from lesionbench.folds import read_folds_csv
+from lesionbench.metrics import parse_score_table
+
+META = ",".join(METADATA_COLUMNS)
+
+# reader, header, one valid data row
+FORMATS = {
+    "metadata": (parse_metadata_csv, META, "I1,P1,male,45,torso,nevus,0,2020"),
+    "metadata+size": (parse_metadata_csv, META + ",image_size_bytes",
+                      "I1,P1,male,45,torso,nevus,0,2020,1234"),
+    "scalar predictions": (parse_predictions_csv, "image_name,target", "I1,0.25"),
+    "9c predictions": (
+        parse_predictions_csv,
+        "image_name,prob_NV,prob_MEL,prob_BCC,prob_BKL,prob_AK,prob_SCC,"
+        "prob_VASC,prob_DF,prob_Unknown",
+        "I1,0.5,0.5,0,0,0,0,0,0,0",
+    ),
+    "4c predictions": (parse_predictions_csv, "image_name,prob_NV,prob_MEL,prob_BKL,prob_Unknown",
+                       "I1,0.25,0.25,0.25,0.25"),
+    "features": (read_feature_csv, "image_name,f0,f1", "I1,0.5,-1"),
+    "cnn": (lambda t: read_feature_csv(t, prefix="c"), "image_name,c0", "I1,3"),
+    "folds": (read_folds_csv, "image_name,fold", "I1,0"),
+    "score table": (parse_score_table, "model,cv_all,cv_2020,private_lb,public_lb",
+                    "m1,0.9,0.9,0.9,0.9"),
+    "sizes": (_read_sizes_csv, "image_name,image_size_bytes", "I1,1234"),
+}
+READERS = {
+    "metadata": parse_metadata_csv,
+    "predictions": parse_predictions_csv,
+    "features": read_feature_csv,
+    "folds": read_folds_csv,
+    "score table": parse_score_table,
+    "sizes": _read_sizes_csv,
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_valid_row_parses_with_blank_lines_skipped(fmt):
+    reader, header, row = FORMATS[fmt]
+    assert reader(f"{header}\n\n{row}\n\n") is not None
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_every_format_checks_row_width(fmt, change):
+    reader, header, row = FORMATS[fmt]
+    bad = row.rsplit(",", 1)[0] if change == "drop" else row + ",0"
+    with pytest.raises(FormatError, match="row 2: expected"):
+        reader(f"{header}\n{row}\n{bad}\n")
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_every_format_rejects_empty_text(fmt):
+    reader, _, _ = FORMATS[fmt]
+    with pytest.raises(FormatError, match="no header row"):
+        reader("")
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_csv_module_errors_become_format_errors(fmt):
+    reader, header, row = FORMATS[fmt]
+    oversized = "x" * 200_000  # over the csv module's 131072-char field limit
+    with pytest.raises(FormatError):
+        reader(f"{header}\n{oversized},{row}\n")
+    with pytest.raises(FormatError):
+        reader(f"{header}\n{row[:1]}\r{row[1:]}\n")  # lone CR inside a field
+    with pytest.raises(FormatError):
+        reader(f"{oversized}\n{row}\n")
+
+
+def test_csv_rows_yields_row_numbers_of_non_blank_rows():
+    header, rows = csv_rows("a,b\n1,2\n\n3,4\n", "test")
+    assert header == ["a", "b"]
+    assert list(rows) == [(1, ["1", "2"]), (3, ["3", "4"])]
+
+
+def test_csv_text_is_lf_terminated_and_quotes_minimally():
+    text = csv_text(["a", "b", "c"], [["1", "x,y", ""], ["2", 'q"', "z"]])
+    assert text == 'a,b,c\n1,"x,y",\n2,"q""",z\n'
+    header, rows = csv_rows(text, "test")
+    assert [row for _, row in rows] == [["1", "x,y", ""], ["2", 'q"', "z"]]
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=60, deadline=None)
+@given(text=st.text(max_size=200))
+def test_arbitrary_text_gives_a_value_or_a_toolkit_error(name, text):
+    try:
+        READERS[name](text)
+    except LesionbenchError:
+        pass
+
+
+CSVISH = st.text(alphabet=',\n\r"0123456789.-+eEinfaI_PmlMNV xé', max_size=120)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=60, deadline=None)
+@given(body=CSVISH)
+def test_valid_header_with_arbitrary_body_gives_a_value_or_a_toolkit_error(fmt, body):
+    reader, header, _ = FORMATS[fmt]
+    try:
+        reader(f"{header}\n{body}")
+    except LesionbenchError:
+        pass
