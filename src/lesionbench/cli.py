@@ -57,9 +57,6 @@ from .metrics import (
 )
 from .targets import TargetScheme
 
-THREADS_ENV_VAR = "LESIONBENCH_THREADS"
-
-
 def _read_input(path: str, digests: dict[str, str] | None = None, key: str = "") -> str:
     """Read one input file, once, as UTF-8 text with LF, CRLF and lone CR all
     made LF (as ``Path.read_text`` does); record its digest when asked."""
@@ -210,21 +207,6 @@ def _parse_scheme(text: str) -> TargetScheme:
     raise FormatError(f"--scheme must be 9c or 4c, got {text!r}")
 
 
-def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        print(
-            f"warning: ignoring non-integer {THREADS_ENV_VAR}={raw!r}",
-            file=sys.stderr,
-        )
-        return 1
-    return max(1, workers)
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     digests: dict[str, str] = {}
     dataset = parse_metadata_csv(_read_input(args.meta, digests, "meta"))
@@ -248,7 +230,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         hidden=_parse_hidden(args.hidden),
         scheme=_parse_scheme(args.scheme),
     )
-    result = train(dataset, feats, cnn, assignment, cfg, max_workers=_max_workers())
+    result = train(dataset, feats, cnn, assignment, cfg)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -13,6 +13,7 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import IO, Container, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -155,7 +156,7 @@ def csv_rows(text: str | IO[str], noun: str) -> tuple[list[str], Rows]:
     or anything the csv module rejects (e.g. a field over its size limit)
     raises FormatError; callers check the header's names and parse the cells.
     """
-    reader = csv.reader(io.StringIO(text) if isinstance(text, str) else text)
+    reader = csv.reader(_lines(text) if isinstance(text, str) else text)
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -163,6 +164,28 @@ def csv_rows(text: str | IO[str], noun: str) -> tuple[list[str], Rows]:
     if header is None:
         raise FormatError(f"empty {noun} stream: no header row")
     return header, _checked_rows(reader, len(header), noun)
+
+
+_PIECE_CHARS = 1 << 16
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, split on LF only with ends kept, exactly as
+    iterating ``io.StringIO(text)`` gives them.
+
+    One StringIO of the whole text would hold a 4-byte-per-character copy of
+    it, so the text goes through StringIO in pieces of about
+    ``_PIECE_CHARS`` characters, each ending just after an LF.
+    """
+
+    def pieces() -> Iterator[str]:
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + _PIECE_CHARS) + 1 or len(text)
+            yield text[start:end]
+            start = end
+
+    return chain.from_iterable(map(io.StringIO, pieces()))
 
 
 def _checked_rows(reader: Iterator[list[str]], width: int, noun: str) -> Rows:
@@ -430,7 +453,9 @@ class PredictionSet:
     def from_scores(
         cls, image_names: Iterable[str], scores: np.ndarray | Iterable[float]
     ) -> "PredictionSet":
-        return cls(tuple(image_names), scores=np.asarray(list(scores), dtype=np.float64))
+        if not isinstance(scores, (np.ndarray, Sequence)):
+            scores = list(scores)
+        return cls(tuple(image_names), scores=np.asarray(scores, dtype=np.float64))
 
     @classmethod
     def from_probs(

@@ -5,8 +5,10 @@ Each record becomes a 14-dimensional vector in fixed order::
     [sex, age_z, site_0 .. site_9, log_size_z, n_images_z]
 
 Sex is 1 (male) / 0 (female) / -1 (missing). Continuous features are
-z-scored against statistics fitted on a caller-chosen subset (normally the
-training fold); missing continuous values encode as 0, i.e. the mean. The
+z-scored against statistics fitted on a caller-chosen subset (the ``mask``
+of :func:`fit_norm_stats`). The CLI's ``train`` and ``features`` commands fit
+them on every metadata row, validation folds included, so one feature table
+serves all folds. Missing continuous values encode as 0, i.e. the mean. The
 anatomical site occupies ten one-hot slots against a data-derived
 vocabulary; a missing or out-of-vocabulary site leaves the whole block zero.
 """

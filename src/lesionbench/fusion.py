@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import IO, Sequence
@@ -337,48 +336,56 @@ def init_fusion_head(
     rng: np.random.Generator,
 ) -> FusionHeadModel:
     """He-scaled random weights (std sqrt(2/fan_in)), zero biases."""
-    h1, h2 = hidden
-    c = scheme.class_count
-    params = _init_params(h1, h2, cnn_dim, c, rng)
-    return FusionHeadModel(scheme=scheme, **params)
+    shapes = _shapes(hidden[0], hidden[1], cnn_dim, scheme.class_count)
+    return FusionHeadModel(scheme=scheme, **_views(_init_params(shapes, rng), shapes))
 
 
-def _init_params(
-    h1: int, h2: int, d: int, c: int, rng: np.random.Generator
-) -> dict[str, np.ndarray]:
-    def layer(rows: int, cols: int) -> np.ndarray:
-        return rng.normal(0.0, math.sqrt(2.0 / cols), size=(rows, cols))
+def _shapes(h1: int, h2: int, d: int, c: int) -> tuple[tuple[int, ...], ...]:
+    """The parameter layout, in ``PARAM_NAMES`` order."""
+    return ((h1, N_METADATA_FEATURES), (h1,), (h2, h1), (h2,), (c, h2 + d), (c,))
 
-    return {
-        "w1": layer(h1, N_METADATA_FEATURES),
-        "b1": np.zeros(h1),
-        "w2": layer(h2, h1),
-        "b2": np.zeros(h2),
-        "w3": layer(c, h2 + d),
-        "b3": np.zeros(c),
-    }
+
+def _views(flat: np.ndarray, shapes: tuple[tuple[int, ...], ...]) -> dict[str, np.ndarray]:
+    """Per-layer views into one flat parameter vector, keyed by ``PARAM_NAMES``."""
+    views = {}
+    offset = 0
+    for name, shape in zip(PARAM_NAMES, shapes):
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
+def _flatten(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """One flat float64 vector of per-layer arrays, in ``PARAM_NAMES`` order."""
+    return np.concatenate([arrays[name].ravel() for name in PARAM_NAMES])
+
+
+def _init_params(shapes: tuple[tuple[int, ...], ...], rng: np.random.Generator) -> np.ndarray:
+    flat = np.zeros(sum(map(math.prod, shapes)))
+    params = _views(flat, shapes)
+    for name in ("w1", "w2", "w3"):
+        w = params[name]
+        w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[1]), size=w.shape)
+    return flat
 
 
 class _AdamState:
-    def __init__(self, params: dict[str, np.ndarray]) -> None:
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+    """Adam (Kingma & Ba 2014) over one flat parameter vector."""
+
+    def __init__(self, size: int) -> None:
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def step(
-        self,
-        params: dict[str, np.ndarray],
-        grads: dict[str, np.ndarray],
-        lr: float,
-    ) -> None:
+    def step(self, flat: np.ndarray, g: np.ndarray, lr: float) -> None:
+        """Update ``flat`` in place, so per-layer views of it stay live."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for k in params:
-            g = grads[k]
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
-            params[k] -= lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * g * g
+        flat -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
 
 
 def train(
@@ -387,15 +394,15 @@ def train(
     cnn: FeatureTable | None,
     f: FoldAssignment,
     cfg: TrainConfig,
-    max_workers: int = 1,
 ) -> TrainResult:
     """Train one fusion head per fold and assemble out-of-fold predictions.
 
     For each fold k a model is trained on every record outside k and then
     scores fold k; the union of those melanoma probabilities is the OOF
-    prediction set, in dataset order. Per-fold work is seeded with
-    ``cfg.seed + k``, so results are identical whether folds run
-    sequentially or concurrently.
+    prediction set, in dataset order. Folds run one after another, each
+    seeded with ``cfg.seed + k``. A non-finite loss, parameter or validation
+    score stops training at once with a DomainError naming fold, epoch and
+    batch.
     """
     if not d.records:
         raise DomainError("cannot train on an empty dataset")
@@ -423,26 +430,19 @@ def train(
     fold_of = np.array([f.assignment[n] for n in names], dtype=np.int64)
     mel_col = class_index(DiagnosisClass.MEL, cfg.scheme)
 
-    def run_fold(k: int) -> tuple[FusionHeadModel, np.ndarray, list[EpochStats]]:
-        return _train_one_fold(
-            k, x_meta, x_cnn, y, y_bin, fold_of, cfg, mel_col
-        )
-
-    fold_ids = list(range(f.k))
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(run_fold, fold_ids))
-    else:
-        outcomes = [run_fold(k) for k in fold_ids]
-
     oof = np.empty(len(names), dtype=np.float64)
     models: list[FusionHeadModel] = []
     history: list[EpochStats] = []
-    for k, (model, val_scores, stats) in zip(fold_ids, outcomes):
-        val_idx = np.flatnonzero(fold_of == k)
-        oof[val_idx] = val_scores
-        models.append(model)
-        history.extend(stats)
+    # Overflow shows up as a non-finite loss, parameter or score, which
+    # _train_one_fold reports with its context; numpy's warnings would not.
+    with np.errstate(all="ignore"):
+        for k in range(f.k):
+            model, val_scores, stats = _train_one_fold(
+                k, x_meta, x_cnn, y, y_bin, fold_of, cfg, mel_col
+            )
+            oof[fold_of == k] = val_scores
+            models.append(model)
+            history.extend(stats)
     return TrainResult(
         models=tuple(models),
         oof=PredictionSet.from_scores(names, oof),
@@ -466,26 +466,41 @@ def _train_one_fold(
         raise DomainError(f"fold {k} leaves an empty training set")
 
     rng = np.random.default_rng((cfg.seed & MASK64) + k)
-    params = _init_params(
-        cfg.hidden[0], cfg.hidden[1], x_cnn.shape[1], cfg.scheme.class_count, rng
-    )
-    adam = _AdamState(params)
+    shapes = _shapes(cfg.hidden[0], cfg.hidden[1], x_cnn.shape[1], cfg.scheme.class_count)
+    flat = _init_params(shapes, rng)
+    params = _views(flat, shapes)
+    adam = _AdamState(flat.size)
     stats: list[EpochStats] = []
+    val_scores = np.zeros(0, dtype=np.float64)
+
+    def diverged(epoch: int, batch: int, what: str) -> DomainError:
+        return DomainError(
+            f"training diverged in fold {k}, epoch {epoch}, batch {batch}: "
+            f"{what} (is the learning rate too high?)"
+        )
 
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg.epochs, cfg.lr_peak)
         perm = rng.permutation(train_idx.size)
         loss_sum = 0.0
-        for start in range(0, train_idx.size, cfg.batch_size):
+        for b, start in enumerate(range(0, train_idx.size, cfg.batch_size)):
             batch = train_idx[perm[start : start + cfg.batch_size]]
             cache = _forward_cached(params, x_meta[batch], x_cnn[batch])
-            loss_sum += mean_cross_entropy(cache["probs"], y[batch]) * batch.size
+            loss = mean_cross_entropy(cache["probs"], y[batch])
+            if not math.isfinite(loss):
+                raise diverged(epoch, b, f"loss is {loss}")
+            loss_sum += loss * batch.size
             grads = _backward(params, cache, y[batch])
-            adam.step(params, grads, lr)
+            adam.step(flat, _flatten(grads), lr)
+        if not np.isfinite(flat).all():
+            raise diverged(epoch, b, "a parameter is not finite")
 
         if val_idx.size:
             val_probs = _forward_cached(params, x_meta[val_idx], x_cnn[val_idx])["probs"]
-            val_auc = auc_or_none(val_probs[:, mel_col], y_bin[val_idx])
+            val_scores = val_probs[:, mel_col]
+            if not np.isfinite(val_scores).all():
+                raise diverged(epoch, b, "a validation score is not finite")
+            val_auc = auc_or_none(val_scores, y_bin[val_idx])
         else:
             val_auc = None
         stats.append(
@@ -498,13 +513,8 @@ def _train_one_fold(
             )
         )
 
-    model = FusionHeadModel(scheme=cfg.scheme, **params)
-    if val_idx.size:
-        val_probs = _forward_cached(params, x_meta[val_idx], x_cnn[val_idx])["probs"]
-        val_scores = val_probs[:, mel_col]
-    else:
-        val_scores = np.zeros(0, dtype=np.float64)
-    return model, val_scores, stats
+    # The last epoch's validation scores come from the final parameters.
+    return FusionHeadModel(scheme=cfg.scheme, **params), val_scores, stats
 
 
 def save_model(m: FusionHeadModel) -> bytes:
@@ -514,10 +524,7 @@ def save_model(m: FusionHeadModel) -> bytes:
         WEIGHTS_MAGIC, WEIGHTS_VERSION, m.scheme.class_count,
         h1, h2, m.cnn_dim, m.class_count,
     )
-    chunks = [header]
-    for name in PARAM_NAMES:
-        chunks.append(np.ascontiguousarray(getattr(m, name), dtype="<f8").tobytes())
-    return b"".join(chunks)
+    return header + _flatten(m.params()).astype("<f8", copy=False).tobytes()
 
 
 def load_model(data: bytes) -> FusionHeadModel:
@@ -540,32 +547,14 @@ def load_model(data: bytes) -> FusionHeadModel:
         raise FormatError(
             f"class count {c} contradicts scheme tag {scheme_tag}"
         )
-    shapes = {
-        "w1": (h1, N_METADATA_FEATURES),
-        "b1": (h1,),
-        "w2": (h2, h1),
-        "b2": (h2,),
-        "w3": (c, h2 + d),
-        "b3": (c,),
-    }
-    n_values = sum(int(np.prod(s)) for s in shapes.values())
-    expected = _HEADER.size + 8 * n_values
+    shapes = _shapes(h1, h2, d, c)
+    expected = _HEADER.size + 8 * sum(map(math.prod, shapes))
     if len(data) != expected:
         raise FormatError(
             f"weight stream has {len(data)} bytes, expected {expected}"
         )
-    offset = _HEADER.size
-    params: dict[str, np.ndarray] = {}
-    for name in PARAM_NAMES:
-        shape = shapes[name]
-        count = int(np.prod(shape))
-        params[name] = (
-            np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-            .astype(np.float64)
-            .reshape(shape)
-        )
-        offset += 8 * count
-    return FusionHeadModel(scheme=scheme, **params)
+    flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
+    return FusionHeadModel(scheme=scheme, **_views(flat, shapes))
 
 
 def read_cnn_csv(stream: str | IO[str]) -> FeatureTable:

@@ -1,4 +1,6 @@
 import io
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -393,9 +395,10 @@ def test_failed_write_keeps_previous_artifact_and_leaves_no_temp_file(
     assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
 
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.binary(max_size=300), flag=st.sampled_from(["--meta", "--folds-csv", "--preds"]))
+@given(data=st.binary(max_size=300),
+       flag=st.sampled_from(["--meta", "--folds-csv", "--preds", "--cnn", "--sizes", "--scores"]))
 def test_arbitrary_input_bytes_exit_cleanly(tmp_path, meta_csv, capsys, data, flag):
     folds = tmp_path / "folds.csv"
     if not folds.exists():
@@ -404,11 +407,54 @@ def test_arbitrary_input_bytes_exit_cleanly(tmp_path, meta_csv, capsys, data, fl
     bad.write_bytes(data)
     if flag == "--meta":
         argv = ["split", "--meta", str(bad), "--out", str(tmp_path / "out.csv")]
+    elif flag == "--cnn":
+        argv = _train_argv(meta_csv, folds, tmp_path / "run") + ["--cnn", str(bad)]
+    elif flag == "--sizes":
+        argv = ["features", "--meta", str(meta_csv), "--sizes", str(bad),
+                "--out", str(tmp_path / "feat.csv")]
+    elif flag == "--scores":
+        argv = ["stability", "--scores", str(bad)]
     else:
         inputs = {"--meta": meta_csv, "--folds-csv": folds, "--preds": folds, flag: bad}
         argv = ["evaluate"] + [str(x) for kv in inputs.items() for x in kv]
     capsys.readouterr()
     rc = main(argv)  # any exception other than SystemExit fails the test
     assert rc in (0, 1, 2)
-    if rc:
-        assert len(capsys.readouterr().err.splitlines()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 if rc else len(err) <= 1
+
+
+def test_diverging_training_exits_2_with_one_error_line(tmp_path, meta_csv, capsys):
+    folds = _split(tmp_path, meta_csv)
+    out_dir = tmp_path / "run"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the run
+        rc = main(_train_argv(meta_csv, folds, out_dir) + ["--lr", "1e200"])
+    assert rc == 2
+    assert re.search(r"training diverged in fold \d+, epoch \d+, batch \d+",
+                     _one_error_line(capsys))
+    assert not out_dir.exists()
+
+
+def test_threads_env_var_is_not_read(tmp_path, meta_csv, capsys, monkeypatch):
+    folds = _split(tmp_path, meta_csv)
+    runs = {}
+    for value in (None, "2", "x"):
+        if value is None:
+            monkeypatch.delenv("LESIONBENCH_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LESIONBENCH_THREADS", value)
+        out_dir = tmp_path / f"run_{value}"
+        capsys.readouterr()
+        assert main(_train_argv(meta_csv, folds, out_dir)) == 0
+        assert capsys.readouterr().err == ""
+        runs[value] = {
+            p.name: (
+                [l for l in _strip_timestamp(p.read_text(encoding="utf-8"))
+                 if not l.startswith("arg.out_dir=")]
+                if p.name.endswith(".manifest.txt") else p.read_bytes()
+            )
+            for p in sorted(out_dir.iterdir())
+        }
+    assert runs["2"] == runs[None] and runs["x"] == runs[None]

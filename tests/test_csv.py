@@ -1,13 +1,18 @@
 """The shared CSV layer: one checked row reader and one writer behind all six
 formats (metadata, predictions, features, folds, score table, sizes)."""
 
+import csv
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lesionbench import datamodel
 from lesionbench.cli import _read_sizes_csv
 from lesionbench.datamodel import (
     METADATA_COLUMNS,
+    _lines,
     csv_rows,
     csv_text,
     parse_metadata_csv,
@@ -96,6 +101,26 @@ def test_csv_text_is_lf_terminated_and_quotes_minimally():
     assert text == 'a,b,c\n1,"x,y",\n2,"q""",z\n'
     header, rows = csv_rows(text, "test")
     assert [row for _, row in rows] == [["1", "x,y", ""], ["2", 'q"', "z"]]
+
+
+def _reader_rows(lines):
+    try:
+        return list(csv.reader(lines))
+    except csv.Error:
+        return csv.Error
+
+
+# Line and record separators other than LF must stay inside their line.
+LINEISH = st.text(alphabet=',\n\r\x0b\x0c\x1c\x85\u2028"a \x00', max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=LINEISH | st.text(max_size=80), piece=st.sampled_from([1, 2, 5, 1 << 16]))
+def test_csv_rows_reads_the_lines_stringio_gives(text, piece):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datamodel, "_PIECE_CHARS", piece)
+        assert list(_lines(text)) == list(io.StringIO(text))
+        assert _reader_rows(_lines(text)) == _reader_rows(io.StringIO(text))
 
 
 @pytest.mark.parametrize("name", sorted(READERS))

@@ -191,6 +191,15 @@ def test_scalar_predictions_format():
     assert write_predictions_csv(p) == "image_name,target\nISIC_01,0.25\n"
 
 
+def test_from_scores_takes_arrays_sequences_and_iterables_alike():
+    scores = np.random.default_rng(4).random(50)
+    names = [f"I{i}" for i in range(50)]
+    from_array = PredictionSet.from_scores(names, scores)
+    assert from_array == PredictionSet.from_scores(names, scores.tolist())
+    assert from_array == PredictionSet.from_scores(names, (float(x) for x in scores))
+    assert from_array.scores.tobytes() == scores.tobytes()
+
+
 def test_scalar_predictions_round_trip():
     rng = np.random.default_rng(11)
     p = PredictionSet.from_scores([f"I{i}" for i in range(200)], rng.random(200))

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from lesionbench import fusion
 from lesionbench.errors import DomainError, FormatError, ShapeError
 from lesionbench.features import (
     FeatureTable,
@@ -33,6 +35,7 @@ from util import (
     make_record,
     numeric_gradients,
     random_fusion_instance,
+    reference_adam_step,
 )
 
 
@@ -301,18 +304,6 @@ def test_train_is_deterministic():
         assert save_model(a) == save_model(b)
 
 
-def test_train_threaded_matches_sequential():
-    d = separable_dataset(n_patients=20)
-    f = assign_folds(d, k=3, seed=1)
-    feats = feature_table_for(d)
-    cfg = TrainConfig(epochs=3, batch_size=8, lr_peak=1e-3, seed=5, hidden=(8, 4))
-    seq = train(d, feats, None, f, cfg, max_workers=1)
-    par = train(d, feats, None, f, cfg, max_workers=3)
-    assert seq.oof == par.oof
-    for a, b in zip(seq.models, par.models):
-        assert a == b
-
-
 def test_train_with_cnn_features():
     rng = np.random.default_rng(7)
     d = separable_dataset(n_patients=20)
@@ -351,6 +342,56 @@ def test_train_coverage_checked_before_work():
     )
     with pytest.raises(Exception):
         train(d, feats, None, missing_fold, SMALL_CFG)
+
+
+def test_train_stops_a_diverging_run_with_its_context():
+    d = separable_dataset(n_patients=10)
+    f = assign_folds(d, k=2, seed=0)
+    cfg = TrainConfig(epochs=2, batch_size=4, lr_peak=1e200, seed=0, hidden=(8, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings stay silent
+        with pytest.raises(DomainError, match=r"diverged in fold 0, epoch 0, batch \d+"):
+            train(d, feature_table_for(d), None, f, cfg)
+
+
+# --- flat parameter vector and Adam ----------------------------------------
+
+def test_init_draws_w1_w2_w3_in_order():
+    model = init_fusion_head(TargetScheme.FOUR_CLASS, (5, 3), 2, np.random.default_rng(3))
+    ref = np.random.default_rng(3)
+    assert np.array_equal(model.w1, ref.normal(0.0, math.sqrt(2.0 / 14), size=(5, 14)))
+    assert np.array_equal(model.w2, ref.normal(0.0, math.sqrt(2.0 / 5), size=(3, 5)))
+    assert np.array_equal(model.w3, ref.normal(0.0, math.sqrt(2.0 / 5), size=(4, 5)))
+    assert not (model.b1.any() or model.b2.any() or model.b3.any())
+
+
+@pytest.mark.parametrize("scheme", list(TargetScheme))
+@pytest.mark.parametrize("cnn_dim", [0, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flat_adam_steps_match_per_array_reference_bit_for_bit(scheme, cnn_dim, seed):
+    rng = np.random.default_rng(seed)
+    hidden = (int(rng.integers(2, 12)), int(rng.integers(2, 12)))
+    model = init_fusion_head(scheme, hidden, cnn_dim, rng)
+    shapes = fusion._shapes(*hidden, cnn_dim, scheme.class_count)
+    flat = fusion._flatten(model.params())
+    params = fusion._views(flat, shapes)
+    adam = fusion._AdamState(flat.size)
+    ref = {k: v.copy() for k, v in model.params().items()}
+    m = {k: np.zeros_like(v) for k, v in ref.items()}
+    v = {k: np.zeros_like(a) for k, a in ref.items()}
+    for t in range(1, 7):
+        n = int(rng.integers(1, 9))
+        cache = fusion._forward_cached(
+            params, rng.normal(size=(n, 14)), rng.normal(size=(n, cnn_dim))
+        )
+        grads = fusion._backward(params, cache, rng.integers(0, scheme.class_count, n))
+        lr = float(10.0 ** rng.uniform(-4, -1))
+        adam.step(flat, fusion._flatten(grads), lr)
+        reference_adam_step(ref, m, v, t, grads, lr)
+        for name in fusion.PARAM_NAMES:
+            assert params[name].tobytes() == ref[name].tobytes(), (t, name)
+        assert adam.m.tobytes() == fusion._flatten(m).tobytes()
+        assert adam.v.tobytes() == fusion._flatten(v).tobytes()
 
 
 # --- serialization ----------------------------------------------------------

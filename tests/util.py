@@ -124,3 +124,20 @@ def random_fusion_instance(rng, max_hidden=16, max_cnn=8, max_batch=8, margin=1e
         )
         if z_min > margin:
             return model, x_meta, x_cnn, targets
+
+
+def reference_adam_step(params, m, v, t, grads, lr):
+    """One Adam step (Kingma & Ba 2014) array by array, in place: the oracle
+    for the flat-vector update in ``fusion._AdamState``.
+
+    ``params``, ``m``, ``v`` and ``grads`` are dicts of per-layer arrays;
+    ``t`` is the step count after this step.
+    """
+    b1, b2, eps = fusion.ADAM_BETA1, fusion.ADAM_BETA2, fusion.ADAM_EPS
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for k in params:
+        g = grads[k]
+        m[k] = b1 * m[k] + (1.0 - b1) * g
+        v[k] = b2 * v[k] + (1.0 - b2) * g * g
+        params[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
