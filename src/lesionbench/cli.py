@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Every subcommand is a pure function of its input files and flags: reruns
-produce byte-identical artifacts, and each output file is accompanied by a
-``<out>.manifest.txt`` recording the command, resolved arguments, seed,
-input digests, and toolkit version (manifests differ between reruns only in
-their timestamp line). Exit codes: 0 success, 1 I/O failure, 2 validation
-failure.
+produce byte-identical artifacts. ``split``, ``features`` and ``ensemble``
+write ``<out>.manifest.txt`` beside their output and ``train`` writes
+``train.manifest.txt`` in its output directory, recording the command, seed,
+every parsed flag, input digests, and toolkit version (manifests differ
+between reruns only in their timestamp line). Exit codes: 0 success, 1 I/O
+failure, 2 validation failure.
 """
 
 from __future__ import annotations
@@ -87,22 +88,20 @@ def _write_output(path: Path, data: str | bytes) -> None:
         raise
 
 
-def _write_manifest(
-    out_path: Path,
-    command: str,
-    args: dict[str, object],
-    digests: dict[str, str],
-    seed: int | None,
-) -> None:
+def _write_manifest(out_path: Path, args: argparse.Namespace, digests: dict[str, str]) -> None:
+    """Write ``<out_path>.manifest.txt``: the command, its seed when it has
+    one, one ``arg.<dest>=`` line per other parsed flag (None as empty), and
+    the input digests."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     lines = [
-        f"command={command}",
+        f"command={args.command}",
         f"version={__version__}",
         f"timestamp={datetime.now(timezone.utc).isoformat()}",
     ]
-    if seed is not None:
-        lines.append(f"seed={seed}")
-    for key in sorted(args):
-        lines.append(f"arg.{key}={args[key]}")
+    if "seed" in flags:
+        lines.append(f"seed={flags.pop('seed')}")
+    for key in sorted(flags):
+        lines.append(f"arg.{key}={'' if flags[key] is None else flags[key]}")
     for key in sorted(digests):
         lines.append(f"input.{key}={digests[key]}")
     _write_output(out_path.with_name(out_path.name + ".manifest.txt"), "\n".join(lines) + "\n")
@@ -114,13 +113,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
     assignment = assign_folds(dataset, args.folds, args.seed)
     out_path = Path(args.out)
     _write_output(out_path, write_folds_csv(dataset, assignment))
-    _write_manifest(
-        out_path,
-        "split",
-        {"meta": args.meta, "folds": args.folds, "out": args.out},
-        digests,
-        seed=args.seed,
-    )
+    _write_manifest(out_path, args, digests)
     report = fold_ratio_report(dataset, assignment)
     for k, stats in enumerate(report.per_fold):
         print(
@@ -160,6 +153,14 @@ def _apply_sizes(dataset: Dataset, sizes: dict[str, int]) -> Dataset:
     return Dataset.from_records(records)
 
 
+def _metadata_features(dataset: Dataset) -> FeatureTable:
+    """The 14-column metadata features, z-scored against every row."""
+    n_images = compute_n_images(dataset)
+    vocab = build_site_vocab(dataset)
+    stats = fit_norm_stats(dataset, n_images)
+    return FeatureTable(dataset.image_names, encode_dataset(dataset, vocab, stats, n_images))
+
+
 def _cmd_features(args: argparse.Namespace) -> int:
     digests: dict[str, str] = {}
     dataset = parse_metadata_csv(_read_input(args.meta, digests, "meta"))
@@ -171,20 +172,9 @@ def _cmd_features(args: argparse.Namespace) -> int:
             "feature encodes as 0",
             file=sys.stderr,
         )
-    n_images = compute_n_images(dataset)
-    vocab = build_site_vocab(dataset)
-    stats = fit_norm_stats(dataset, n_images)
-    matrix = encode_dataset(dataset, vocab, stats, n_images)
-    table = FeatureTable(dataset.image_names, matrix)
     out_path = Path(args.out)
-    _write_output(out_path, write_feature_csv(table))
-    _write_manifest(
-        out_path,
-        "features",
-        {"meta": args.meta, "sizes": args.sizes or "", "out": args.out},
-        digests,
-        seed=None,
-    )
+    _write_output(out_path, write_feature_csv(_metadata_features(dataset)))
+    _write_manifest(out_path, args, digests)
     return 0
 
 
@@ -212,14 +202,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     dataset = parse_metadata_csv(_read_input(args.meta, digests, "meta"))
     assignment = read_folds_csv(_read_input(args.folds_csv, digests, "folds"))
     check_folds(dataset, assignment)
-
-    n_images = compute_n_images(dataset)
-    vocab = build_site_vocab(dataset)
-    stats = fit_norm_stats(dataset, n_images)
-    feats = FeatureTable(
-        dataset.image_names, encode_dataset(dataset, vocab, stats, n_images)
-    )
-
+    feats = _metadata_features(dataset)
     cnn = read_cnn_csv(_read_input(args.cnn, digests, "cnn")) if args.cnn else None
 
     cfg = TrainConfig(
@@ -246,23 +229,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         ),
     )
     _write_output(out_dir / "history.csv", history)
-    _write_manifest(
-        out_dir / "train",
-        "train",
-        {
-            "meta": args.meta,
-            "folds_csv": args.folds_csv,
-            "cnn": args.cnn or "",
-            "scheme": args.scheme,
-            "epochs": args.epochs,
-            "batch_size": args.batch_size,
-            "lr": args.lr,
-            "hidden": args.hidden,
-            "out_dir": args.out_dir,
-        },
-        digests,
-        seed=args.seed,
-    )
+    _write_manifest(out_dir / "train", args, digests)
     report = evaluate_cv(result.oof, dataset, assignment)
     print(_format_cv(report))
     return 0
@@ -304,13 +271,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     combined = rank_average(models)
     out_path = Path(args.out)
     _write_output(out_path, write_predictions_csv(combined))
-    _write_manifest(
-        out_path,
-        "ensemble",
-        {"preds": args.preds, "out": args.out},
-        digests,
-        seed=None,
-    )
+    _write_manifest(out_path, args, digests)
     return 0
 
 

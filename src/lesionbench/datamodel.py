@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import IO, Container, Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -149,14 +149,14 @@ class ValidationReport:
 Rows = Iterator[tuple[int, list[str]]]
 
 
-def csv_rows(text: str | IO[str], noun: str) -> tuple[list[str], Rows]:
+def csv_rows(text: str, noun: str) -> tuple[list[str], Rows]:
     """The one CSV reader: the header, and ``(row_num, row)`` per non-blank row.
 
     Every row must be as wide as the header. A missing header, a wrong width,
     or anything the csv module rejects (e.g. a field over its size limit)
     raises FormatError; callers check the header's names and parse the cells.
     """
-    reader = csv.reader(_lines(text) if isinstance(text, str) else text)
+    reader = csv.reader(_lines(text))
     try:
         header = next(reader, None)
     except csv.Error as exc:
@@ -212,7 +212,7 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return out.getvalue()
 
 
-def parse_metadata_csv(stream: str | IO[str]) -> Dataset:
+def parse_metadata_csv(text: str) -> Dataset:
     """Parse the metadata CSV format into a Dataset.
 
     Expected header: ``image_name,patient_id,sex,age_approx,
@@ -221,7 +221,7 @@ def parse_metadata_csv(stream: str | IO[str]) -> Dataset:
     ``target`` is 0/1 and ``source`` is 2019/2020. Records are returned in
     file order.
     """
-    header, rows = csv_rows(stream, "metadata")
+    header, rows = csv_rows(text, "metadata")
     expected = list(METADATA_COLUMNS)
     if header == expected:
         has_size = False
@@ -535,9 +535,9 @@ def write_predictions_csv(p: PredictionSet) -> str:
     )
 
 
-def parse_predictions_csv(stream: str | IO[str]) -> PredictionSet:
+def parse_predictions_csv(text: str) -> PredictionSet:
     """Parse a prediction CSV; the header decides scalar vs full shape."""
-    header, rows = csv_rows(stream, "prediction")
+    header, rows = csv_rows(text, "prediction")
     if header == _scalar_header():
         scheme = None
     elif header == _full_header(TargetScheme.NINE_CLASS):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -276,11 +276,9 @@ def write_feature_csv(table: FeatureTable, prefix: str = "f") -> str:
     )
 
 
-def read_feature_csv(
-    stream: str | IO[str], prefix: str = "f", width: int | None = None
-) -> FeatureTable:
+def read_feature_csv(text: str, prefix: str = "f", width: int | None = None) -> FeatureTable:
     """Parse a feature CSV; ``width`` pins the expected column count."""
-    header, rows = csv_rows(stream, "feature")
+    header, rows = csv_rows(text, "feature")
     n_cols = len(header) - 1
     if n_cols < 1 or header != ["image_name"] + [f"{prefix}{i}" for i in range(n_cols)]:
         raise FormatError(f"unrecognized feature header: {','.join(header)!r}")

@@ -11,8 +11,6 @@ runs and platforms while still varying with the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
-
 import numpy as np
 
 from .datamodel import Dataset, csv_rows, csv_text, require_coverage
@@ -38,9 +36,6 @@ class FoldAssignment:
     k: int
     assignment: dict[str, int]
     seed: int | None
-
-    def fold_of(self, image_name: str) -> int:
-        return self.assignment[image_name]
 
     def __len__(self) -> int:
         return len(self.assignment)
@@ -155,9 +150,9 @@ def write_folds_csv(d: Dataset, f: FoldAssignment) -> str:
     )
 
 
-def read_folds_csv(stream: str | IO[str]) -> FoldAssignment:
+def read_folds_csv(text: str) -> FoldAssignment:
     """Parse a folds CSV; k is inferred as max fold index + 1."""
-    header, rows = csv_rows(stream, "folds")
+    header, rows = csv_rows(text, "folds")
     if header != ["image_name", "fold"]:
         raise FormatError(f"unrecognized folds header: {','.join(header)!r}")
     assignment: dict[str, int] = {}

@@ -15,7 +15,7 @@ import math
 import struct
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,34 +88,18 @@ class FusionHeadModel:
     scheme: TargetScheme
 
     def __post_init__(self) -> None:
-        arrays = {}
-        for name in PARAM_NAMES:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
+        arrays = {n: np.asarray(getattr(self, n), dtype=np.float64) for n in PARAM_NAMES}
+        # Pad so that arrays with too few axes reach the shape check below.
+        w1, w2, w3 = (arrays[n].shape + (0, 0) for n in ("w1", "w2", "w3"))
+        h1, h2, w3_width = w1[0], w2[0], w3[1]
+        if w3_width < h2:
+            raise ShapeError(f"w3 must be at least H2 = {h2} wide, got {arrays['w3'].shape}")
+        shapes = _shapes(h1, h2, w3_width - h2, self.scheme.class_count)
+        for (name, arr), shape in zip(arrays.items(), shapes):
+            if arr.shape != shape:
+                raise ShapeError(f"{name} must be {shape}, got {arr.shape}")
+            if not np.isfinite(arr).all():
                 raise DomainError(f"parameter {name} contains non-finite values")
-            arrays[name] = arr
-        w1, b1, w2, b2, w3, b3 = (arrays[n] for n in PARAM_NAMES)
-        if w1.ndim != 2 or w1.shape[1] != N_METADATA_FEATURES:
-            raise ShapeError(f"w1 must be (H1, {N_METADATA_FEATURES}), got {w1.shape}")
-        h1 = w1.shape[0]
-        if b1.shape != (h1,):
-            raise ShapeError(f"b1 must be ({h1},), got {b1.shape}")
-        if w2.ndim != 2 or w2.shape[1] != h1:
-            raise ShapeError(f"w2 must be (H2, {h1}), got {w2.shape}")
-        h2 = w2.shape[0]
-        if b2.shape != (h2,):
-            raise ShapeError(f"b2 must be ({h2},), got {b2.shape}")
-        if w3.ndim != 2 or w3.shape[1] < h2:
-            raise ShapeError(f"w3 must be (C, >= {h2}), got {w3.shape}")
-        c = w3.shape[0]
-        if b3.shape != (c,):
-            raise ShapeError(f"b3 must be ({c},), got {b3.shape}")
-        if c != self.scheme.class_count:
-            raise ShapeError(
-                f"w3 has {c} output rows but scheme has "
-                f"{self.scheme.class_count} classes"
-            )
-        for name, arr in arrays.items():
             object.__setattr__(self, name, _frozen(arr))
 
     @property
@@ -283,26 +267,30 @@ def _backward(
     params: dict[str, np.ndarray],
     cache: dict[str, np.ndarray],
     targets: np.ndarray,
-) -> dict[str, np.ndarray]:
+) -> np.ndarray:
+    """The gradient as one flat vector laid out like the parameters."""
     n, _ = cache["probs"].shape
     h2_width = params["w2"].shape[0]
+    shapes = tuple(params[name].shape for name in PARAM_NAMES)
+    flat = np.empty(sum(map(math.prod, shapes)))
+    g = _views(flat, shapes)
 
     delta3 = cache["probs"].copy()
     delta3[np.arange(n), targets] -= 1.0
     delta3 /= n
 
-    gw3 = delta3.T @ cache["joint"]
-    gb3 = delta3.sum(axis=0)
+    np.matmul(delta3.T, cache["joint"], out=g["w3"])
+    delta3.sum(axis=0, out=g["b3"])
     d_joint = delta3 @ params["w3"]
 
     dz2 = d_joint[:, :h2_width] * (cache["z2"] > 0)
-    gw2 = dz2.T @ cache["h1"]
-    gb2 = dz2.sum(axis=0)
+    np.matmul(dz2.T, cache["h1"], out=g["w2"])
+    dz2.sum(axis=0, out=g["b2"])
 
     dz1 = (dz2 @ params["w2"]) * (cache["z1"] > 0)
-    gw1 = dz1.T @ cache["meta"]
-    gb1 = dz1.sum(axis=0)
-    return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2, "w3": gw3, "b3": gb3}
+    np.matmul(dz1.T, cache["meta"], out=g["w1"])
+    dz1.sum(axis=0, out=g["b1"])
+    return flat
 
 
 def backward(
@@ -325,8 +313,9 @@ def backward(
         raise ShapeError(
             f"batch has {meta.shape[0]} rows but {tgt.size} targets"
         )
-    cache = _forward_cached(m.params(), meta, cnn)
-    return _backward(m.params(), cache, tgt)
+    params = m.params()
+    flat = _backward(params, _forward_cached(params, meta, cnn), tgt)
+    return _views(flat, _shapes(*m.hidden, m.cnn_dim, m.class_count))
 
 
 def init_fusion_head(
@@ -490,8 +479,7 @@ def _train_one_fold(
             if not math.isfinite(loss):
                 raise diverged(epoch, b, f"loss is {loss}")
             loss_sum += loss * batch.size
-            grads = _backward(params, cache, y[batch])
-            adam.step(flat, _flatten(grads), lr)
+            adam.step(flat, _backward(params, cache, y[batch]), lr)
         if not np.isfinite(flat).all():
             raise diverged(epoch, b, "a parameter is not finite")
 
@@ -557,6 +545,6 @@ def load_model(data: bytes) -> FusionHeadModel:
     return FusionHeadModel(scheme=scheme, **_views(flat, shapes))
 
 
-def read_cnn_csv(stream: str | IO[str]) -> FeatureTable:
+def read_cnn_csv(text: str) -> FeatureTable:
     """Parse an external feature CSV with header ``image_name,c0,...``."""
-    return read_feature_csv(stream, prefix="c")
+    return read_feature_csv(text, prefix="c")

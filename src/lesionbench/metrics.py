@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -207,9 +207,6 @@ class StabilityResult:
     stds: tuple[float, float, float, float]
     ranking: tuple[str, ...]
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(METRIC_NAMES, self.stds))
-
 
 def stability(t: ScoreTable) -> StabilityResult:
     """Per-metric sample standard deviation ((n-1) denominator) and ranking."""
@@ -295,9 +292,9 @@ def bootstrap_auc_std(s: LabeledScores, n_boot: int, seed: int) -> BootstrapResu
     )
 
 
-def parse_score_table(stream: str | IO[str]) -> ScoreTable:
+def parse_score_table(text: str) -> ScoreTable:
     """Parse a score CSV with header ``model,cv_all,cv_2020,private_lb,public_lb``."""
-    header, rows = csv_rows(stream, "score")
+    header, rows = csv_rows(text, "score")
     if header != ["model", *METRIC_NAMES]:
         raise FormatError(f"unrecognized score header: {','.join(header)!r}")
     scores = []

@@ -1,3 +1,4 @@
+import argparse
 import io
 import re
 import warnings
@@ -301,6 +302,36 @@ def test_manifest_digests_the_bytes_that_were_parsed(tmp_path, meta_csv):
     _split(tmp_path, meta_csv)
     manifest = (tmp_path / "folds.csv.manifest.txt").read_text(encoding="utf-8")
     assert f"input.meta=fnv1a:{fnv1a64(meta_csv.read_bytes()):016x}" in manifest.splitlines()
+
+
+def _flag_dests(command):
+    """The dests of a subcommand's flags, read from the parser itself."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def test_manifest_records_every_flag_of_its_command(tmp_path, meta_csv):
+    folds = _split(tmp_path, meta_csv)
+    assert main(["features", "--meta", str(meta_csv), "--out", str(tmp_path / "f.csv")]) == 0
+    assert main(_train_argv(meta_csv, folds, tmp_path / "run")) == 0
+    assert main(["ensemble", "--preds", str(tmp_path / "run" / "oof.csv"),
+                 "--out", str(tmp_path / "ens.csv")]) == 0
+    manifests = {
+        "split": "folds.csv.manifest.txt",
+        "features": "f.csv.manifest.txt",
+        "train": "run/train.manifest.txt",
+        "ensemble": "ens.csv.manifest.txt",
+    }
+    for command, name in manifests.items():
+        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        dests = _flag_dests(command)
+        assert f"command={command}" in lines
+        args = {l[4:].split("=", 1)[0] for l in lines if l.startswith("arg.")}
+        assert args == dests - {"seed"}, command
+        assert any(l.startswith("seed=") for l in lines) == ("seed" in dests), command
+        if command in ("features", "train"):
+            assert ("arg.sizes=" if command == "features" else "arg.cnn=") in lines
 
 
 def test_every_input_is_read_once(tmp_path, meta_csv, monkeypatch):

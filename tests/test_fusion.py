@@ -149,6 +149,54 @@ def test_forward_shape_errors():
         forward(zero_model(), np.zeros(14), np.zeros(2))  # unexpected cnn block
 
 
+# --- model validation -------------------------------------------------------
+
+def zero_arrays(d=2):
+    """Writable copies of ``zero_model(d=d)``'s six arrays (H1=4, H2=3)."""
+    return {name: np.array(a) for name, a in zero_model(d=d).params().items()}
+
+
+@pytest.mark.parametrize("name", fusion.PARAM_NAMES)
+def test_model_names_each_misshapen_array(name):
+    arrays = zero_arrays()
+    arrays[name] = arrays[name][..., None]
+    with pytest.raises(ShapeError, match=f"^{name} "):
+        FusionHeadModel(scheme=TargetScheme.NINE_CLASS, **arrays)
+
+
+def test_model_rejects_w3_narrower_than_h2():
+    arrays = zero_arrays(d=0)
+    arrays["w3"] = arrays["w3"][:, :2]
+    with pytest.raises(ShapeError, match="^w3 "):
+        FusionHeadModel(scheme=TargetScheme.NINE_CLASS, **arrays)
+
+
+def test_model_rejects_w3_rows_other_than_the_scheme_classes():
+    arrays = zero_arrays()
+    arrays["w3"], arrays["b3"] = arrays["w3"][:4], arrays["b3"][:4]
+    with pytest.raises(ShapeError, match="^w3 "):
+        FusionHeadModel(scheme=TargetScheme.NINE_CLASS, **arrays)
+    assert FusionHeadModel(scheme=TargetScheme.FOUR_CLASS, **arrays).cnn_dim == 2
+
+
+@pytest.mark.parametrize("name", ["w1", "w2", "w3"])
+@pytest.mark.parametrize("ndim", [0, 1])
+def test_model_rejects_weights_with_too_few_axes(name, ndim):
+    arrays = zero_arrays()
+    arrays[name] = np.zeros((3,) * ndim)
+    with pytest.raises(ShapeError, match=f"^{name} "):
+        FusionHeadModel(scheme=TargetScheme.NINE_CLASS, **arrays)
+
+
+@pytest.mark.parametrize("name", fusion.PARAM_NAMES)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_model_names_each_non_finite_array(name, value):
+    arrays = zero_arrays()
+    arrays[name].flat[-1] = value
+    with pytest.raises(DomainError, match=f"parameter {name} "):
+        FusionHeadModel(scheme=TargetScheme.NINE_CLASS, **arrays)
+
+
 def test_cnn_block_zeroed_matches_pure_metadata():
     rng = np.random.default_rng(2)
     m16 = init_fusion_head(TargetScheme.NINE_CLASS, (8, 4), 16, rng)
@@ -384,10 +432,10 @@ def test_flat_adam_steps_match_per_array_reference_bit_for_bit(scheme, cnn_dim, 
         cache = fusion._forward_cached(
             params, rng.normal(size=(n, 14)), rng.normal(size=(n, cnn_dim))
         )
-        grads = fusion._backward(params, cache, rng.integers(0, scheme.class_count, n))
+        g = fusion._backward(params, cache, rng.integers(0, scheme.class_count, n))
         lr = float(10.0 ** rng.uniform(-4, -1))
-        adam.step(flat, fusion._flatten(grads), lr)
-        reference_adam_step(ref, m, v, t, grads, lr)
+        adam.step(flat, g, lr)
+        reference_adam_step(ref, m, v, t, fusion._views(g, shapes), lr)
         for name in fusion.PARAM_NAMES:
             assert params[name].tobytes() == ref[name].tobytes(), (t, name)
         assert adam.m.tobytes() == fusion._flatten(m).tobytes()
