@@ -21,6 +21,7 @@ from lesionbench.ensemble import rank_transform
 from lesionbench.errors import CoverageError, UniquenessError
 from lesionbench.features import FeatureTable, write_feature_csv
 from lesionbench.hashing import fnv1a64
+from lesionbench.targets import DiagnosisClass, TargetScheme, class_index
 from util import make_dataset, make_record
 
 
@@ -489,3 +490,48 @@ def test_threads_env_var_is_not_read(tmp_path, meta_csv, capsys, monkeypatch):
             for p in sorted(out_dir.iterdir())
         }
     assert runs["2"] == runs[None] and runs["x"] == runs[None]
+
+
+def _prob_csv(names, probs, scheme):
+    header = ["image_name"] + [f"prob_{c.name}" for c in scheme.classes]
+    rows = [[name] + [repr(float(v)) for v in row] for name, row in zip(names, probs)]
+    return "\n".join(",".join(r) for r in [header] + rows) + "\n"
+
+
+@pytest.mark.parametrize("scheme", [TargetScheme.NINE_CLASS, TargetScheme.FOUR_CLASS])
+def test_full_probability_inputs_score_as_their_mel_column(tmp_path, meta_csv, capsys, scheme):
+    folds = _split(tmp_path, meta_csv)
+    names = small_dataset().image_names
+    rng = np.random.default_rng(scheme.class_count)
+    raw = rng.random((len(names), scheme.class_count))
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    mel = probs[:, class_index(DiagnosisClass.MEL, scheme)]
+    full = tmp_path / "full.csv"
+    full.write_text(_prob_csv(names, probs, scheme), encoding="utf-8")
+    scalar = tmp_path / "scalar.csv"
+    scalar.write_text("image_name,target\n" + "".join(
+        f"{n},{v!r}\n" for n, v in zip(names, mel.tolist())), encoding="utf-8")
+
+    def evaluate(preds):
+        capsys.readouterr()
+        assert main(["evaluate", "--meta", str(meta_csv), "--folds-csv", str(folds),
+                     "--preds", str(preds)]) == 0
+        return capsys.readouterr().out
+
+    def ensemble(preds, out):
+        assert main(["ensemble", "--preds", str(preds), "--out", str(tmp_path / out)]) == 0
+        return (tmp_path / out).read_bytes()
+
+    assert evaluate(full) == evaluate(scalar)
+    assert ensemble(full, "ens_full.csv") == ensemble(scalar, "ens_scalar.csv")
+
+    bad_probs = probs.copy()
+    bad_probs[3] = 1.1 / scheme.class_count  # this row sums to 1.1
+    bad = tmp_path / "bad.csv"
+    bad.write_text(_prob_csv(names, bad_probs, scheme), encoding="utf-8")
+    for argv in (["evaluate", "--meta", str(meta_csv), "--folds-csv", str(folds),
+                  "--preds", str(bad)],
+                 ["ensemble", "--preds", str(bad), "--out", str(tmp_path / "ens_bad.csv")]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        _one_error_line(capsys)
