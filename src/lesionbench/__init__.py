@@ -23,7 +23,7 @@ from .datamodel import (
 )
 from .ensemble import rank_average, rank_transform
 from .errors import LesionbenchError
-from .features import FeatureTable, NormStats, SiteVocabulary, encode
+from .features import FeatureTable, NormStats, SiteVocabulary
 from .folds import FoldAssignment, assign_folds, fold_ratio_report
 from .fusion import FusionHeadModel, TrainConfig, load_model, save_model, train
 from .metrics import LabeledScores, ScoreTable, auc, bootstrap_auc_std, evaluate_cv, stability
@@ -52,7 +52,6 @@ __all__ = [
     "auc",
     "bootstrap_auc_std",
     "class_index",
-    "encode",
     "evaluate_cv",
     "fold_ratio_report",
     "load_model",

@@ -254,7 +254,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     assignment = read_folds_csv(_read_input(args.folds_csv))
     check_folds(dataset, assignment)
     preds = parse_predictions_csv(_read_input(args.preds))
-    report = evaluate_cv(preds.to_scalar(), dataset, assignment)
+    report = evaluate_cv(preds, dataset, assignment)
     print(_format_cv(report))
     return 0
 
@@ -265,7 +265,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
         raise FormatError("--preds expects a comma-separated list of CSV paths")
     digests: dict[str, str] = {}
     models = [
-        parse_predictions_csv(_read_input(p, digests, f"preds{i}")).to_scalar()
+        parse_predictions_csv(_read_input(p, digests, f"preds{i}"))
         for i, p in enumerate(pred_paths)
     ]
     combined = rank_average(models)

@@ -152,9 +152,10 @@ Rows = Iterator[tuple[int, list[str]]]
 def csv_rows(text: str, noun: str) -> tuple[list[str], Rows]:
     """The one CSV reader: the header, and ``(row_num, row)`` per non-blank row.
 
-    Every row must be as wide as the header. A missing header, a wrong width,
-    or anything the csv module rejects (e.g. a field over its size limit)
-    raises FormatError; callers check the header's names and parse the cells.
+    Every row must be as wide as the header, and its first cell, the row's
+    key, must not be empty. A missing header, a wrong width, an empty key, or
+    anything the csv module rejects (e.g. a field over its size limit) raises
+    FormatError; callers check the header's names and parse the cells.
     """
     reader = csv.reader(_lines(text))
     try:
@@ -163,7 +164,7 @@ def csv_rows(text: str, noun: str) -> tuple[list[str], Rows]:
         raise FormatError(f"{noun} header: {exc}") from None
     if header is None:
         raise FormatError(f"empty {noun} stream: no header row")
-    return header, _checked_rows(reader, len(header), noun)
+    return header, _checked_rows(reader, header, noun)
 
 
 _PIECE_CHARS = 1 << 16
@@ -188,7 +189,8 @@ def _lines(text: str) -> Iterator[str]:
     return chain.from_iterable(map(io.StringIO, pieces()))
 
 
-def _checked_rows(reader: Iterator[list[str]], width: int, noun: str) -> Rows:
+def _checked_rows(reader: Iterator[list[str]], header: list[str], noun: str) -> Rows:
+    width = len(header)
     row_num = 0
     try:
         for row_num, row in enumerate(reader, start=1):
@@ -198,6 +200,8 @@ def _checked_rows(reader: Iterator[list[str]], width: int, noun: str) -> Rows:
                 raise FormatError(
                     f"row {row_num}: expected {width} fields, got {len(row)}"
                 )
+            if not row[0]:
+                raise FormatError(f"row {row_num}: empty {header[0]}")
             yield row_num, row
     except csv.Error as exc:
         raise FormatError(f"{noun} row {row_num + 1}: {exc}") from None
@@ -241,8 +245,6 @@ def parse_metadata_csv(text: str) -> Dataset:
 
 def _parse_metadata_row(row: list[str], row_num: int, has_size: bool) -> SampleRecord:
     image_name, patient_id = row[0], row[1]
-    if not image_name:
-        raise FormatError(f"row {row_num}: empty image_name")
     if not patient_id:
         raise FormatError(f"row {row_num}: empty patient_id")
 
@@ -402,8 +404,7 @@ def validate_consistency(d: Dataset) -> ValidationReport:
     return ValidationReport(tuple(errors), tuple(warnings))
 
 
-def _scalar_header() -> list[str]:
-    return ["image_name", "target"]
+_SCORE_HEADER = ["image_name", "target"]
 
 
 def _full_header(scheme: TargetScheme) -> list[str]:
@@ -412,42 +413,24 @@ def _full_header(scheme: TargetScheme) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class PredictionSet:
-    """Per-image scores: either scalar melanoma scores or class probabilities.
+    """Per-image melanoma scores, each in [0, 1], stored read-only.
 
-    Exactly one of ``scores`` (shape ``(n,)``) and ``probs`` (shape
-    ``(n, C)``, with ``scheme`` set) is present. All values lie in [0, 1];
-    probability rows sum to 1 within 1e-9. Arrays are stored read-only.
+    This is the only in-memory form of predictions: a full class-probability
+    file is reduced to its MEL column as it is parsed.
     """
 
     image_names: tuple[str, ...]
-    scores: np.ndarray | None = None
-    probs: np.ndarray | None = None
-    scheme: TargetScheme | None = None
+    scores: np.ndarray
 
     def __post_init__(self) -> None:
-        if (self.scores is None) == (self.probs is None):
-            raise DomainError("exactly one of scores/probs must be provided")
         n = len(self.image_names)
         if len(set(self.image_names)) != n:
             raise UniquenessError("prediction image names are not unique")
-        if self.scores is not None:
-            arr = np.asarray(self.scores, dtype=np.float64)
-            if arr.shape != (n,):
-                raise ShapeError(f"scores shape {arr.shape} != ({n},)")
-            _check_unit_interval(arr)
-            object.__setattr__(self, "scores", _frozen(arr))
-        else:
-            if self.scheme is None:
-                raise DomainError("probs require a target scheme")
-            arr = np.asarray(self.probs, dtype=np.float64)
-            if arr.shape != (n, self.scheme.class_count):
-                raise ShapeError(
-                    f"probs shape {arr.shape} != ({n}, {self.scheme.class_count})"
-                )
-            _check_unit_interval(arr)
-            if n and np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-9:
-                raise DomainError("probability rows must sum to 1 within 1e-9")
-            object.__setattr__(self, "probs", _frozen(arr))
+        arr = np.asarray(self.scores, dtype=np.float64)
+        if arr.shape != (n,):
+            raise ShapeError(f"scores shape {arr.shape} != ({n},)")
+        _check_unit_interval(arr)
+        object.__setattr__(self, "scores", _frozen(arr))
 
     @classmethod
     def from_scores(
@@ -455,49 +438,21 @@ class PredictionSet:
     ) -> "PredictionSet":
         if not isinstance(scores, (np.ndarray, Sequence)):
             scores = list(scores)
-        return cls(tuple(image_names), scores=np.asarray(scores, dtype=np.float64))
-
-    @classmethod
-    def from_probs(
-        cls,
-        image_names: Iterable[str],
-        probs: np.ndarray,
-        scheme: TargetScheme,
-    ) -> "PredictionSet":
-        return cls(tuple(image_names), probs=np.asarray(probs, dtype=np.float64), scheme=scheme)
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.scores is not None
+        return cls(tuple(image_names), np.asarray(scores, dtype=np.float64))
 
     def __len__(self) -> int:
         return len(self.image_names)
 
-    def to_scalar(self) -> "PredictionSet":
-        """Reduce class probabilities to scalar melanoma scores."""
-        if self.is_scalar:
-            return self
-        assert self.probs is not None and self.scheme is not None
-        mel_col = class_index(DiagnosisClass.MEL, self.scheme)
-        return PredictionSet.from_scores(self.image_names, self.probs[:, mel_col])
-
     def score_map(self) -> dict[str, float]:
-        """image_name -> scalar score (scalar sets only)."""
-        if not self.is_scalar:
-            raise DomainError("score_map is only defined for scalar prediction sets")
-        assert self.scores is not None
+        """image_name -> score."""
         return dict(zip(self.image_names, self.scores.tolist()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PredictionSet):
             return NotImplemented
-        if self.image_names != other.image_names or self.scheme is not other.scheme:
-            return False
-        if (self.scores is None) != (other.scores is None):
-            return False
-        if self.scores is not None:
-            return bool(np.array_equal(self.scores, other.scores))
-        return bool(np.array_equal(self.probs, other.probs))
+        return self.image_names == other.image_names and bool(
+            np.array_equal(self.scores, other.scores)
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -517,28 +472,23 @@ def _check_unit_interval(arr: np.ndarray) -> None:
 
 
 def write_predictions_csv(p: PredictionSet) -> str:
-    """Serialize predictions: ``image_name,target`` for scalar sets, or
-    ``image_name,prob_<CLASS>,...`` in scheme column order for full sets."""
-    if p.is_scalar:
-        assert p.scores is not None
-        return csv_text(
-            _scalar_header(),
-            ([name, _format_float(float(s))] for name, s in zip(p.image_names, p.scores)),
-        )
-    assert p.probs is not None and p.scheme is not None
+    """Serialize predictions as ``image_name,target``."""
     return csv_text(
-        _full_header(p.scheme),
-        (
-            [name] + [_format_float(float(v)) for v in row]
-            for name, row in zip(p.image_names, p.probs)
-        ),
+        _SCORE_HEADER,
+        ([name, _format_float(float(s))] for name, s in zip(p.image_names, p.scores)),
     )
 
 
 def parse_predictions_csv(text: str) -> PredictionSet:
-    """Parse a prediction CSV; the header decides scalar vs full shape."""
+    """Parse a prediction CSV into melanoma scores.
+
+    ``image_name,target`` holds the scores themselves. A full class-probability
+    file, ``image_name,prob_<CLASS>,...`` in nine- or four-class column order,
+    must hold values in [0, 1] with each row summing to 1 within 1e-9; it
+    is reduced to its MEL column.
+    """
     header, rows = csv_rows(text, "prediction")
-    if header == _scalar_header():
+    if header == _SCORE_HEADER:
         scheme = None
     elif header == _full_header(TargetScheme.NINE_CLASS):
         scheme = TargetScheme.NINE_CLASS
@@ -550,8 +500,6 @@ def parse_predictions_csv(text: str) -> PredictionSet:
     names: list[str] = []
     values: list[list[float]] = []
     for row_num, row in rows:
-        if not row[0]:
-            raise FormatError(f"row {row_num}: empty image_name")
         try:
             vals = [float(cell) for cell in row[1:]]
         except ValueError:
@@ -561,8 +509,11 @@ def parse_predictions_csv(text: str) -> PredictionSet:
 
     arr = np.asarray(values, dtype=np.float64).reshape(-1, len(header) - 1)
     if scheme is None:
-        return PredictionSet(tuple(names), scores=arr[:, 0])
-    return PredictionSet(tuple(names), probs=arr, scheme=scheme)
+        return PredictionSet(tuple(names), arr[:, 0])
+    _check_unit_interval(arr)
+    if len(arr) and np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-9:
+        raise DomainError("probability rows must sum to 1 within 1e-9")
+    return PredictionSet(tuple(names), arr[:, class_index(DiagnosisClass.MEL, scheme)])
 
 
 def require_coverage(required: Iterable[str], available: Container[str], what: str) -> None:

@@ -47,9 +47,6 @@ def rank_average(models: Sequence[PredictionSet]) -> PredictionSet:
     """
     if not models:
         raise DomainError("rank_average needs at least one model")
-    for m in models:
-        if not m.is_scalar:
-            raise DomainError("rank_average expects scalar prediction sets")
 
     base = models[0]
     base_set = set(base.image_names)
@@ -65,7 +62,6 @@ def rank_average(models: Sequence[PredictionSet]) -> PredictionSet:
 
     aligned = np.empty((len(models), len(base)), dtype=np.float64)
     for i, m in enumerate(models):
-        assert m.scores is not None
         ranked = rank_transform(m.scores)
         pos = {name: j for j, name in enumerate(m.image_names)}
         idx = np.array([pos[name] for name in base.image_names])

@@ -5,10 +5,10 @@ Each record becomes a 14-dimensional vector in fixed order::
     [sex, age_z, site_0 .. site_9, log_size_z, n_images_z]
 
 Sex is 1 (male) / 0 (female) / -1 (missing). Continuous features are
-z-scored against statistics fitted on a caller-chosen subset (the ``mask``
-of :func:`fit_norm_stats`). The CLI's ``train`` and ``features`` commands fit
-them on every metadata row, validation folds included, so one feature table
-serves all folds. Missing continuous values encode as 0, i.e. the mean. The
+z-scored against statistics that :func:`fit_norm_stats` fits on the dataset
+it is given. The CLI's ``train`` and ``features`` commands fit them on every
+metadata row, validation folds included, so one feature table serves all
+folds. Missing continuous values encode as 0, i.e. the mean. The
 anatomical site occupies ten one-hot slots against a data-derived
 vocabulary; a missing or out-of-vocabulary site leaves the whole block zero.
 """
@@ -24,7 +24,6 @@ import numpy as np
 
 from .datamodel import (
     Dataset,
-    SampleRecord,
     Sex,
     _format_float,
     _frozen,
@@ -61,12 +60,6 @@ class SiteVocabulary:
             raise ShapeError(f"site vocabulary must have {SITE_SLOTS} entries")
         if len(set(self.sites)) != SITE_SLOTS:
             raise UniquenessError("site vocabulary entries must be unique")
-
-    def index_of(self, site: str) -> int | None:
-        try:
-            return self.sites.index(site)
-        except ValueError:
-            return None
 
 
 @dataclass(frozen=True)
@@ -129,34 +122,22 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float, bool]:
     return mean, max(std, STD_FLOOR), False
 
 
-def fit_norm_stats(
-    d: Dataset,
-    n_images: dict[str, int],
-    mask: Sequence[bool] | None = None,
-) -> NormStats:
-    """Fit normalization statistics on the records selected by ``mask``.
+def fit_norm_stats(d: Dataset, n_images: dict[str, int]) -> NormStats:
+    """Fit normalization statistics on every record of ``d``.
 
-    ``mask`` aligns with ``d.records``; None selects everything. Missing ages
-    and sizes are excluded from their statistics; sizes enter as natural logs.
+    Missing ages and sizes are excluded from their statistics; sizes enter as
+    natural logs.
     """
-    if mask is None:
-        selected = list(d.records)
-    else:
-        if len(mask) != len(d.records):
-            raise ShapeError(
-                f"mask length {len(mask)} != record count {len(d.records)}"
-            )
-        selected = [r for r, keep in zip(d.records, mask) if keep]
-    if not selected:
-        raise DomainError("cannot fit normalization statistics on an empty subset")
+    if not d.records:
+        raise DomainError("cannot fit normalization statistics on an empty dataset")
 
-    ages = [r.age_approx for r in selected if r.age_approx is not None]
+    ages = [r.age_approx for r in d.records if r.age_approx is not None]
     log_sizes = [
         math.log(r.image_size_bytes)
-        for r in selected
+        for r in d.records
         if r.image_size_bytes is not None
     ]
-    counts = [float(n_images[r.image_name]) for r in selected]
+    counts = [float(n_images[r.image_name]) for r in d.records]
 
     age_mean, age_std, age_defaulted = _mean_std(ages)
     ls_mean, ls_std, ls_defaulted = _mean_std(log_sizes)
@@ -173,35 +154,7 @@ def fit_norm_stats(
     )
 
 
-def encode(
-    r: SampleRecord,
-    vocab: SiteVocabulary,
-    stats: NormStats,
-    n_images: dict[str, int],
-) -> np.ndarray:
-    """Encode one record as its 14-dimensional feature vector."""
-    if r.image_name not in n_images:
-        raise KeyError(f"image {r.image_name!r} missing from n_images map")
-    v = np.zeros(N_METADATA_FEATURES, dtype=np.float64)
-
-    if r.sex is Sex.MALE:
-        v[0] = 1.0
-    elif r.sex is Sex.MISSING:
-        v[0] = -1.0
-
-    if r.age_approx is not None:
-        v[1] = (r.age_approx - stats.age_mean) / stats.age_std
-
-    if r.anatom_site is not None:
-        slot = vocab.index_of(r.anatom_site)
-        if slot is not None:
-            v[2 + slot] = 1.0
-
-    if r.image_size_bytes is not None:
-        v[12] = (math.log(r.image_size_bytes) - stats.log_size_mean) / stats.log_size_std
-
-    v[13] = (n_images[r.image_name] - stats.n_images_mean) / stats.n_images_std
-    return v
+_SEX_CODE = {Sex.MALE: 1.0, Sex.FEMALE: 0.0, Sex.MISSING: -1.0}
 
 
 def encode_dataset(
@@ -210,10 +163,39 @@ def encode_dataset(
     stats: NormStats,
     n_images: dict[str, int],
 ) -> np.ndarray:
-    """Encode every record; rows follow dataset order."""
-    if not d.records:
-        return np.zeros((0, N_METADATA_FEATURES), dtype=np.float64)
-    return np.stack([encode(r, vocab, stats, n_images) for r in d.records])
+    """Encode every record as its 14-dimensional feature vector, one column
+    (or the site block) at a time; rows follow dataset order.
+
+    Every image must be a key of ``n_images``; extra keys are ignored.
+    """
+    records = d.records
+    try:
+        counts = np.array([n_images[r.image_name] for r in records], dtype=np.float64)
+    except KeyError as exc:
+        raise KeyError(f"image {exc.args[0]!r} missing from n_images map") from None
+    out = np.zeros((len(records), N_METADATA_FEATURES), dtype=np.float64)
+    out[:, 0] = [_SEX_CODE[r.sex] for r in records]
+    _fill_z(out[:, 1], [r.age_approx for r in records], stats.age_mean, stats.age_std)
+
+    slot_of = {site: i for i, site in enumerate(vocab.sites)}
+    slots = np.array([slot_of.get(r.anatom_site, -1) for r in records], dtype=np.int64)
+    hit = slots >= 0
+    out[np.flatnonzero(hit), 2 + slots[hit]] = 1.0
+
+    log_sizes = [
+        None if r.image_size_bytes is None else math.log(r.image_size_bytes)
+        for r in records
+    ]
+    _fill_z(out[:, 12], log_sizes, stats.log_size_mean, stats.log_size_std)
+    out[:, 13] = (counts - stats.n_images_mean) / stats.n_images_std
+    return out
+
+
+def _fill_z(column: np.ndarray, values: list[float | None], mean: float, std: float) -> None:
+    """Write ``(x - mean) / std`` for each present value; missing ones stay 0."""
+    present = np.array([v is not None for v in values], dtype=bool)
+    x = np.array([v for v in values if v is not None], dtype=np.float64)
+    column[present] = (x - mean) / std
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,14 +258,12 @@ def write_feature_csv(table: FeatureTable, prefix: str = "f") -> str:
     )
 
 
-def read_feature_csv(text: str, prefix: str = "f", width: int | None = None) -> FeatureTable:
-    """Parse a feature CSV; ``width`` pins the expected column count."""
+def read_feature_csv(text: str, prefix: str = "f") -> FeatureTable:
+    """Parse a feature CSV with header ``image_name,<prefix>0,...``."""
     header, rows = csv_rows(text, "feature")
     n_cols = len(header) - 1
     if n_cols < 1 or header != ["image_name"] + [f"{prefix}{i}" for i in range(n_cols)]:
         raise FormatError(f"unrecognized feature header: {','.join(header)!r}")
-    if width is not None and n_cols != width:
-        raise FormatError(f"expected {width} feature columns, got {n_cols}")
 
     names: list[str] = []
     values: list[list[float]] = []

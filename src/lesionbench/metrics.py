@@ -141,11 +141,9 @@ class CvReport:
 def evaluate_cv(preds: PredictionSet, d: Dataset, f: FoldAssignment) -> CvReport:
     """Score out-of-fold predictions against a dataset's labels.
 
-    ``preds`` must be scalar and cover every image of ``d``; producing
-    predictions out-of-fold is the caller's responsibility.
+    ``preds`` must cover every image of ``d``; producing predictions
+    out-of-fold is the caller's responsibility.
     """
-    if not preds.is_scalar:
-        raise DomainError("evaluate_cv expects scalar predictions; call to_scalar()")
     score_by_name = preds.score_map()
     require_coverage(d.image_names, score_by_name, "predictions")
     require_coverage(d.image_names, f.assignment, "fold assignment")

@@ -176,7 +176,6 @@ def test_train_evaluate_ensemble_pipeline(tmp_path, meta_csv, capsys):
                f"{out_dir / 'oof.csv'},{out_dir4 / 'oof.csv'}", "--out", str(ens)])
     assert rc == 0
     combined = parse_predictions_csv(ens.read_text(encoding="utf-8"))
-    assert combined.is_scalar
     assert len(combined) == 24
 
 
@@ -280,6 +279,19 @@ def test_non_utf8_input_exits_2_with_one_error_line(tmp_path, meta_csv, capsys, 
     capsys.readouterr()
     assert main(argv) == 2
     assert "not UTF-8" in _one_error_line(capsys)
+
+
+def test_empty_key_in_cnn_csv_exits_2(tmp_path, meta_csv, capsys):
+    folds = _split(tmp_path, meta_csv)
+    cnn = tmp_path / "cnn.csv"
+    d = small_dataset()
+    cnn.write_text(write_feature_csv(FeatureTable(d.image_names, np.ones((24, 1))), prefix="c")
+                   + ",5.0\n", encoding="utf-8")
+    out_dir = tmp_path / "run"
+    capsys.readouterr()
+    assert main(_train_argv(meta_csv, folds, out_dir) + ["--cnn", str(cnn)]) == 2
+    assert _one_error_line(capsys) == "error: row 25: empty image_name"
+    assert not out_dir.exists()
 
 
 def test_oversized_csv_field_exits_2(tmp_path, capsys):

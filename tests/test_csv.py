@@ -72,6 +72,14 @@ def test_every_format_checks_row_width(fmt, change):
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_every_format_rejects_an_empty_key_cell(fmt):
+    reader, header, row = FORMATS[fmt]
+    key = header.split(",")[0]
+    with pytest.raises(FormatError, match=f"^row 2: empty {key}$"):
+        reader(f"{header}\n{row}\n{row[row.index(','):]}\n")
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
 def test_every_format_rejects_empty_text(fmt):
     reader, _, _ = FORMATS[fmt]
     with pytest.raises(FormatError, match="no header row"):

@@ -18,7 +18,7 @@ from lesionbench.errors import (
     RangeError,
     UniquenessError,
 )
-from lesionbench.targets import TargetScheme
+from lesionbench.targets import DiagnosisClass, TargetScheme, class_index
 from util import make_dataset, make_record
 
 HEADER = "image_name,patient_id,sex,age_approx,anatom_site_general_challenge,diagnosis,target,source"
@@ -206,29 +206,37 @@ def test_scalar_predictions_round_trip():
     assert parse_predictions_csv(write_predictions_csv(p)) == p
 
 
+NINE_HEADER = (
+    "image_name,prob_NV,prob_MEL,prob_BCC,prob_BKL,prob_AK,prob_SCC,"
+    "prob_VASC,prob_DF,prob_Unknown"
+)
+FOUR_HEADER = "image_name,prob_NV,prob_MEL,prob_BKL,prob_Unknown"
+
+
+def prob_csv(header, names, probs):
+    return header + "\n" + "".join(
+        ",".join([name] + [repr(float(v)) for v in row]) + "\n"
+        for name, row in zip(names, probs)
+    )
+
+
 def test_full_predictions_round_trip_both_schemes():
     rng = np.random.default_rng(12)
-    for scheme in TargetScheme:
+    for scheme, header in ((TargetScheme.NINE_CLASS, NINE_HEADER),
+                           (TargetScheme.FOUR_CLASS, FOUR_HEADER)):
         raw = rng.random((40, scheme.class_count))
         probs = raw / raw.sum(axis=1, keepdims=True)
-        p = PredictionSet.from_probs([f"I{i}" for i in range(40)], probs, scheme)
-        back = parse_predictions_csv(write_predictions_csv(p))
-        assert back == p
-        assert back.scheme is scheme
+        names = [f"I{i}" for i in range(40)]
+        back = parse_predictions_csv(prob_csv(header, names, probs))
+        mel = probs[:, class_index(DiagnosisClass.MEL, scheme)]
+        assert back == PredictionSet.from_scores(names, mel)
 
 
 def test_prediction_header_shapes():
-    nine = write_predictions_csv(
-        PredictionSet.from_probs(["I1"], np.full((1, 9), 1 / 9), TargetScheme.NINE_CLASS)
-    )
-    assert nine.splitlines()[0] == (
-        "image_name,prob_NV,prob_MEL,prob_BCC,prob_BKL,prob_AK,prob_SCC,"
-        "prob_VASC,prob_DF,prob_Unknown"
-    )
-    four = write_predictions_csv(
-        PredictionSet.from_probs(["I1"], np.full((1, 4), 0.25), TargetScheme.FOUR_CLASS)
-    )
-    assert four.splitlines()[0] == "image_name,prob_NV,prob_MEL,prob_BKL,prob_Unknown"
+    nine = parse_predictions_csv(prob_csv(NINE_HEADER, ["I1"], np.full((1, 9), 1 / 9)))
+    assert np.array_equal(nine.scores, [1 / 9])
+    four = parse_predictions_csv(prob_csv(FOUR_HEADER, ["I1"], np.full((1, 4), 0.25)))
+    assert np.array_equal(four.scores, [0.25])
 
 
 def test_prediction_out_of_range_rejected():
@@ -247,16 +255,21 @@ def test_prediction_unknown_header_rejected():
 
 def test_prediction_row_sums_enforced():
     bad = np.array([[0.5, 0.2, 0.2, 0.2]])
-    with pytest.raises(DomainError):
-        PredictionSet.from_probs(["I1"], bad, TargetScheme.FOUR_CLASS)
+    with pytest.raises(DomainError, match="sum to 1 within 1e-9"):
+        parse_predictions_csv(prob_csv(FOUR_HEADER, ["I1"], bad))
+    with pytest.raises(DomainError, match="sum to 1 within 1e-9"):
+        parse_predictions_csv(prob_csv(NINE_HEADER, ["I1"], np.full((1, 9), 0.1)))
+    with pytest.raises(RangeError):  # every cell is checked, not only MEL
+        parse_predictions_csv(prob_csv(FOUR_HEADER, ["I1"], [[1.5, 0.0, -0.5, 0.0]]))
 
 
-def test_to_scalar_extracts_mel_column():
-    probs = np.array([[0.1, 0.6, 0.2, 0.1], [0.7, 0.1, 0.1, 0.1]])
-    p = PredictionSet.from_probs(["A", "B"], probs, TargetScheme.FOUR_CLASS)
-    s = p.to_scalar()
-    assert s.is_scalar
-    assert np.array_equal(s.scores, [0.6, 0.1])
+def test_full_predictions_keep_their_mel_column():
+    four = np.array([[0.1, 0.6, 0.2, 0.1], [0.7, 0.1, 0.1, 0.1]])
+    p = parse_predictions_csv(prob_csv(FOUR_HEADER, ["A", "B"], four))
+    assert np.array_equal(p.scores, [0.6, 0.1])
+    nine = np.array([[0.1, 0.3, 0.1, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05]])
+    p = parse_predictions_csv(prob_csv(NINE_HEADER, ["A"], nine))
+    assert np.array_equal(p.scores, [0.3])
 
 
 def test_prediction_arrays_read_only():

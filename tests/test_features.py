@@ -2,24 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lesionbench.datamodel import Sex
-from lesionbench.errors import CapacityError, DomainError, FormatError, ShapeError
+from lesionbench.errors import CapacityError, DomainError
 from lesionbench.features import (
     FEATURE_NAMES,
     N_METADATA_FEATURES,
+    SITE_SLOTS,
     STD_FLOOR,
     FeatureTable,
     NormStats,
+    SiteVocabulary,
     build_site_vocab,
     compute_n_images,
-    encode,
     encode_dataset,
     fit_norm_stats,
     read_feature_csv,
     write_feature_csv,
 )
-from util import make_dataset, make_record
+from util import make_dataset, make_record, reference_encode
 
 
 def unit_stats() -> NormStats:
@@ -114,28 +117,15 @@ def test_fit_norm_stats_all_missing_defaults_with_flag():
     assert stats.log_size_defaulted  # no sizes either
 
 
-def test_fit_norm_stats_mask_selects_subset():
-    d = make_dataset(
-        [
-            make_record("I1", patient_id="P1", age=40.0),
-            make_record("I2", patient_id="P2", age=60.0),
-            make_record("I3", patient_id="P3", age=120.0),
-        ]
-    )
-    stats = fit_norm_stats(d, compute_n_images(d), mask=[True, True, False])
-    assert stats.age_mean == 50.0
-
-
 def test_fit_norm_stats_empty_subset_rejected():
-    d = make_dataset([make_record("I1")])
+    d = make_dataset([])
     with pytest.raises(DomainError):
-        fit_norm_stats(d, compute_n_images(d), mask=[False])
+        fit_norm_stats(d, compute_n_images(d))
 
 
-def test_fit_norm_stats_mask_length_checked():
-    d = make_dataset([make_record("I1")])
-    with pytest.raises(ShapeError):
-        fit_norm_stats(d, compute_n_images(d), mask=[True, False])
+def encode_one(r, vocab, stats, n_images):
+    """``encode_dataset`` on a one-record dataset: that record's row."""
+    return encode_dataset(make_dataset([r]), vocab, stats, n_images)[0]
 
 
 def test_encode_centered_values_vanish():
@@ -147,7 +137,7 @@ def test_encode_centered_values_vanish():
         log_size_mean=0.0, log_size_std=1.0,
         n_images_mean=1.0, n_images_std=1.0,
     )
-    v = encode(d.records[0], vocab, stats, {"I1": 1})
+    v = encode_one(d.records[0], vocab, stats, {"I1": 1})
     expected = np.zeros(14)
     expected[0] = 1.0
     expected[2] = 1.0
@@ -159,7 +149,7 @@ def test_encode_all_missing_record():
     d = make_dataset([r])
     vocab = build_site_vocab(d)
     stats = fit_norm_stats(d, {"I1": 1})
-    v = encode(r, vocab, stats, {"I1": 1})
+    v = encode_one(r, vocab, stats, {"I1": 1})
     expected = np.zeros(14)
     expected[0] = -1.0
     # n_images == mean on the singleton dataset, so its z-score is 0
@@ -174,7 +164,7 @@ def test_encode_hand_z_score():
         n_images_mean=1.0, n_images_std=1.0,
     )
     d = make_dataset([r])
-    v = encode(r, build_site_vocab(d), stats, {"I1": 1})
+    v = encode_one(r, build_site_vocab(d), stats, {"I1": 1})
     assert v[0] == 0.0
     assert v[1] == 1.0  # (60 - 50) / 10
 
@@ -183,7 +173,7 @@ def test_encode_log_size():
     r = make_record("I1", size=1000)
     stats = unit_stats()
     d = make_dataset([r])
-    v = encode(r, build_site_vocab(d), stats, {"I1": 1})
+    v = encode_one(r, build_site_vocab(d), stats, {"I1": 1})
     assert v[12] == pytest.approx(math.log(1000.0), rel=1e-15)
 
 
@@ -191,7 +181,7 @@ def test_encode_out_of_vocab_site_is_all_zero():
     r = make_record("I1", site="elbow")
     d = make_dataset([make_record("I2", patient_id="P2", site="torso")])
     vocab = build_site_vocab(d)
-    v = encode(r, vocab, unit_stats(), {"I1": 1})
+    v = encode_one(r, vocab, unit_stats(), {"I1": 1})
     assert np.all(v[2:12] == 0.0)
 
 
@@ -199,7 +189,7 @@ def test_encode_missing_n_images_lookup_error():
     r = make_record("I1")
     d = make_dataset([r])
     with pytest.raises(KeyError, match="I1"):
-        encode(r, build_site_vocab(d), unit_stats(), {})
+        encode_one(r, build_site_vocab(d), unit_stats(), {})
 
 
 def test_encode_site_block_is_one_hot_or_zero():
@@ -239,9 +229,52 @@ def test_encoding_invariant_to_record_order():
         vocab = build_site_vocab(d)
         stats = fit_norm_stats(d, n_images)
         for r in d.records:
-            out[r.image_name] = encode(r, vocab, stats, n_images)
+            out[r.image_name] = encode_one(r, vocab, stats, n_images)
     for name in out1:
         assert np.array_equal(out1[name], out2[name])
+
+
+SITES = ["torso", "head/neck", "upper extremity", "palms/soles", "elbow", None]
+
+RECORDS = st.lists(
+    st.builds(
+        lambda i, sex, age, site, size: (i, sex, age, site, size),
+        st.integers(0, 5),
+        st.sampled_from(list(Sex)),
+        st.none() | st.floats(0.0, 120.0),
+        st.sampled_from(SITES),
+        st.none() | st.integers(1, 10**12),
+    ),
+    max_size=12,
+)
+STATS = st.builds(
+    NormStats,
+    age_mean=st.floats(-1e3, 1e3), age_std=st.floats(1e-8, 1e3),
+    log_size_mean=st.floats(-1e3, 1e3), log_size_std=st.floats(1e-8, 1e3),
+    n_images_mean=st.floats(-1e3, 1e3), n_images_std=st.floats(1e-8, 1e3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=RECORDS, vocab_sites=st.sets(st.sampled_from(SITES[:-1]), max_size=4),
+       stats=st.none() | STATS, extra=st.dictionaries(st.text(max_size=3), st.integers(1, 9)))
+def test_encode_dataset_equals_stacked_reference_rows(rows, vocab_sites, stats, extra):
+    records = [
+        make_record(f"I{j}", patient_id=f"P{i}", sex=sex, age=age, site=site, size=size)
+        for j, (i, sex, age, site, size) in enumerate(rows)
+    ]
+    d = make_dataset(records)
+    n_images = {**extra, **compute_n_images(d)}
+    padding = [f"__unused_{i}__" for i in range(SITE_SLOTS - len(vocab_sites))]
+    vocab = SiteVocabulary(tuple(sorted(vocab_sites)) + tuple(padding))
+    if stats is None:
+        if not records:
+            return
+        stats = fit_norm_stats(d, n_images)
+    expected = np.array([reference_encode(r, vocab, stats, n_images) for r in records])
+    got = encode_dataset(d, vocab, stats, n_images)
+    assert got.shape == (len(records), N_METADATA_FEATURES)
+    assert got.tobytes() == expected.reshape(-1, N_METADATA_FEATURES).tobytes()
 
 
 def test_z_scored_features_standardized_on_fit_subset():
@@ -271,14 +304,7 @@ def test_feature_csv_round_trip():
     )
     text = write_feature_csv(table)
     assert text.splitlines()[0] == "image_name," + ",".join(f"f{i}" for i in range(14))
-    assert read_feature_csv(text, width=14) == table
-
-
-def test_feature_csv_rejects_wrong_width():
-    table = FeatureTable(("I1",), np.zeros((1, 3)))
-    text = write_feature_csv(table)
-    with pytest.raises(FormatError):
-        read_feature_csv(text, width=14)
+    assert read_feature_csv(text) == table
 
 
 def test_feature_table_select_aligns_rows():

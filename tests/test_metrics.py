@@ -19,7 +19,6 @@ from lesionbench.metrics import (
     stability,
     write_score_table,
 )
-from lesionbench.targets import TargetScheme
 from util import auc_pair_counting, make_dataset, make_record
 
 
@@ -157,14 +156,6 @@ def test_evaluate_cv_missing_prediction_named():
     preds = PredictionSet.from_scores(["A", "B", "C"], [0.9, 0.1, 0.5])
     with pytest.raises(CoverageError, match="'D'"):
         evaluate_cv(preds, d, f)
-
-
-def test_evaluate_cv_requires_scalar():
-    d, f, _ = _cv_fixture()
-    probs = np.full((4, 9), 1 / 9)
-    full = PredictionSet.from_probs(["A", "B", "C", "D"], probs, TargetScheme.NINE_CLASS)
-    with pytest.raises(DomainError):
-        evaluate_cv(full, d, f)
 
 
 def test_auc_or_none():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from lesionbench import fusion
@@ -141,3 +143,28 @@ def reference_adam_step(params, m, v, t, grads, lr):
         m[k] = b1 * m[k] + (1.0 - b1) * g
         v[k] = b2 * v[k] + (1.0 - b2) * g * g
         params[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+
+
+def reference_encode(r, vocab, stats, n_images) -> np.ndarray:
+    """One record's 14-dimensional feature vector, built scalar by scalar:
+    the oracle for the column-wise ``features.encode_dataset``."""
+    if r.image_name not in n_images:
+        raise KeyError(f"image {r.image_name!r} missing from n_images map")
+    v = np.zeros(14, dtype=np.float64)
+
+    if r.sex is Sex.MALE:
+        v[0] = 1.0
+    elif r.sex is Sex.MISSING:
+        v[0] = -1.0
+
+    if r.age_approx is not None:
+        v[1] = (r.age_approx - stats.age_mean) / stats.age_std
+
+    if r.anatom_site in vocab.sites:
+        v[2 + vocab.sites.index(r.anatom_site)] = 1.0
+
+    if r.image_size_bytes is not None:
+        v[12] = (math.log(r.image_size_bytes) - stats.log_size_mean) / stats.log_size_std
+
+    v[13] = (n_images[r.image_name] - stats.n_images_mean) / stats.n_images_std
+    return v
