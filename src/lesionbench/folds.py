@@ -65,12 +65,13 @@ def assign_folds(d: Dataset, k: int, seed: int) -> FoldAssignment:
     the fold with the smallest dot product between the fold's current class
     counts and the patient's class counts. Tied folds are resolved with
     ``splitmix64(seed ^ fnv1a64(patient_id))``, so the result is a pure
-    function of (dataset, k, seed).
+    function of (dataset, k, seed). ``k`` runs from 2 to the image count.
     """
     if k < 2:
         raise DomainError(f"fold count must be at least 2, got {k}")
     if not d.records:
         raise DomainError("cannot assign folds on an empty dataset")
+    _require_fold_count(k, len(d))
     # Fewer patients than folds is allowed; the surplus folds stay empty.
     patients = d.by_patient
 
@@ -123,9 +124,15 @@ def fold_ratio_report(d: Dataset, f: FoldAssignment) -> FoldRatioReport:
     return FoldRatioReport(per_fold=per_fold, total=total)
 
 
+def _require_fold_count(k: int, n_images: int) -> None:
+    if k > n_images:
+        raise DomainError(f"fold count {k} exceeds the image count {n_images}")
+
+
 def check_folds(d: Dataset, f: FoldAssignment) -> None:
     """Check that ``f`` fits ``d``: each side names only the other's images,
-    and every patient's images share one fold.
+    the fold count is at most the image count, and every patient's images
+    share one fold.
 
     Fold ids need not be contiguous: ``assign_folds`` leaves surplus folds
     empty when there are fewer patients than folds.
@@ -133,6 +140,8 @@ def check_folds(d: Dataset, f: FoldAssignment) -> None:
     require_coverage(d.image_names, f.assignment, "fold assignment")
     if len(f.assignment) > len(d):  # names on both sides are unique
         require_coverage(f.assignment, set(d.image_names), "metadata")
+    # Every fold id costs a model in ``train`` and a line in ``evaluate``.
+    _require_fold_count(f.k, len(d))
     names = d.image_names
     for pid, positions in d.by_patient.items():
         folds = {f.assignment[names[pos]] for pos in positions}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lesionbench import cli
+from lesionbench import cli, hashing
 from lesionbench.cli import _apply_sizes, _read_sizes_csv, main
 from lesionbench.datamodel import (
     parse_predictions_csv,
@@ -20,9 +20,8 @@ from lesionbench.datamodel import (
 from lesionbench.ensemble import rank_transform
 from lesionbench.errors import CoverageError, UniquenessError
 from lesionbench.features import FeatureTable, write_feature_csv
-from lesionbench.hashing import fnv1a64
 from lesionbench.targets import DiagnosisClass, TargetScheme, class_index
-from util import make_dataset, make_record
+from util import make_dataset, make_record, reference_fnv1a64
 
 
 def small_dataset(n_patients=12, images=2, with_sizes=True, seed=0):
@@ -312,9 +311,20 @@ def test_crlf_and_lone_cr_inputs_parse_as_lf(tmp_path, meta_csv):
 
 
 def test_manifest_digests_the_bytes_that_were_parsed(tmp_path, meta_csv):
-    _split(tmp_path, meta_csv)
+    folds = _split(tmp_path, meta_csv)
     manifest = (tmp_path / "folds.csv.manifest.txt").read_text(encoding="utf-8")
-    assert f"input.meta=fnv1a:{fnv1a64(meta_csv.read_bytes()):016x}" in manifest.splitlines()
+    digest = reference_fnv1a64(meta_csv.read_bytes())
+    assert f"input.meta=fnv1a:{digest:016x}" in manifest.splitlines()
+    # A feature file past the byte-loop cutoff takes the numpy kernel.
+    cnn = tmp_path / "cnn.csv"
+    values = np.random.default_rng(0).normal(size=(24, 16))
+    table = FeatureTable(small_dataset().image_names, values)
+    cnn.write_text(write_feature_csv(table, prefix="c"), encoding="utf-8")
+    assert cnn.stat().st_size > hashing._LOOP_MAX
+    assert main(_train_argv(meta_csv, folds, tmp_path / "run") + ["--cnn", str(cnn)]) == 0
+    lines = (tmp_path / "run" / "train.manifest.txt").read_text(encoding="utf-8").splitlines()
+    for key, path in (("meta", meta_csv), ("folds", folds), ("cnn", cnn)):
+        assert f"input.{key}=fnv1a:{reference_fnv1a64(path.read_bytes()):016x}" in lines
 
 
 def _flag_dests(command):
@@ -401,6 +411,44 @@ def test_empty_surplus_folds_are_accepted(tmp_path, capsys):
     assert main(_train_argv(meta, folds, out_dir)) == 0
     assert main(["evaluate", "--meta", str(meta), "--folds-csv", str(folds),
                  "--preds", str(out_dir / "oof.csv")]) == 0
+
+
+def _move_patient(folds, pid, fold):
+    """Rewrite a folds CSV with every image of ``pid`` in ``fold``."""
+    text = folds.read_text(encoding="utf-8")
+    folds.write_text(re.sub(rf"^({pid}_I\d+),\d+$", rf"\g<1>,{fold}", text, flags=re.M),
+                     encoding="utf-8")
+
+
+def test_split_rejects_more_folds_than_images(tmp_path, meta_csv, capsys):
+    out = tmp_path / "folds.csv"
+    assert main(["split", "--meta", str(meta_csv), "--folds", "25", "--out", str(out)]) == 2
+    assert _one_error_line(capsys) == "error: fold count 25 exceeds the image count 24"
+    assert not out.exists()
+
+
+def test_train_rejects_a_fold_id_past_the_image_count(tmp_path, meta_csv, capsys):
+    folds = _split(tmp_path, meta_csv)
+    _move_patient(folds, "P0", 24)
+    out_dir = tmp_path / "run"
+    capsys.readouterr()
+    assert main(_train_argv(meta_csv, folds, out_dir)) == 2
+    assert _one_error_line(capsys) == "error: fold count 25 exceeds the image count 24"
+    assert not out_dir.exists()
+
+
+def test_evaluate_rejects_a_fold_id_past_the_image_count(tmp_path, meta_csv, capsys):
+    folds = _split(tmp_path, meta_csv)
+    _move_patient(folds, "P0", 1000)
+    preds = tmp_path / "preds.csv"
+    preds.write_text(write_predictions_csv(PredictionSet.from_scores(
+        small_dataset().image_names, np.linspace(0.0, 1.0, 24))), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--meta", str(meta_csv), "--folds-csv", str(folds),
+                 "--preds", str(preds)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fold count 1001 exceeds the image count 24\n"
 
 
 def test_sizes_duplicate_and_foreign_names_rejected(tmp_path, capsys):

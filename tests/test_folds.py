@@ -7,6 +7,7 @@ from lesionbench.errors import CoverageError, DomainError, FormatError, Uniquene
 from lesionbench.folds import (
     FoldAssignment,
     assign_folds,
+    check_folds,
     fold_ratio_report,
     read_folds_csv,
     write_folds_csv,
@@ -38,7 +39,7 @@ def random_dataset(rng, n_patients=None, singleton=False):
 
 
 def test_single_patient_lands_in_one_fold():
-    d = make_dataset([make_record(f"I{i}", patient_id="P1") for i in range(3)])
+    d = make_dataset([make_record(f"I{i}", patient_id="P1") for i in range(5)])
     f = assign_folds(d, k=5, seed=42)
     folds_used = {f.assignment[r.image_name] for r in d.records}
     assert len(folds_used) == 1
@@ -50,6 +51,16 @@ def test_k_below_two_rejected():
         assign_folds(d, k=1, seed=42)
     with pytest.raises(DomainError):
         assign_folds(d, k=0, seed=42)
+
+
+def test_fold_count_bounded_by_image_count():
+    d = make_dataset([make_record(f"I{i}", patient_id=f"P{i}") for i in range(3)])
+    assert assign_folds(d, k=3, seed=42).k == 3
+    with pytest.raises(DomainError, match="^fold count 4 exceeds the image count 3$"):
+        assign_folds(d, k=4, seed=42)
+    check_folds(d, FoldAssignment(k=3, assignment={"I0": 0, "I1": 1, "I2": 2}, seed=None))
+    with pytest.raises(DomainError, match="^fold count 4 exceeds the image count 3$"):
+        check_folds(d, FoldAssignment(k=4, assignment={"I0": 0, "I1": 1, "I2": 3}, seed=None))
 
 
 def test_empty_dataset_rejected():

@@ -168,3 +168,12 @@ def reference_encode(r, vocab, stats, n_images) -> np.ndarray:
 
     v[13] = (n_images[r.image_name] - stats.n_images_mean) / stats.n_images_std
     return v
+
+
+def reference_fnv1a64(data: bytes, h: int = 0xCBF29CE484222325) -> int:
+    """64-bit FNV-1a, one byte at a time from state ``h``: the oracle for the
+    numpy kernel in ``hashing.fnv1a64``."""
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & ((1 << 64) - 1)
+    return h
