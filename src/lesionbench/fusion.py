@@ -174,12 +174,6 @@ def lr_schedule(epoch: int, total_epochs: int, lr_peak: float) -> float:
     return 0.5 * lr_peak * (1.0 + math.cos(math.pi * phase))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _stack_inputs(
     m: FusionHeadModel, x_meta: np.ndarray, x_cnn: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -208,20 +202,64 @@ def _stack_inputs(
     return meta, cnn, single
 
 
+class _Workspace:
+    """Every buffer one fold's forward and backward passes write, allocated
+    once and reused by each step and each validation pass.
+
+    Forward buffers hold ``rows`` rows and backward buffers ``batch_rows``;
+    a pass over n rows writes into the first n rows of each. ``params`` are
+    live views: updating the flat vector behind them in place is seen by the
+    next pass.
+    """
+
+    def __init__(self, params: dict[str, np.ndarray], rows: int, batch_rows: int) -> None:
+        self.params = params
+        h1, h2 = params["w1"].shape[0], params["w2"].shape[0]
+        c, joint_width = params["w3"].shape
+        self.h1 = np.empty((rows, h1))
+        self.h2 = np.empty((rows, h2))
+        # With no external block the joint layer is h2 itself.
+        self.joint = self.h2 if joint_width == h2 else np.empty((rows, joint_width))
+        self.logits = np.empty((rows, c))
+        self.probs = np.empty((rows, c))
+        self.row_stat = np.empty((rows, 1))
+        self.d_joint = np.empty((batch_rows, joint_width))
+        self.dz2 = np.empty((batch_rows, h2))
+        self.dz1 = np.empty((batch_rows, h1))
+        self.live2 = np.empty((batch_rows, h2), dtype=bool)
+        self.live1 = np.empty((batch_rows, h1), dtype=bool)
+        shapes = tuple(params[name].shape for name in PARAM_NAMES)
+        self.grad = np.empty(sum(map(math.prod, shapes)))
+        self.grads = _views(self.grad, shapes)
+
+
 def _forward_cached(
-    params: dict[str, np.ndarray], meta: np.ndarray, cnn: np.ndarray
+    ws: _Workspace, meta: np.ndarray, cnn: np.ndarray
 ) -> dict[str, np.ndarray]:
-    z1 = meta @ params["w1"].T + params["b1"]
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ params["w2"].T + params["b2"]
-    h2 = np.maximum(z2, 0.0)
-    joint = np.concatenate([h2, cnn], axis=1)
-    logits = joint @ params["w3"].T + params["b3"]
-    probs = _softmax(logits)
-    return {
-        "meta": meta, "z1": z1, "h1": h1, "z2": z2, "h2": h2,
-        "joint": joint, "logits": logits, "probs": probs,
-    }
+    """Forward pass over ``len(meta)`` rows into ``ws``; returns views of the
+    rows written, which the next pass over ``ws`` overwrites."""
+    n = meta.shape[0]
+    p = ws.params
+    h1, h2, joint = ws.h1[:n], ws.h2[:n], ws.joint[:n]
+    logits, probs, row_stat = ws.logits[:n], ws.probs[:n], ws.row_stat[:n]
+    np.matmul(meta, p["w1"].T, out=h1)
+    h1 += p["b1"]
+    np.maximum(h1, 0.0, out=h1)
+    np.matmul(h1, p["w2"].T, out=h2)
+    h2 += p["b2"]
+    np.maximum(h2, 0.0, out=h2)
+    if ws.joint is not ws.h2:
+        joint[:, : h2.shape[1]] = h2
+        joint[:, h2.shape[1] :] = cnn
+    np.matmul(joint, p["w3"].T, out=logits)
+    logits += p["b3"]
+    # Softmax subtracts the row maximum first.
+    np.max(logits, axis=1, keepdims=True, out=row_stat)
+    np.subtract(logits, row_stat, out=probs)
+    np.exp(probs, out=probs)
+    np.sum(probs, axis=1, keepdims=True, out=row_stat)
+    probs /= row_stat
+    return {"meta": meta, "h1": h1, "joint": joint, "logits": logits, "probs": probs}
 
 
 def forward(
@@ -238,7 +276,7 @@ def forward(
         m, np.asarray(x_meta, dtype=np.float64),
         None if x_cnn is None else np.asarray(x_cnn, dtype=np.float64),
     )
-    cache = _forward_cached(m.params(), meta, cnn)
+    cache = _forward_cached(_Workspace(m.params(), meta.shape[0], 0), meta, cnn)
     logits, probs = cache["logits"], cache["probs"]
     if single:
         return logits[0], probs[0]
@@ -264,33 +302,39 @@ def mean_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _backward(
-    params: dict[str, np.ndarray],
+    ws: _Workspace,
     cache: dict[str, np.ndarray],
     targets: np.ndarray,
 ) -> np.ndarray:
-    """The gradient as one flat vector laid out like the parameters."""
-    n, _ = cache["probs"].shape
-    h2_width = params["w2"].shape[0]
-    shapes = tuple(params[name].shape for name in PARAM_NAMES)
-    flat = np.empty(sum(map(math.prod, shapes)))
-    g = _views(flat, shapes)
+    """The gradient into ``ws.grad``, one flat vector laid out like the
+    parameters. The loss must be taken first: ``cache["probs"]`` becomes the
+    output-layer error."""
+    n = targets.shape[0]
+    p, g = ws.params, ws.grads
+    h2_width = p["w2"].shape[0]
+    d_joint, dz2, dz1 = ws.d_joint[:n], ws.dz2[:n], ws.dz1[:n]
+    live2, live1 = ws.live2[:n], ws.live1[:n]
 
-    delta3 = cache["probs"].copy()
+    delta3 = cache["probs"]
     delta3[np.arange(n), targets] -= 1.0
     delta3 /= n
 
     np.matmul(delta3.T, cache["joint"], out=g["w3"])
     delta3.sum(axis=0, out=g["b3"])
-    d_joint = delta3 @ params["w3"]
+    np.matmul(delta3, p["w3"], out=d_joint)
 
-    dz2 = d_joint[:, :h2_width] * (cache["z2"] > 0)
+    # A ReLU output is positive exactly where its input was.
+    np.greater(cache["joint"][:, :h2_width], 0.0, out=live2)
+    np.multiply(d_joint[:, :h2_width], live2, out=dz2)
     np.matmul(dz2.T, cache["h1"], out=g["w2"])
     dz2.sum(axis=0, out=g["b2"])
 
-    dz1 = (dz2 @ params["w2"]) * (cache["z1"] > 0)
+    np.matmul(dz2, p["w2"], out=dz1)
+    np.greater(cache["h1"], 0.0, out=live1)
+    np.multiply(dz1, live1, out=dz1)
     np.matmul(dz1.T, cache["meta"], out=g["w1"])
     dz1.sum(axis=0, out=g["b1"])
-    return flat
+    return ws.grad
 
 
 def backward(
@@ -313,9 +357,9 @@ def backward(
         raise ShapeError(
             f"batch has {meta.shape[0]} rows but {tgt.size} targets"
         )
-    params = m.params()
-    flat = _backward(params, _forward_cached(params, meta, cnn), tgt)
-    return _views(flat, _shapes(*m.hidden, m.cnn_dim, m.class_count))
+    ws = _Workspace(m.params(), tgt.size, tgt.size)
+    _backward(ws, _forward_cached(ws, meta, cnn), tgt)
+    return ws.grads
 
 
 def init_fusion_head(
@@ -360,11 +404,14 @@ def _init_params(shapes: tuple[tuple[int, ...], ...], rng: np.random.Generator) 
 
 
 class _AdamState:
-    """Adam (Kingma & Ba 2014) over one flat parameter vector."""
+    """Adam (Kingma & Ba 2014) over one flat parameter vector, with two
+    scratch vectors so that a step allocates nothing."""
 
     def __init__(self, size: int) -> None:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._a = np.empty(size)
+        self._b = np.empty(size)
         self.t = 0
 
     def step(self, flat: np.ndarray, g: np.ndarray, lr: float) -> None:
@@ -372,9 +419,24 @@ class _AdamState:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * g * g
-        flat -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
+        m, v, a, b = self.m, self.v, self._a, self._b
+        # m = m*b1 + g*(1-b1)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        m += a
+        # v = v*b2 + ((1-b2)*g)*g
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+        a *= g
+        v += a
+        # flat -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        np.divide(m, bc1, out=b)
+        b *= lr
+        b /= a
+        flat -= b
 
 
 def train(
@@ -459,8 +521,12 @@ def _train_one_fold(
     flat = _init_params(shapes, rng)
     params = _views(flat, shapes)
     adam = _AdamState(flat.size)
+    bs = min(cfg.batch_size, train_idx.size)
+    ws = _Workspace(params, max(bs, val_idx.size), bs)
+    val_meta, val_cnn = x_meta[val_idx], x_cnn[val_idx]
     stats: list[EpochStats] = []
-    val_scores = np.zeros(0, dtype=np.float64)
+    # Scores are copied out of ``ws``, whose rows the next pass overwrites.
+    val_scores = np.zeros(val_idx.size, dtype=np.float64)
 
     def diverged(epoch: int, batch: int, what: str) -> DomainError:
         return DomainError(
@@ -472,20 +538,21 @@ def _train_one_fold(
         lr = lr_schedule(epoch, cfg.epochs, cfg.lr_peak)
         perm = rng.permutation(train_idx.size)
         loss_sum = 0.0
-        for b, start in enumerate(range(0, train_idx.size, cfg.batch_size)):
-            batch = train_idx[perm[start : start + cfg.batch_size]]
-            cache = _forward_cached(params, x_meta[batch], x_cnn[batch])
-            loss = mean_cross_entropy(cache["probs"], y[batch])
+        for b, start in enumerate(range(0, train_idx.size, bs)):
+            batch = train_idx[perm[start : start + bs]]
+            targets = y[batch]
+            cache = _forward_cached(ws, x_meta[batch], x_cnn[batch])
+            loss = mean_cross_entropy(cache["probs"], targets)
             if not math.isfinite(loss):
                 raise diverged(epoch, b, f"loss is {loss}")
             loss_sum += loss * batch.size
-            adam.step(flat, _backward(params, cache, y[batch]), lr)
+            adam.step(flat, _backward(ws, cache, targets), lr)
         if not np.isfinite(flat).all():
             raise diverged(epoch, b, "a parameter is not finite")
 
         if val_idx.size:
-            val_probs = _forward_cached(params, x_meta[val_idx], x_cnn[val_idx])["probs"]
-            val_scores = val_probs[:, mel_col]
+            val_probs = _forward_cached(ws, val_meta, val_cnn)["probs"]
+            np.copyto(val_scores, val_probs[:, mel_col])
             if not np.isfinite(val_scores).all():
                 raise diverged(epoch, b, "a validation score is not finite")
             val_auc = auc_or_none(val_scores, y_bin[val_idx])

@@ -529,6 +529,22 @@ def test_diverging_training_exits_2_with_one_error_line(tmp_path, meta_csv, caps
     assert not out_dir.exists()
 
 
+def test_batch_size_past_the_cohort_trains_as_one_full_batch(tmp_path, meta_csv, capsys):
+    # Training buffers are sized by the rows a batch can hold, not by the flag.
+    folds = _split(tmp_path, meta_csv)
+    runs = {}
+    for batch_size in ("24", "1000000000000"):
+        out_dir = tmp_path / f"run_{batch_size}"
+        argv = _train_argv(meta_csv, folds, out_dir)
+        argv[argv.index("--batch-size") + 1] = batch_size
+        assert main(argv) == 0
+        runs[batch_size] = {
+            name: (out_dir / name).read_bytes()
+            for name in ("oof.csv", "model_fold0.lsnb", "model_fold1.lsnb", "history.csv")
+        }
+    assert runs["1000000000000"] == runs["24"]
+
+
 def test_threads_env_var_is_not_read(tmp_path, meta_csv, capsys, monkeypatch):
     folds = _split(tmp_path, meta_csv)
     runs = {}

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lesionbench import fusion
 from lesionbench.errors import DomainError, FormatError, ShapeError
@@ -28,7 +31,7 @@ from lesionbench.fusion import (
     train,
 )
 from lesionbench.metrics import evaluate_cv
-from lesionbench.targets import TargetScheme
+from lesionbench.targets import DiagnosisClass, TargetScheme, class_index
 from util import (
     gradient_rel_error,
     make_dataset,
@@ -36,6 +39,8 @@ from util import (
     numeric_gradients,
     random_fusion_instance,
     reference_adam_step,
+    reference_backward,
+    reference_forward,
 )
 
 
@@ -363,6 +368,55 @@ def test_train_with_cnn_features():
     assert len(result.oof) == len(d)
 
 
+def test_oof_scores_are_each_folds_final_model_scores():
+    rng = np.random.default_rng(11)
+    d = separable_dataset(n_patients=30)
+    f = assign_folds(d, k=3, seed=0)
+    feats = feature_table_for(d)
+    cnn = FeatureTable(d.image_names, rng.normal(size=(len(d), 3)))
+    cfg = TrainConfig(epochs=3, batch_size=8, lr_peak=1e-2, seed=0, hidden=(8, 4))
+    result = train(d, feats, cnn, f, cfg)
+    mel = class_index(DiagnosisClass.MEL, cfg.scheme)
+    oof = dict(zip(result.oof.image_names, result.oof.scores))
+    for k, model in enumerate(result.models):
+        names = [n for n in d.image_names if f.assignment[n] == k]
+        _, probs = forward(model, feats.select(names), cnn.select(names))
+        assert np.array([oof[n] for n in names]).tobytes() == probs[:, mel].tobytes(), k
+
+
+def test_train_calls_the_step_functions_the_benchmark_traces(monkeypatch):
+    # perfbench/layers.py wraps these two names with size functions of three
+    # positional arguments; fusion.steps counts the backward calls.
+    calls = {"forward": [], "backward": []}
+
+    def sized(key, fn, size_of):
+        def wrapper(*args, **kwargs):
+            calls[key].append(size_of(*args, **kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fusion, "_forward_cached", sized(
+        "forward", fusion._forward_cached, lambda params, meta, cnn: len(meta)))
+    monkeypatch.setattr(fusion, "_backward", sized(
+        "backward", fusion._backward, lambda params, cache, targets: len(targets)))
+    d = separable_dataset(n_patients=13)
+    names = d.image_names
+    # Fold 2 of 4 is empty, so its model trains on every image and scores none.
+    f = FoldAssignment(k=4, assignment={n: (0, 1, 3)[i % 3] for i, n in enumerate(names)},
+                       seed=None)
+    cfg = TrainConfig(epochs=3, batch_size=7, lr_peak=1e-3, seed=0, hidden=(4, 2))
+    train(d, feature_table_for(d), None, f, cfg)
+
+    n_val = [sum(f.assignment[n] == k for n in names) for k in range(f.k)]
+    n_train = [len(names) - v for v in n_val]
+    steps = sum(cfg.epochs * math.ceil(t / min(cfg.batch_size, t)) for t in n_train)
+    val_passes = cfg.epochs * sum(v > 0 for v in n_val)
+    assert len(calls["backward"]) == steps
+    assert len(calls["forward"]) == steps + val_passes
+    assert sum(calls["backward"]) == cfg.epochs * sum(n_train)
+    assert sum(calls["forward"]) == cfg.epochs * (sum(n_train) + sum(n_val))
+
+
 def test_train_config_validation():
     with pytest.raises(DomainError):
         TrainConfig(epochs=1)
@@ -423,6 +477,7 @@ def test_flat_adam_steps_match_per_array_reference_bit_for_bit(scheme, cnn_dim, 
     shapes = fusion._shapes(*hidden, cnn_dim, scheme.class_count)
     flat = fusion._flatten(model.params())
     params = fusion._views(flat, shapes)
+    ws = fusion._Workspace(params, 8, 8)
     adam = fusion._AdamState(flat.size)
     ref = {k: v.copy() for k, v in model.params().items()}
     m = {k: np.zeros_like(v) for k, v in ref.items()}
@@ -430,9 +485,9 @@ def test_flat_adam_steps_match_per_array_reference_bit_for_bit(scheme, cnn_dim, 
     for t in range(1, 7):
         n = int(rng.integers(1, 9))
         cache = fusion._forward_cached(
-            params, rng.normal(size=(n, 14)), rng.normal(size=(n, cnn_dim))
+            ws, rng.normal(size=(n, 14)), rng.normal(size=(n, cnn_dim))
         )
-        g = fusion._backward(params, cache, rng.integers(0, scheme.class_count, n))
+        g = fusion._backward(ws, cache, rng.integers(0, scheme.class_count, n))
         lr = float(10.0 ** rng.uniform(-4, -1))
         adam.step(flat, g, lr)
         reference_adam_step(ref, m, v, t, fusion._views(g, shapes), lr)
@@ -440,6 +495,88 @@ def test_flat_adam_steps_match_per_array_reference_bit_for_bit(scheme, cnn_dim, 
             assert params[name].tobytes() == ref[name].tobytes(), (t, name)
         assert adam.m.tobytes() == fusion._flatten(m).tobytes()
         assert adam.v.tobytes() == fusion._flatten(v).tobytes()
+
+
+# --- the per-fold workspace -------------------------------------------------
+
+@st.composite
+def workspace_runs(draw):
+    """A batch capacity and the batch sizes one workspace sees: a full batch,
+    then any others, then a last one that may be short."""
+    capacity = draw(st.integers(1, 9))
+    sizes = draw(st.lists(st.integers(1, capacity), max_size=4))
+    return capacity, [capacity, *sizes, draw(st.integers(1, capacity))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scheme=st.sampled_from(list(TargetScheme)),
+    hidden=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    cnn_dim=st.integers(0, 5),
+    run=workspace_runs(),
+    n_val=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(scheme=TargetScheme.NINE_CLASS, hidden=(6, 3), cnn_dim=0, run=(1, [1, 1]),
+         n_val=5, seed=0)
+@example(scheme=TargetScheme.FOUR_CLASS, hidden=(6, 3), cnn_dim=4, run=(5, [5, 5, 2]),
+         n_val=3, seed=1)
+def test_reused_workspace_matches_the_allocating_oracle_bit_for_bit(
+    scheme, hidden, cnn_dim, run, n_val, seed
+):
+    capacity, sizes = run
+    rng = np.random.default_rng(seed)
+    shapes = fusion._shapes(*hidden, cnn_dim, scheme.class_count)
+    flat = fusion._init_params(shapes, rng)
+    params = fusion._views(flat, shapes)
+    ws = fusion._Workspace(params, max(capacity, n_val), capacity)
+    adam = fusion._AdamState(flat.size)
+    for n in sizes:
+        meta, cnn = rng.normal(size=(n, 14)), rng.normal(size=(n, cnn_dim))
+        targets = rng.integers(0, scheme.class_count, n)
+        ref = reference_forward(params, meta, cnn)
+        ref_grad = reference_backward(params, ref, targets)
+        cache = fusion._forward_cached(ws, meta, cnn)
+        assert cache["logits"].tobytes() == ref["logits"].tobytes()
+        assert cache["probs"].tobytes() == ref["probs"].tobytes()
+        loss = fusion.mean_cross_entropy(cache["probs"], targets)
+        assert loss.hex() == fusion.mean_cross_entropy(ref["probs"], targets).hex()
+        assert fusion._backward(ws, cache, targets).tobytes() == ref_grad.tobytes()
+        adam.step(flat, ws.grad, 1e-2)  # the next batch sees new parameters
+    # A validation-sized pass after the steps: a stale row would show here.
+    meta, cnn = rng.normal(size=(n_val, 14)), rng.normal(size=(n_val, cnn_dim))
+    ref = reference_forward(params, meta, cnn)
+    cache = fusion._forward_cached(ws, meta, cnn)
+    assert cache["logits"].tobytes() == ref["logits"].tobytes()
+    assert cache["probs"].tobytes() == ref["probs"].tobytes()
+
+
+def test_training_step_allocates_less_than_one_batch_activation():
+    rng = np.random.default_rng(0)
+    hidden, bs = (512, 128), 64
+    shapes = fusion._shapes(*hidden, 0, TargetScheme.NINE_CLASS.class_count)
+    flat = fusion._init_params(shapes, rng)
+    ws = fusion._Workspace(fusion._views(flat, shapes), bs, bs)
+    adam = fusion._AdamState(flat.size)
+    batches = [
+        (rng.normal(size=(bs, 14)), np.zeros((bs, 0)), rng.integers(0, 9, bs))
+        for _ in range(20)
+    ]
+
+    def step(meta, cnn, targets):
+        cache = fusion._forward_cached(ws, meta, cnn)
+        fusion.mean_cross_entropy(cache["probs"], targets)
+        adam.step(flat, fusion._backward(ws, cache, targets), 1e-3)
+
+    step(*batches[0])  # warm-up: first-call set-up in numpy and BLAS
+    tracemalloc.start()
+    try:
+        for batch in batches[1:]:
+            step(*batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bs * hidden[0] * 8, peak
 
 
 # --- serialization ----------------------------------------------------------

@@ -118,7 +118,7 @@ def random_fusion_instance(rng, max_hidden=16, max_cnn=8, max_batch=8, margin=1e
         x_meta = rng.normal(size=(n, 14))
         x_cnn = rng.normal(size=(n, d)) if d else None
         targets = rng.integers(0, scheme.class_count, size=n)
-        cache = fusion._forward_cached(
+        cache = reference_forward(
             model.params(), x_meta, x_cnn if x_cnn is not None else np.zeros((n, 0))
         )
         z_min = min(
@@ -126,6 +126,52 @@ def random_fusion_instance(rng, max_hidden=16, max_cnn=8, max_batch=8, margin=1e
         )
         if z_min > margin:
             return model, x_meta, x_cnn, targets
+
+
+def reference_forward(params, meta, cnn) -> dict:
+    """The forward pass with a fresh array for every result: the oracle for
+    ``fusion._forward_cached``, which writes into a reused workspace."""
+    z1 = meta @ params["w1"].T + params["b1"]
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ params["w2"].T + params["b2"]
+    h2 = np.maximum(z2, 0.0)
+    joint = np.concatenate([h2, cnn], axis=1)
+    logits = joint @ params["w3"].T + params["b3"]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True)
+    return {
+        "meta": meta, "z1": z1, "h1": h1, "z2": z2, "h2": h2,
+        "joint": joint, "logits": logits, "probs": probs,
+    }
+
+
+def reference_backward(params, cache, targets) -> np.ndarray:
+    """The gradient of mean cross-entropy as a new flat vector laid out like
+    the parameters: the oracle for ``fusion._backward``. ``cache`` is
+    ``reference_forward``'s result and is left unchanged."""
+    n, _ = cache["probs"].shape
+    h2_width = params["w2"].shape[0]
+    shapes = tuple(params[name].shape for name in fusion.PARAM_NAMES)
+    flat = np.empty(sum(map(math.prod, shapes)))
+    g = fusion._views(flat, shapes)
+
+    delta3 = cache["probs"].copy()
+    delta3[np.arange(n), targets] -= 1.0
+    delta3 /= n
+
+    np.matmul(delta3.T, cache["joint"], out=g["w3"])
+    delta3.sum(axis=0, out=g["b3"])
+    d_joint = delta3 @ params["w3"]
+
+    dz2 = d_joint[:, :h2_width] * (cache["z2"] > 0)
+    np.matmul(dz2.T, cache["h1"], out=g["w2"])
+    dz2.sum(axis=0, out=g["b2"])
+
+    dz1 = (dz2 @ params["w2"]) * (cache["z1"] > 0)
+    np.matmul(dz1.T, cache["meta"], out=g["w1"])
+    dz1.sum(axis=0, out=g["b1"])
+    return flat
 
 
 def reference_adam_step(params, m, v, t, grads, lr):
