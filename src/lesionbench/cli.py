@@ -21,8 +21,11 @@ from pathlib import Path
 from . import __version__
 from .datamodel import (
     Dataset,
+    csv_columns,
     csv_rows,
     csv_text,
+    first_repeat,
+    parse_image_size,
     parse_metadata_csv,
     parse_predictions_csv,
     require_coverage,
@@ -131,26 +134,18 @@ def _read_sizes_csv(text: str) -> dict[str, int]:
     header, rows = csv_rows(text, "sizes")
     if header != ["image_name", "image_size_bytes"]:
         raise FormatError("sizes CSV must have header image_name,image_size_bytes")
-    sizes: dict[str, int] = {}
-    for row_num, (name, size) in rows:
-        if name in sizes:
-            raise UniquenessError(f"duplicate image_name {name!r} in sizes CSV")
-        try:
-            sizes[name] = int(size)
-        except ValueError:
-            raise FormatError(
-                f"row {row_num}: non-integer image_size_bytes {size!r}"
-            ) from None
-    return sizes
+    nums, (names, cells) = csv_columns(rows, 2)
+    if (repeat := first_repeat(names)) is not None:
+        raise UniquenessError(f"duplicate image_name {names[repeat[1]]!r} in sizes CSV")
+    return dict(zip(names, map(parse_image_size, cells, nums)))
 
 
 def _apply_sizes(dataset: Dataset, sizes: dict[str, int]) -> Dataset:
-    require_coverage(sizes, set(dataset.image_names), "metadata")
-    records = [
-        dataclasses.replace(r, image_size_bytes=sizes.get(r.image_name, r.image_size_bytes))
-        for r in dataset.records
-    ]
-    return Dataset.from_records(records)
+    row_of = dict(zip(dataset.image_names, range(len(dataset))))
+    require_coverage(sizes, row_of, "metadata")
+    column = dataset.size.copy()
+    column[list(map(row_of.__getitem__, sizes))] = list(sizes.values())
+    return dataclasses.replace(dataset, size=column)
 
 
 def _metadata_features(dataset: Dataset) -> FeatureTable:
@@ -166,7 +161,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
     dataset = parse_metadata_csv(_read_input(args.meta, digests, "meta"))
     if args.sizes:
         dataset = _apply_sizes(dataset, _read_sizes_csv(_read_input(args.sizes, digests, "sizes")))
-    if any(r.image_size_bytes is None for r in dataset.records):
+    if not dataset.size.all():
         print(
             "warning: image sizes missing for some records; their log-size "
             "feature encodes as 0",

@@ -1,8 +1,11 @@
 """Canonical record types and the toolkit's CSV formats.
 
-All types are immutable after construction and safe for concurrent readers.
-CSV streams are UTF-8; LF and CRLF are both accepted on read, LF is written.
-Floats are written in their shortest round-trip representation, so
+A :class:`Dataset` holds the metadata table column by column, one read-only
+array or tuple per field, filled straight from the CSV cells; a
+:class:`SampleRecord` is one row of it, built only on request. All types are
+immutable after construction and safe for concurrent readers. CSV streams
+are UTF-8; LF and CRLF are both accepted on read, LF is written. Floats are
+written in their shortest round-trip representation, so
 ``parse(write(x)) == x`` holds exactly for datasets and prediction sets.
 """
 
@@ -10,11 +13,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+import math
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
-from typing import Container, Iterable, Iterator, Sequence
+from itertools import chain, compress, islice
+from operator import attrgetter
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +49,7 @@ SIZE_COLUMN = "image_size_bytes"
 EXPECTED_2020_POSITIVE_RATE = 0.0176
 
 AGE_MAX = 120.0
+SIZE_MAX = 2**63 - 1  # sizes are held as int64
 
 
 class Sex(Enum):
@@ -62,6 +68,11 @@ class SourceYear(Enum):
     Y2020 = 2020
 
 
+#: Sex by its feature code, and the metadata cell that spells each code.
+_SEX_OF_CODE = {1: Sex.MALE, 0: Sex.FEMALE, -1: Sex.MISSING}
+_SEX_CELL = {1: "male", 0: "female", -1: ""}
+
+
 @dataclass(frozen=True, slots=True)
 class SampleRecord:
     """One lesion image's metadata row."""
@@ -77,56 +88,128 @@ class SampleRecord:
     image_size_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.age_approx is not None and not 0.0 <= self.age_approx <= AGE_MAX:
-            raise RangeError(
-                f"{self.image_name}: age_approx {self.age_approx} outside [0, {AGE_MAX:g}]"
-            )
-        if self.image_size_bytes is not None and self.image_size_bytes <= 0:
-            raise RangeError(
-                f"{self.image_name}: image_size_bytes must be positive, "
-                f"got {self.image_size_bytes}"
-            )
+        age, size = self.age_approx, self.image_size_bytes
+        if age is not None and not 0.0 <= age <= AGE_MAX:
+            raise RangeError(f"{self.image_name}: age_approx {age} outside [0, {AGE_MAX:g}]")
+        if size is not None and not 0 < size <= SIZE_MAX:
+            raise RangeError(f"{self.image_name}: image_size_bytes {size} outside [1, {SIZE_MAX}]")
 
     @property
     def is_positive(self) -> bool:
         return self.target_binary is BinaryTarget.MALIGNANT
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Ordered collection of records with a patient index.
+# The columns given to Dataset, in order: None marks a tuple of str, else the array dtype.
+_COLUMNS = dict(image_names=None, patient_ids=None, sex=np.int8, age=np.float64, site=None,
+                diagnosis=None, positive=np.bool_, is_2020=np.bool_, size=np.int64)
 
-    ``by_patient`` maps each patient_id to the positions of its records, in
-    record order; every record appears in the index exactly once.
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """The metadata table, one read-only column per field, rows in file order.
+
+    ``sex`` is the feature code 1 (male) / 0 (female) / -1 (missing); ``age`` is NaN and
+    ``size`` 0 where missing; ``site`` and ``diagnosis`` are the raw cells, "" where missing.
+    Derived on construction: ``patient``, each row's index among patients in order of first
+    appearance, and ``diagnosis_class``, each diagnosis's nine-class code. Image names must be
+    unique; a repeat is reported by its ``row_nums`` (default 1, 2, ...). ``records`` and
+    ``by_patient`` are per-row views built on first use.
     """
 
-    records: tuple[SampleRecord, ...]
-    by_patient: dict[str, tuple[int, ...]]
+    image_names: tuple[str, ...]
+    patient_ids: tuple[str, ...]
+    sex: np.ndarray
+    age: np.ndarray
+    site: tuple[str, ...]
+    diagnosis: tuple[str, ...]
+    positive: np.ndarray
+    is_2020: np.ndarray
+    size: np.ndarray
+    row_nums: InitVar[Sequence[int] | None] = None
+    patient: np.ndarray = field(init=False)
+    diagnosis_class: np.ndarray = field(init=False)
+
+    def __post_init__(self, row_nums: Sequence[int] | None) -> None:
+        n = len(self.image_names)
+        for name, dtype in _COLUMNS.items():
+            value = getattr(self, name)
+            value = tuple(value) if dtype is None else _frozen(np.asarray(value, dtype=dtype))
+            if len(value) != n:
+                raise ShapeError(f"column {name} has {len(value)} rows, not {n}")
+            object.__setattr__(self, name, value)
+        if (repeat := first_repeat(self.image_names)) is not None:
+            rows = row_nums or range(1, n + 1)
+            raise UniquenessError(f"duplicate image_name {self.image_names[repeat[1]]!r} "
+                                  f"(rows {rows[repeat[0]]} and {rows[repeat[1]]})")
+        patient_of = dict(zip(dict.fromkeys(self.patient_ids), range(n)))
+        class_of = {s: map_diagnosis(s).value for s in dict.fromkeys(self.diagnosis)}
+        for name, table, keys, dtype in (("patient", patient_of, self.patient_ids, np.int64),
+                                         ("diagnosis_class", class_of, self.diagnosis, np.int8)):
+            object.__setattr__(self, name, _frozen(values_at(table, keys, dtype)))
 
     @classmethod
     def from_records(cls, records: Iterable[SampleRecord]) -> "Dataset":
+        """The dataset of ``records``, whose ``records`` view is that very tuple."""
         recs = tuple(records)
-        seen: dict[str, int] = {}
-        groups: dict[str, list[int]] = {}
-        for pos, rec in enumerate(recs):
-            if rec.image_name in seen:
-                raise UniquenessError(
-                    f"duplicate image_name {rec.image_name!r} "
-                    f"(rows {seen[rec.image_name] + 1} and {pos + 1})"
-                )
-            seen[rec.image_name] = pos
-            groups.setdefault(rec.patient_id, []).append(pos)
-        return cls(recs, {pid: tuple(ix) for pid, ix in groups.items()})
+
+        def column(attr: str) -> tuple:  # Enum members give their value via ``_value_``
+            return tuple(map(attrgetter(attr), recs))
+
+        code_of = {sex.value: code for code, sex in _SEX_OF_CODE.items()}
+        d = cls(column("image_name"), column("patient_id"),
+                values_at(code_of, column("sex._value_"), np.int8),
+                np.array(column("age_approx"), dtype=np.float64),  # None becomes NaN
+                [s or "" for s in column("anatom_site")], [s or "" for s in column("diagnosis")],
+                column("target_binary._value_"), np.array(column("source_year._value_")) == 2020,
+                [size or 0 for size in column("image_size_bytes")])
+        d.__dict__["records"] = recs  # fills the cached_property
+        return d
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.image_names)
 
-    def __iter__(self) -> Iterator[SampleRecord]:
-        return iter(self.records)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        pairs = ((getattr(self, name), getattr(other, name)) for name in _COLUMNS)
+        return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+                   for a, b in pairs)
+
+    __hash__ = None  # type: ignore[assignment]
 
     @cached_property
-    def image_names(self) -> tuple[str, ...]:
-        return tuple(r.image_name for r in self.records)
+    def records(self) -> tuple[SampleRecord, ...]:
+        """The rows as SampleRecords."""
+        columns = (getattr(self, name) if dtype is None else getattr(self, name).tolist()
+                   for name, dtype in _COLUMNS.items())
+        return tuple(
+            SampleRecord(name, pid, _SEX_OF_CODE[sex], None if math.isnan(age) else age,
+                         site or None, diagnosis or None, BinaryTarget(int(positive)),
+                         SourceYear(2020 if is_2020 else 2019), size or None)
+            for name, pid, sex, age, site, diagnosis, positive, is_2020, size in zip(*columns)
+        )
+
+    @cached_property
+    def by_patient(self) -> dict[str, tuple[int, ...]]:
+        """patient_id -> positions of its rows in row order, patients in order
+        of first appearance; every row appears exactly once."""
+        order = np.argsort(self.patient, kind="stable")
+        groups = np.split(order, np.cumsum(np.bincount(self.patient))[:-1])
+        return {pid: tuple(g.tolist()) for pid, g in zip(dict.fromkeys(self.patient_ids), groups)}
+
+
+def values_at(table: Mapping, keys: Iterable, dtype) -> np.ndarray:
+    """``table[key]`` for each of ``keys``, as a 1-D array of ``dtype``."""
+    return np.fromiter(map(table.__getitem__, keys), dtype=dtype)
+
+
+def first_repeat(names: Sequence[str]) -> tuple[int, int] | None:
+    """Positions of the first two uses of the name repeated soonest, or None if all differ."""
+    first = dict(zip(reversed(names), range(len(names) - 1, -1, -1)))  # name -> first position
+    if len(first) == len(names):
+        return None
+    again = int(np.flatnonzero(values_at(first, names, np.int64) != np.arange(len(names)))[0])
+    return first[names[again]], again
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,6 +250,22 @@ def csv_rows(text: str, noun: str) -> tuple[list[str], Rows]:
     return header, _checked_rows(reader, header, noun)
 
 
+def csv_columns(rows: Rows, width: int) -> tuple[list[int], list[list[str]]]:
+    """All of ``csv_rows``' rows as their row numbers and one list of cells per column. Rows are
+    transposed ``_BLOCK_ROWS`` at a time, as all row lists at once cost memory and GC passes,
+    and equal cells of a column share one string, so a repeated value is held once."""
+    row_nums: list[int] = []
+    columns: list[list[str]] = [[] for _ in range(width)]
+    shared: list[dict[str, str]] = [{} for _ in range(width)]
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        nums, table = zip(*block)
+        row_nums.extend(nums)
+        for column, same, cells in zip(columns, shared, zip(*table)):
+            column.extend(map(same.setdefault, cells, cells))
+    return row_nums, columns
+
+
+_BLOCK_ROWS = 4096
 _PIECE_CHARS = 1 << 16
 
 
@@ -222,96 +321,76 @@ def parse_metadata_csv(text: str) -> Dataset:
     Expected header: ``image_name,patient_id,sex,age_approx,
     anatom_site_general_challenge,diagnosis,target,source`` with an optional
     trailing ``image_size_bytes`` column. Empty cells denote missing values;
-    ``target`` is 0/1 and ``source`` is 2019/2020. Records are returned in
-    file order.
+    ``target`` is 0/1 and ``source`` is 2019/2020. Rows keep file order.
+    Columns are checked in header order; an error names a column's first bad row.
     """
     header, rows = csv_rows(text, "metadata")
     expected = list(METADATA_COLUMNS)
-    if header == expected:
-        has_size = False
-    elif header == expected + [SIZE_COLUMN]:
-        has_size = True
-    else:
+    if header not in (expected, expected + [SIZE_COLUMN]):
         missing = [c for c in expected if c not in header]
         if missing:
-            raise FormatError(
-                "metadata header is missing column(s): " + ", ".join(missing)
-            )
+            raise FormatError("metadata header is missing column(s): " + ", ".join(missing))
         raise FormatError(f"unrecognized metadata header: {','.join(header)!r}")
-    return Dataset.from_records(
-        _parse_metadata_row(row, row_num, has_size) for row_num, row in rows
+    nums, columns = csv_columns(rows, len(header))
+    names, pids, sex, age, site, diagnosis, target, source = columns[:8]
+    sizes = columns[8] if len(columns) > 8 else [""] * len(nums)
+    if "" in pids:
+        raise FormatError(f"row {nums[pids.index('')]}: empty patient_id")
+    code_of = {cell: code for code, cell in _SEX_CELL.items()}
+    return Dataset(
+        names,
+        pids,
+        _coded(sex, nums, lambda c: code_of.get(c.strip().lower()), np.int8, "invalid sex {!r}"),
+        _present(age, nums, _parse_age, np.nan, np.float64),
+        site,
+        diagnosis,
+        _coded(target, nums, {"0": 0, "1": 1}.get, np.bool_, "target must be 0 or 1, got {!r}"),
+        _coded(source, nums, {"2019": 0, "2020": 1}.get, np.bool_,
+               "source must be 2019 or 2020, got {!r}"),
+        _present(sizes, nums, parse_image_size, 0, np.int64),
+        nums,
     )
 
 
-def _parse_metadata_row(row: list[str], row_num: int, has_size: bool) -> SampleRecord:
-    image_name, patient_id = row[0], row[1]
-    if not patient_id:
-        raise FormatError(f"row {row_num}: empty patient_id")
+def _coded(cells: Sequence[str], row_nums: Sequence[int], code: Callable[[str], object],
+           dtype, problem: str) -> np.ndarray:
+    """``code(cell)`` for each cell, called once per distinct cell; the first
+    cell coded None raises FormatError naming its row and ``problem.format(cell)``."""
+    codes = {cell: code(cell) for cell in dict.fromkeys(cells)}
+    bad = next((cell for cell, c in codes.items() if c is None), None)
+    if bad is not None:
+        raise FormatError(f"row {row_nums[cells.index(bad)]}: " + problem.format(bad))
+    return values_at(codes, cells, dtype)
 
-    sex_cell = row[2].strip().lower()
-    if sex_cell == "":
-        sex = Sex.MISSING
-    elif sex_cell in ("male", "female"):
-        sex = Sex(sex_cell)
-    else:
-        raise FormatError(f"row {row_num}: invalid sex {row[2]!r}")
 
-    age: float | None = None
-    if row[3] != "":
-        try:
-            age = float(row[3])
-        except ValueError:
-            raise FormatError(
-                f"row {row_num}: non-numeric age_approx {row[3]!r}"
-            ) from None
-        if not 0.0 <= age <= AGE_MAX:
-            raise RangeError(
-                f"row {row_num}: age_approx {age:g} outside [0, {AGE_MAX:g}]"
-            )
+def _present(cells: Sequence[str], row_nums: Sequence[int], parse: Callable[[str, int], object],
+             missing: object, dtype) -> np.ndarray:
+    """``parse(cell, row_num)`` for each non-empty cell, ``missing`` for the empty ones."""
+    given = np.array(list(map(bool, cells)), dtype=bool)
+    out = np.full(len(cells), missing, dtype=dtype)
+    out[given] = np.fromiter(map(parse, compress(cells, given), compress(row_nums, given)), dtype)
+    return out
 
-    site = row[4] if row[4] != "" else None
-    diagnosis = row[5] if row[5] != "" else None
 
-    if row[6] == "0":
-        target = BinaryTarget.BENIGN
-    elif row[6] == "1":
-        target = BinaryTarget.MALIGNANT
-    else:
-        raise FormatError(f"row {row_num}: target must be 0 or 1, got {row[6]!r}")
+def _parse_age(cell: str, row_num: int) -> float:
+    try:
+        age = float(cell)
+    except ValueError:
+        raise FormatError(f"row {row_num}: non-numeric age_approx {cell!r}") from None
+    if not 0.0 <= age <= AGE_MAX:
+        raise RangeError(f"row {row_num}: age_approx {age:g} outside [0, {AGE_MAX:g}]")
+    return age
 
-    if row[7] == "2019":
-        source = SourceYear.Y2019
-    elif row[7] == "2020":
-        source = SourceYear.Y2020
-    else:
-        raise FormatError(
-            f"row {row_num}: source must be 2019 or 2020, got {row[7]!r}"
-        )
 
-    size: int | None = None
-    if has_size and row[8] != "":
-        try:
-            size = int(row[8])
-        except ValueError:
-            raise FormatError(
-                f"row {row_num}: non-integer image_size_bytes {row[8]!r}"
-            ) from None
-        if size <= 0:
-            raise RangeError(
-                f"row {row_num}: image_size_bytes must be positive, got {size}"
-            )
-
-    return SampleRecord(
-        image_name=image_name,
-        patient_id=patient_id,
-        sex=sex,
-        age_approx=age,
-        anatom_site=site,
-        diagnosis=diagnosis,
-        target_binary=target,
-        source_year=source,
-        image_size_bytes=size,
-    )
+def parse_image_size(cell: str, row_num: int) -> int:
+    """One ``image_size_bytes`` cell: an integer in [1, SIZE_MAX]. Errors name ``row_num``."""
+    try:
+        size = int(cell)
+    except ValueError:
+        raise FormatError(f"row {row_num}: non-integer image_size_bytes {cell!r}") from None
+    if not 0 < size <= SIZE_MAX:
+        raise RangeError(f"row {row_num}: image_size_bytes {size} outside [1, {SIZE_MAX}]")
+    return size
 
 
 def _format_float(v: float) -> str:
@@ -324,25 +403,15 @@ def _format_float(v: float) -> str:
 
 def write_metadata_csv(d: Dataset) -> str:
     """Serialize a Dataset back to metadata-CSV text (inverse of parsing)."""
-    has_size = any(r.image_size_bytes is not None for r in d.records)
-    header = list(METADATA_COLUMNS) + ([SIZE_COLUMN] if has_size else [])
-    return csv_text(header, (_metadata_row(r, has_size) for r in d.records))
-
-
-def _metadata_row(r: SampleRecord, has_size: bool) -> list[str]:
-    row = [
-        r.image_name,
-        r.patient_id,
-        "" if r.sex is Sex.MISSING else r.sex.value,
-        "" if r.age_approx is None else _format_float(r.age_approx),
-        r.anatom_site or "",
-        r.diagnosis or "",
-        str(r.target_binary.value),
-        str(r.source_year.value),
-    ]
-    if has_size:
-        row.append("" if r.image_size_bytes is None else str(r.image_size_bytes))
-    return row
+    distinct, at = np.unique(d.age, return_inverse=True)  # each distinct age is formatted once
+    ages = np.array(["" if math.isnan(a) else _format_float(a) for a in distinct.tolist()], object)
+    columns = [d.image_names, d.patient_ids, map(_SEX_CELL.__getitem__, d.sex.tolist()),
+               ages[at].tolist(), d.site, d.diagnosis, np.where(d.positive, "1", "0").tolist(),
+               np.where(d.is_2020, "2020", "2019").tolist()]
+    if d.size.any():
+        columns.append(np.where(d.size > 0, d.size.astype(str), "").tolist())
+    header = list(METADATA_COLUMNS) + [SIZE_COLUMN] * (len(columns) - len(METADATA_COLUMNS))
+    return csv_text(header, zip(*columns))
 
 
 def validate_consistency(d: Dataset) -> ValidationReport:
@@ -354,54 +423,28 @@ def validate_consistency(d: Dataset) -> ValidationReport:
     missing diagnosis, and a 2020-cohort positive ratio that strays from the
     expected 1.76% by more than a factor of two.
     """
-    errors: list[ValidationIssue] = []
-    warnings: list[ValidationIssue] = []
-    n_2020 = 0
-    pos_2020 = 0
-    for r in d.records:
-        if r.source_year is SourceYear.Y2020:
-            n_2020 += 1
-            pos_2020 += int(r.is_positive)
-        if r.diagnosis is None:
-            warnings.append(
-                ValidationIssue(
-                    r.image_name,
-                    "diagnosis-missing",
-                    "diagnosis missing; melanoma consistency not verifiable",
-                )
-            )
-            continue
-        is_mel = map_diagnosis(r.diagnosis, TargetScheme.NINE_CLASS) is DiagnosisClass.MEL
-        if is_mel and not r.is_positive:
-            errors.append(
-                ValidationIssue(
-                    r.image_name,
-                    "target-diagnosis-mismatch",
-                    f"diagnosis {r.diagnosis!r} maps to MEL but target is benign",
-                )
-            )
-        elif not is_mel and r.is_positive:
-            errors.append(
-                ValidationIssue(
-                    r.image_name,
-                    "target-diagnosis-mismatch",
-                    f"target is malignant but diagnosis {r.diagnosis!r} does not map to MEL",
-                )
-            )
-    if n_2020 > 0:
-        ratio = pos_2020 / n_2020
-        low = EXPECTED_2020_POSITIVE_RATE / 2
-        high = EXPECTED_2020_POSITIVE_RATE * 2
-        if ratio < low or ratio > high:
-            warnings.append(
-                ValidationIssue(
-                    "*",
-                    "positive-rate-2020",
-                    f"2020 positive ratio {ratio:.4f} deviates from "
-                    f"{EXPECTED_2020_POSITIVE_RATE:.4f} by more than a factor of 2",
-                )
-            )
-    return ValidationReport(tuple(errors), tuple(warnings))
+    has_diagnosis = np.array(list(map(bool, d.diagnosis)), dtype=bool)
+    is_mel = d.diagnosis_class == DiagnosisClass.MEL.value
+    errors = tuple(
+        ValidationIssue(
+            d.image_names[i], "target-diagnosis-mismatch",
+            f"diagnosis {d.diagnosis[i]!r} maps to MEL but target is benign" if is_mel[i]
+            else f"target is malignant but diagnosis {d.diagnosis[i]!r} does not map to MEL",
+        )
+        for i in np.flatnonzero(has_diagnosis & (is_mel != d.positive)).tolist()
+    )
+    warnings = [
+        ValidationIssue(d.image_names[i], "diagnosis-missing",
+                        "diagnosis missing; melanoma consistency not verifiable")
+        for i in np.flatnonzero(~has_diagnosis).tolist()
+    ]
+    n_2020 = int(d.is_2020.sum())
+    ratio = int((d.positive & d.is_2020).sum()) / max(n_2020, 1)
+    if n_2020 and not EXPECTED_2020_POSITIVE_RATE / 2 <= ratio <= EXPECTED_2020_POSITIVE_RATE * 2:
+        warnings.append(ValidationIssue(
+            "*", "positive-rate-2020", f"2020 positive ratio {ratio:.4f} deviates from "
+            f"{EXPECTED_2020_POSITIVE_RATE:.4f} by more than a factor of 2"))
+    return ValidationReport(errors, tuple(warnings))
 
 
 _SCORE_HEADER = ["image_name", "target"]

@@ -1,6 +1,6 @@
 """Metadata feature engineering.
 
-Each record becomes a 14-dimensional vector in fixed order::
+Each metadata row becomes a 14-dimensional vector in fixed order::
 
     [sex, age_z, site_0 .. site_9, log_size_z, n_images_z]
 
@@ -18,17 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .datamodel import (
     Dataset,
-    Sex,
     _format_float,
     _frozen,
     csv_rows,
     csv_text,
+    values_at,
 )
 from .errors import (
     CapacityError,
@@ -86,20 +86,17 @@ class NormStats:
                 raise DomainError(f"{name} must be positive")
 
 
-def compute_n_images(d: Dataset) -> dict[str, int]:
-    """Per-image count of records sharing the image's patient_id.
-
-    Counted over exactly the dataset given; pass the train+test concatenation
-    to reproduce counts over all available data.
+def compute_n_images(d: Dataset) -> np.ndarray:
+    """For each row, the number of rows of ``d`` that share its patient, as
+    a row-aligned int64 array. Counted over exactly the dataset given; pass
+    the train+test concatenation to reproduce counts over all available data.
     """
-    return {
-        r.image_name: len(d.by_patient[r.patient_id]) for r in d.records
-    }
+    return np.bincount(d.patient)[d.patient]
 
 
 def build_site_vocab(d: Dataset) -> SiteVocabulary:
     """Distinct non-missing sites, sorted ascending, padded to ten slots."""
-    distinct = sorted({r.anatom_site for r in d.records if r.anatom_site is not None})
+    distinct = sorted(set(d.site) - {""})
     if len(distinct) > SITE_SLOTS:
         extras = ", ".join(distinct[SITE_SLOTS:])
         raise CapacityError(
@@ -110,92 +107,64 @@ def build_site_vocab(d: Dataset) -> SiteVocabulary:
     return SiteVocabulary(tuple(distinct + padding))
 
 
-def _mean_std(values: Sequence[float]) -> tuple[float, float, bool]:
-    n = len(values)
-    if n == 0:
+def _mean_std(values: np.ndarray) -> tuple[float, float, bool]:
+    if not len(values):
         return 0.0, 1.0, True
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    if n == 1:
-        return mean, STD_FLOOR, False
-    std = float(arr.std(ddof=1))
-    return mean, max(std, STD_FLOOR), False
+    std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+    return float(values.mean()), max(std, STD_FLOOR), False
 
 
-def fit_norm_stats(d: Dataset, n_images: dict[str, int]) -> NormStats:
-    """Fit normalization statistics on every record of ``d``.
+def _counts(d: Dataset, n_images: np.ndarray) -> np.ndarray:
+    counts = np.asarray(n_images, dtype=np.float64)
+    if counts.shape != (len(d),):
+        raise ShapeError(f"n_images must hold one count per row, got shape {counts.shape}")
+    return counts
+
+
+def _log_sizes(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that have a size, and the natural log of each such size. It
+    is ``math.log`` per value: ``np.log`` differs in the last bit on a few."""
+    has_size = d.size > 0
+    return has_size, np.fromiter(map(math.log, d.size[has_size].tolist()), dtype=np.float64)
+
+
+def fit_norm_stats(d: Dataset, n_images: np.ndarray) -> NormStats:
+    """Fit normalization statistics on every row of ``d``.
 
     Missing ages and sizes are excluded from their statistics; sizes enter as
-    natural logs.
+    natural logs. ``n_images`` is ``compute_n_images``' row-aligned array.
     """
-    if not d.records:
+    if not len(d):
         raise DomainError("cannot fit normalization statistics on an empty dataset")
-
-    ages = [r.age_approx for r in d.records if r.age_approx is not None]
-    log_sizes = [
-        math.log(r.image_size_bytes)
-        for r in d.records
-        if r.image_size_bytes is not None
-    ]
-    counts = [float(n_images[r.image_name]) for r in d.records]
-
-    age_mean, age_std, age_defaulted = _mean_std(ages)
-    ls_mean, ls_std, ls_defaulted = _mean_std(log_sizes)
-    ni_mean, ni_std, _ = _mean_std(counts)
-    return NormStats(
-        age_mean=age_mean,
-        age_std=age_std,
-        log_size_mean=ls_mean,
-        log_size_std=ls_std,
-        n_images_mean=ni_mean,
-        n_images_std=ni_std,
-        age_defaulted=age_defaulted,
-        log_size_defaulted=ls_defaulted,
-    )
+    age_mean, age_std, age_defaulted = _mean_std(d.age[~np.isnan(d.age)])
+    ls_mean, ls_std, ls_defaulted = _mean_std(_log_sizes(d)[1])
+    ni_mean, ni_std, _ = _mean_std(_counts(d, n_images))
+    return NormStats(age_mean, age_std, ls_mean, ls_std, ni_mean, ni_std,
+                     age_defaulted, ls_defaulted)
 
 
-_SEX_CODE = {Sex.MALE: 1.0, Sex.FEMALE: 0.0, Sex.MISSING: -1.0}
-
-
-def encode_dataset(
-    d: Dataset,
-    vocab: SiteVocabulary,
-    stats: NormStats,
-    n_images: dict[str, int],
-) -> np.ndarray:
-    """Encode every record as its 14-dimensional feature vector, one column
+def encode_dataset(d: Dataset, vocab: SiteVocabulary, stats: NormStats,
+                   n_images: np.ndarray) -> np.ndarray:
+    """Encode every row as its 14-dimensional feature vector, one column
     (or the site block) at a time; rows follow dataset order.
 
-    Every image must be a key of ``n_images``; extra keys are ignored.
+    ``n_images`` is ``compute_n_images``' row-aligned array.
     """
-    records = d.records
-    try:
-        counts = np.array([n_images[r.image_name] for r in records], dtype=np.float64)
-    except KeyError as exc:
-        raise KeyError(f"image {exc.args[0]!r} missing from n_images map") from None
-    out = np.zeros((len(records), N_METADATA_FEATURES), dtype=np.float64)
-    out[:, 0] = [_SEX_CODE[r.sex] for r in records]
-    _fill_z(out[:, 1], [r.age_approx for r in records], stats.age_mean, stats.age_std)
+    counts = _counts(d, n_images)
+    out = np.zeros((len(d), N_METADATA_FEATURES), dtype=np.float64)
+    out[:, 0] = d.sex
+    has_age = ~np.isnan(d.age)
+    out[has_age, 1] = (d.age[has_age] - stats.age_mean) / stats.age_std
 
-    slot_of = {site: i for i, site in enumerate(vocab.sites)}
-    slots = np.array([slot_of.get(r.anatom_site, -1) for r in records], dtype=np.int64)
+    slot_of = {site: i for i, site in enumerate(vocab.sites) if site}  # "" is a missing site
+    slots = values_at({s: slot_of.get(s, -1) for s in dict.fromkeys(d.site)}, d.site, np.int64)
     hit = slots >= 0
     out[np.flatnonzero(hit), 2 + slots[hit]] = 1.0
 
-    log_sizes = [
-        None if r.image_size_bytes is None else math.log(r.image_size_bytes)
-        for r in records
-    ]
-    _fill_z(out[:, 12], log_sizes, stats.log_size_mean, stats.log_size_std)
+    has_size, log_sizes = _log_sizes(d)
+    out[has_size, 12] = (log_sizes - stats.log_size_mean) / stats.log_size_std
     out[:, 13] = (counts - stats.n_images_mean) / stats.n_images_std
     return out
-
-
-def _fill_z(column: np.ndarray, values: list[float | None], mean: float, std: float) -> None:
-    """Write ``(x - mean) / std`` for each present value; missing ones stay 0."""
-    present = np.array([v is not None for v in values], dtype=bool)
-    x = np.array([v for v in values if v is not None], dtype=np.float64)
-    column[present] = (x - mean) / std
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,12 +11,15 @@ runs and platforms while still varying with the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
-from .datamodel import Dataset, csv_rows, csv_text, require_coverage
+from .datamodel import Dataset, csv_rows, csv_text, require_coverage, values_at
 from .errors import DomainError, FormatError, UniquenessError
 from .hashing import MASK64, fnv1a64, splitmix64
-from .targets import TargetScheme, map_diagnosis
+from .targets import TargetScheme
+from .targets import map_diagnosis  # noqa: F401 -- unused; perfbench/layers.py counts its calls
 
 N_STRATA = TargetScheme.NINE_CLASS.class_count
 
@@ -39,6 +42,10 @@ class FoldAssignment:
 
     def __len__(self) -> int:
         return len(self.assignment)
+
+    def folds_of(self, image_names: Sequence[str]) -> np.ndarray:
+        """The fold of each of ``image_names``, in order (int64)."""
+        return values_at(self.assignment, image_names, np.int64)
 
 
 @dataclass(frozen=True)
@@ -69,59 +76,44 @@ def assign_folds(d: Dataset, k: int, seed: int) -> FoldAssignment:
     """
     if k < 2:
         raise DomainError(f"fold count must be at least 2, got {k}")
-    if not d.records:
+    if not len(d):
         raise DomainError("cannot assign folds on an empty dataset")
     _require_fold_count(k, len(d))
     # Fewer patients than folds is allowed; the surplus folds stay empty.
-    patients = d.by_patient
-
-    class_counts: dict[str, np.ndarray] = {}
-    for pid, positions in patients.items():
-        counts = np.zeros(N_STRATA, dtype=np.int64)
-        for pos in positions:
-            counts[map_diagnosis(d.records[pos].diagnosis).value] += 1
-        class_counts[pid] = counts
-
-    order = sorted(
-        patients,
-        key=lambda pid: (
-            -int(class_counts[pid].sum()),
-            tuple(-c for c in class_counts[pid].tolist()),
-            pid,
-        ),
-    )
+    pids = list(dict.fromkeys(d.patient_ids))  # indexed by d.patient
+    class_counts = np.zeros((len(pids), N_STRATA), dtype=np.int64)
+    np.add.at(class_counts, (d.patient, d.diagnosis_class), 1)
+    pid_rank = np.argsort(sorted(range(len(pids)), key=pids.__getitem__))
+    # np.lexsort sorts by its last key first.
+    order = np.lexsort((pid_rank, *-class_counts.T[::-1], -class_counts.sum(axis=1)))
 
     seed64 = seed & MASK64
     fold_counts = np.zeros((k, N_STRATA), dtype=np.int64)
-    patient_fold: dict[str, int] = {}
-    for pid in order:
-        v = class_counts[pid]
+    patient_fold = np.empty(len(pids), dtype=np.int64)
+    for p in order.tolist():
+        v = class_counts[p]
         loads = fold_counts @ v
         tied = np.flatnonzero(loads == loads.min())
         if tied.size == 1:
             fold = int(tied[0])
         else:
-            draw = splitmix64(seed64 ^ fnv1a64(pid.encode("utf-8")))
+            draw = splitmix64(seed64 ^ fnv1a64(pids[p].encode("utf-8")))
             fold = int(tied[draw % tied.size])
         fold_counts[fold] += v
-        patient_fold[pid] = fold
+        patient_fold[p] = fold
 
-    assignment = {r.image_name: patient_fold[r.patient_id] for r in d.records}
+    assignment = dict(zip(d.image_names, patient_fold[d.patient].tolist()))
     return FoldAssignment(k=k, assignment=assignment, seed=seed)
 
 
 def fold_ratio_report(d: Dataset, f: FoldAssignment) -> FoldRatioReport:
     """Exact per-fold sizes and positive ratios, plus the global ones."""
     require_coverage(d.image_names, f.assignment, "fold assignment")
-    sizes = [0] * f.k
-    positives = [0] * f.k
-    for r in d.records:
-        fold = f.assignment[r.image_name]
-        sizes[fold] += 1
-        positives[fold] += int(r.is_positive)
-    per_fold = tuple(FoldStats(s, p) for s, p in zip(sizes, positives))
-    total = FoldStats(sum(sizes), sum(positives))
-    return FoldRatioReport(per_fold=per_fold, total=total)
+    folds = f.folds_of(d.image_names)
+    sizes = np.bincount(folds, minlength=f.k).tolist()
+    positives = np.bincount(folds[d.positive], minlength=f.k).tolist()
+    per_fold = tuple(map(FoldStats, sizes, positives))
+    return FoldRatioReport(per_fold=per_fold, total=FoldStats(sum(sizes), sum(positives)))
 
 
 def _require_fold_count(k: int, n_images: int) -> None:
@@ -142,20 +134,22 @@ def check_folds(d: Dataset, f: FoldAssignment) -> None:
         require_coverage(f.assignment, set(d.image_names), "metadata")
     # Every fold id costs a model in ``train`` and a line in ``evaluate``.
     _require_fold_count(f.k, len(d))
-    names = d.image_names
-    for pid, positions in d.by_patient.items():
-        folds = {f.assignment[names[pos]] for pos in positions}
-        if len(folds) > 1:
-            raise DomainError(f"patient {pid!r} is split across folds {sorted(folds)}")
+    folds = f.folds_of(d.image_names)
+    first_row = np.unique(d.patient, return_index=True)[1]
+    split = d.patient[folds != folds[first_row][d.patient]]
+    if split.size:  # report the first split patient in order of appearance
+        p = int(split.min())
+        raise DomainError(f"patient {d.patient_ids[first_row[p]]!r} is split across folds "
+                          f"{np.unique(folds[d.patient == p]).tolist()}")
 
 
 def write_folds_csv(d: Dataset, f: FoldAssignment) -> str:
-    """Serialize an assignment in dataset record order (header
+    """Serialize an assignment in dataset row order (header
     ``image_name,fold``)."""
     require_coverage(d.image_names, f.assignment, "fold assignment")
     return csv_text(
         ["image_name", "fold"],
-        ([r.image_name, str(f.assignment[r.image_name])] for r in d.records),
+        zip(d.image_names, map(str, f.folds_of(d.image_names).tolist())),
     )
 
 

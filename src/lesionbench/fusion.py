@@ -25,7 +25,8 @@ from .features import N_METADATA_FEATURES, FeatureTable, read_feature_csv
 from .folds import FoldAssignment
 from .hashing import MASK64
 from .metrics import auc_or_none
-from .targets import DiagnosisClass, TargetScheme, class_index, map_diagnosis
+from .targets import DiagnosisClass, TargetScheme, class_index, collapse
+from .targets import map_diagnosis  # noqa: F401 -- unused; perfbench/layers.py counts its calls
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -455,7 +456,7 @@ def train(
     score stops training at once with a DomainError naming fold, epoch and
     batch.
     """
-    if not d.records:
+    if not len(d):
         raise DomainError("cannot train on an empty dataset")
     names = d.image_names
     if feats.width != N_METADATA_FEATURES:
@@ -470,15 +471,11 @@ def train(
 
     x_meta = feats.select(names)
     x_cnn = cnn.select(names) if cnn is not None else np.zeros((len(names), 0))
-    y = np.array(
-        [
-            class_index(map_diagnosis(r.diagnosis, cfg.scheme), cfg.scheme)
-            for r in d.records
-        ],
-        dtype=np.int64,
-    )
-    y_bin = np.array([int(r.is_positive) for r in d.records], dtype=np.int64)
-    fold_of = np.array([f.assignment[n] for n in names], dtype=np.int64)
+    nine = cfg.scheme is TargetScheme.NINE_CLASS
+    column_of = [class_index(c if nine else collapse(c), cfg.scheme) for c in DiagnosisClass]
+    y = np.array(column_of, dtype=np.int64)[d.diagnosis_class]
+    y_bin = d.positive.astype(np.int64)
+    fold_of = f.folds_of(names)
     mel_col = class_index(DiagnosisClass.MEL, cfg.scheme)
 
     oof = np.empty(len(names), dtype=np.float64)

@@ -17,11 +17,11 @@ import numpy as np
 from .datamodel import (
     Dataset,
     PredictionSet,
-    SourceYear,
     _frozen,
     csv_rows,
     csv_text,
     require_coverage,
+    values_at,
 )
 from .errors import (
     DomainError,
@@ -148,15 +148,12 @@ def evaluate_cv(preds: PredictionSet, d: Dataset, f: FoldAssignment) -> CvReport
     require_coverage(d.image_names, score_by_name, "predictions")
     require_coverage(d.image_names, f.assignment, "fold assignment")
 
-    scores = np.array([score_by_name[name] for name in d.image_names])
-    labels = np.array([int(r.is_positive) for r in d.records], dtype=np.int64)
-    folds = np.array([f.assignment[name] for name in d.image_names])
-    is_2020 = np.array(
-        [r.source_year is SourceYear.Y2020 for r in d.records], dtype=bool
-    )
+    scores = values_at(score_by_name, d.image_names, np.float64)
+    labels = d.positive.astype(np.int64)
+    folds = f.folds_of(d.image_names)
 
     cv_all = auc_or_none(scores, labels)
-    cv_2020 = auc_or_none(scores[is_2020], labels[is_2020])
+    cv_2020 = auc_or_none(scores[d.is_2020], labels[d.is_2020])
     per_fold = tuple(
         auc_or_none(scores[folds == k], labels[folds == k]) for k in range(f.k)
     )

@@ -461,7 +461,10 @@ def test_sizes_duplicate_and_foreign_names_rejected(tmp_path, capsys):
         _apply_sizes(d, {"P0_I0": 10, "ghost": 11})
     sizes = tmp_path / "sizes.csv"
     for body, message in (("P0_I0,10\nP0_I0,11\n", "duplicate image_name 'P0_I0'"),
-                          ("P0_I0,10\nghost,11\n", "'ghost'")):
+                          ("P0_I0,10\nghost,11\n", "'ghost'"),
+                          ("P0_I0,0\n", "row 1: image_size_bytes 0 outside [1, 9223372036854775807]"),
+                          ("P0_I0,10\nP0_I1,9999999999999999999999999\n",
+                           "row 2: image_size_bytes 9999999999999999999999999 outside [1, ")):
         sizes.write_text("image_name,image_size_bytes\n" + body, encoding="utf-8")
         assert main(["features", "--meta", str(meta), "--sizes", str(sizes),
                      "--out", str(tmp_path / "feat.csv")]) == 2

@@ -1,7 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lesionbench.datamodel import (
+    METADATA_COLUMNS,
+    SIZE_MAX,
     BinaryTarget,
     PredictionSet,
     Sex,
@@ -15,11 +21,12 @@ from lesionbench.datamodel import (
 from lesionbench.errors import (
     DomainError,
     FormatError,
+    LesionbenchError,
     RangeError,
     UniquenessError,
 )
 from lesionbench.targets import DiagnosisClass, TargetScheme, class_index
-from util import make_dataset, make_record
+from util import make_dataset, make_record, reference_parse_metadata
 
 HEADER = "image_name,patient_id,sex,age_approx,anatom_site_general_challenge,diagnosis,target,source"
 
@@ -69,9 +76,18 @@ def test_parse_accepts_crlf():
 
 
 def test_duplicate_image_name_rejected():
-    text = HEADER + "\nISIC_03,P1,male,45,torso,nevus,0,2020\nISIC_03,P2,male,50,torso,nevus,0,2020\n"
-    with pytest.raises(UniquenessError, match="ISIC_03"):
-        parse_metadata_csv(text)
+    row = ",P1,male,45,torso,nevus,0,2020\n"
+    for text, message in (
+        (HEADER + "\nISIC_03,P1,male,45,torso,nevus,0,2020\nISIC_03,P2,male,50,torso,nevus,0,2020\n",
+         "ISIC_03"),
+        # rows are numbered as in every other metadata message: blank lines count
+        (HEADER + "\n\n\nI1" + row + "I2" + row + "I1" + row,
+         "duplicate image_name 'I1' (rows 3 and 5)"),
+    ):
+        with pytest.raises(UniquenessError, match=re.escape(message)):
+            parse_metadata_csv(text)
+    with pytest.raises(FormatError, match="row 5: non-numeric age_approx"):
+        parse_metadata_csv(HEADER + "\n\n\nI1" + row + "I2" + row + "I1" + row.replace("45", "old"))
 
 
 def test_missing_column_named_in_error():
@@ -105,8 +121,90 @@ def test_age_range_enforced():
 
 
 def test_size_must_be_positive():
-    with pytest.raises(RangeError):
-        make_record("I1", size=0)
+    # ... and at most SIZE_MAX, as sizes are held in an int64 column
+    for size in (0, SIZE_MAX + 1):
+        with pytest.raises(RangeError):
+            make_record("I1", size=size)
+    text = HEADER + ",image_size_bytes\nI1,P1,male,45,torso,nevus,0,2020,{}\n"
+    assert parse_metadata_csv(text.format(SIZE_MAX)).size.tolist() == [SIZE_MAX]
+    for cell in ("0", "-1", str(SIZE_MAX + 1), "9999999999999999999999999"):
+        message = f"row 1: image_size_bytes {cell} outside [1, {SIZE_MAX}]"
+        with pytest.raises(RangeError, match=re.escape(message)):
+            parse_metadata_csv(text.format(cell))
+
+
+# Valid cells per column (image_name is drawn apart), and faulty ones.
+GOOD_CELLS = {
+    1: ["P1", "P2", "P3"],
+    2: ["male", "female", "", " Male ", "FEMALE"],
+    3: ["", "45", "45.5", "0", "-0", "120", " 7 ", "1_0", "1e1"],
+    4: ["", "torso", "head/neck", "elbow"],
+    5: ["", "melanoma", "MEL", " nevus ", "unknown", "BKL", "odd"],
+    6: ["0", "1"],
+    7: ["2019", "2020"],
+    8: ["", "1", "12345", " 13", "+14", str(SIZE_MAX)],
+}
+BAD_CELLS = {
+    1: [""],
+    2: ["unknown", "m"],
+    3: ["old", "150", "-1", "nan", "inf", "1e400"],
+    6: ["2", "", " 1", "01"],
+    7: ["2021", "", "20200"],
+    8: ["0", "-5", "x", "1.5", "9999999999999999999999999", str(SIZE_MAX + 1)],
+}
+HEADERS = [list(METADATA_COLUMNS), list(METADATA_COLUMNS) + ["image_size_bytes"],
+           [c for c in METADATA_COLUMNS if c != "diagnosis"]]
+
+
+@st.composite
+def metadata_texts(draw):
+    """Metadata CSV text with up to three injected faults, and the number of
+    distinct rows they hit."""
+    header = draw(st.sampled_from([HEADERS[0], HEADERS[1], HEADERS[1], HEADERS[2]]))
+    width = max(len(header), len(METADATA_COLUMNS))
+    n = draw(st.integers(0, 8))
+    rows = [[f"I{j}"] + [draw(st.sampled_from(GOOD_CELLS[c])) for c in range(1, width)]
+            for j in range(n)]
+    faulty = set()
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        j = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["cells", "cells", "width", "duplicate", "empty name"]))
+        if kind == "cells":  # one or two bad cells in the row
+            columns = [c for c in BAD_CELLS if c < len(rows[j])]
+            for c in draw(st.lists(st.sampled_from(columns), min_size=1, max_size=2)):
+                rows[j][c] = draw(st.sampled_from(BAD_CELLS[c]))
+        elif kind == "width":
+            rows[j] = rows[j] + ["x"] if draw(st.booleans()) else rows[j][:-1]
+        elif kind == "duplicate" and j > 0:
+            rows[j][0] = f"I{draw(st.integers(0, j - 1))}"
+        elif kind == "empty name":
+            rows[j][0] = ""
+        faulty.add(j)
+    lines = [",".join(header)]
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 1))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n", len(faulty)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=metadata_texts())
+def test_column_parse_equals_per_row_oracle(case):
+    text, n_faulty = case
+    try:
+        expected = reference_parse_metadata(text)
+    except LesionbenchError as exc:
+        with pytest.raises(LesionbenchError) as got:
+            parse_metadata_csv(text)
+        # With faults in several rows, the two may report different ones first.
+        if n_faulty <= 1:
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    got = parse_metadata_csv(text)
+    assert got == expected
+    assert got.records == expected.records
+    assert got.by_patient == expected.by_patient
+    assert parse_metadata_csv(write_metadata_csv(got)) == got
 
 
 def test_by_patient_covers_every_record_once():

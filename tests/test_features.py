@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lesionbench.datamodel import Sex
-from lesionbench.errors import CapacityError, DomainError
+from lesionbench.errors import CapacityError, DomainError, ShapeError
 from lesionbench.features import (
     FEATURE_NAMES,
     N_METADATA_FEATURES,
@@ -47,14 +47,14 @@ def test_compute_n_images_group_counting():
         + [make_record(f"B{i}", patient_id="PB") for i in range(5)]
     )
     counts = compute_n_images(d)
-    assert sorted(counts.values()) == [2, 2, 5, 5, 5, 5, 5]
-    assert counts["A0"] == 2
-    assert counts["B3"] == 5
+    assert counts.tolist() == [2, 2, 5, 5, 5, 5, 5]
+    assert counts[d.image_names.index("A0")] == 2
+    assert counts[d.image_names.index("B3")] == 5
 
 
 def test_compute_n_images_singletons():
     d = make_dataset([make_record(f"I{i}", patient_id=f"P{i}") for i in range(4)])
-    assert set(compute_n_images(d).values()) == {1}
+    assert set(compute_n_images(d).tolist()) == {1}
 
 
 def test_site_vocab_sorted_and_padded():
@@ -137,7 +137,7 @@ def test_encode_centered_values_vanish():
         log_size_mean=0.0, log_size_std=1.0,
         n_images_mean=1.0, n_images_std=1.0,
     )
-    v = encode_one(d.records[0], vocab, stats, {"I1": 1})
+    v = encode_one(d.records[0], vocab, stats, np.array([1]))
     expected = np.zeros(14)
     expected[0] = 1.0
     expected[2] = 1.0
@@ -148,8 +148,8 @@ def test_encode_all_missing_record():
     r = make_record("I1", sex=Sex.MISSING, age=None, site=None, diagnosis=None)
     d = make_dataset([r])
     vocab = build_site_vocab(d)
-    stats = fit_norm_stats(d, {"I1": 1})
-    v = encode_one(r, vocab, stats, {"I1": 1})
+    stats = fit_norm_stats(d, np.array([1]))
+    v = encode_one(r, vocab, stats, np.array([1]))
     expected = np.zeros(14)
     expected[0] = -1.0
     # n_images == mean on the singleton dataset, so its z-score is 0
@@ -164,7 +164,7 @@ def test_encode_hand_z_score():
         n_images_mean=1.0, n_images_std=1.0,
     )
     d = make_dataset([r])
-    v = encode_one(r, build_site_vocab(d), stats, {"I1": 1})
+    v = encode_one(r, build_site_vocab(d), stats, np.array([1]))
     assert v[0] == 0.0
     assert v[1] == 1.0  # (60 - 50) / 10
 
@@ -173,7 +173,7 @@ def test_encode_log_size():
     r = make_record("I1", size=1000)
     stats = unit_stats()
     d = make_dataset([r])
-    v = encode_one(r, build_site_vocab(d), stats, {"I1": 1})
+    v = encode_one(r, build_site_vocab(d), stats, np.array([1]))
     assert v[12] == pytest.approx(math.log(1000.0), rel=1e-15)
 
 
@@ -181,15 +181,18 @@ def test_encode_out_of_vocab_site_is_all_zero():
     r = make_record("I1", site="elbow")
     d = make_dataset([make_record("I2", patient_id="P2", site="torso")])
     vocab = build_site_vocab(d)
-    v = encode_one(r, vocab, unit_stats(), {"I1": 1})
+    v = encode_one(r, vocab, unit_stats(), np.array([1]))
     assert np.all(v[2:12] == 0.0)
 
 
-def test_encode_missing_n_images_lookup_error():
+def test_encode_n_images_must_hold_one_count_per_row():
     r = make_record("I1")
     d = make_dataset([r])
-    with pytest.raises(KeyError, match="I1"):
-        encode_one(r, build_site_vocab(d), unit_stats(), {})
+    for n_images in (np.array([]), np.array([1, 1]), np.array([[1]])):
+        with pytest.raises(ShapeError, match="one count per row"):
+            encode_one(r, build_site_vocab(d), unit_stats(), n_images)
+        with pytest.raises(ShapeError, match="one count per row"):
+            fit_norm_stats(d, n_images)
 
 
 def test_encode_site_block_is_one_hot_or_zero():
@@ -228,8 +231,7 @@ def test_encoding_invariant_to_record_order():
         n_images = compute_n_images(d)
         vocab = build_site_vocab(d)
         stats = fit_norm_stats(d, n_images)
-        for r in d.records:
-            out[r.image_name] = encode_one(r, vocab, stats, n_images)
+        out.update(zip(d.image_names, encode_dataset(d, vocab, stats, n_images)))
     for name in out1:
         assert np.array_equal(out1[name], out2[name])
 
@@ -257,21 +259,23 @@ STATS = st.builds(
 
 @settings(max_examples=200, deadline=None)
 @given(rows=RECORDS, vocab_sites=st.sets(st.sampled_from(SITES[:-1]), max_size=4),
-       stats=st.none() | STATS, extra=st.dictionaries(st.text(max_size=3), st.integers(1, 9)))
-def test_encode_dataset_equals_stacked_reference_rows(rows, vocab_sites, stats, extra):
+       stats=st.none() | STATS)
+def test_encode_dataset_equals_stacked_reference_rows(rows, vocab_sites, stats):
     records = [
         make_record(f"I{j}", patient_id=f"P{i}", sex=sex, age=age, site=site, size=size)
         for j, (i, sex, age, site, size) in enumerate(rows)
     ]
     d = make_dataset(records)
-    n_images = {**extra, **compute_n_images(d)}
+    n_images = compute_n_images(d)
     padding = [f"__unused_{i}__" for i in range(SITE_SLOTS - len(vocab_sites))]
     vocab = SiteVocabulary(tuple(sorted(vocab_sites)) + tuple(padding))
     if stats is None:
         if not records:
             return
         stats = fit_norm_stats(d, n_images)
-    expected = np.array([reference_encode(r, vocab, stats, n_images) for r in records])
+    expected = np.array(
+        [reference_encode(r, vocab, stats, n) for r, n in zip(records, n_images.tolist())]
+    )
     got = encode_dataset(d, vocab, stats, n_images)
     assert got.shape == (len(records), N_METADATA_FEATURES)
     assert got.tobytes() == expected.reshape(-1, N_METADATA_FEATURES).tobytes()

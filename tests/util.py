@@ -8,12 +8,18 @@ import numpy as np
 
 from lesionbench import fusion
 from lesionbench.datamodel import (
+    AGE_MAX,
+    METADATA_COLUMNS,
+    SIZE_COLUMN,
+    SIZE_MAX,
     BinaryTarget,
     Dataset,
     SampleRecord,
     Sex,
     SourceYear,
+    csv_rows,
 )
+from lesionbench.errors import FormatError, RangeError, UniquenessError
 
 
 def make_record(
@@ -42,6 +48,81 @@ def make_record(
 
 def make_dataset(records) -> Dataset:
     return Dataset.from_records(records)
+
+
+def reference_parse_metadata(text: str) -> Dataset:
+    """The metadata CSV parsed one row at a time into SampleRecords, each
+    row's cells checked left to right: the oracle for the column-wise
+    ``datamodel.parse_metadata_csv``."""
+    header, rows = csv_rows(text, "metadata")
+    expected = list(METADATA_COLUMNS)
+    if header not in (expected, expected + [SIZE_COLUMN]):
+        missing = [c for c in expected if c not in header]
+        if missing:
+            raise FormatError("metadata header is missing column(s): " + ", ".join(missing))
+        raise FormatError(f"unrecognized metadata header: {','.join(header)!r}")
+    records = []
+    row_of: dict[str, int] = {}
+    for row_num, row in rows:
+        r = _reference_metadata_row(row, row_num, len(header) > len(expected))
+        if r.image_name in row_of:
+            raise UniquenessError(
+                f"duplicate image_name {r.image_name!r} (rows {row_of[r.image_name]} and {row_num})"
+            )
+        row_of[r.image_name] = row_num
+        records.append(r)
+    return Dataset.from_records(records)
+
+
+def _reference_metadata_row(row: list[str], row_num: int, has_size: bool) -> SampleRecord:
+    image_name, patient_id = row[0], row[1]
+    if not patient_id:
+        raise FormatError(f"row {row_num}: empty patient_id")
+
+    sex_cell = row[2].strip().lower()
+    if sex_cell == "":
+        sex = Sex.MISSING
+    elif sex_cell in ("male", "female"):
+        sex = Sex(sex_cell)
+    else:
+        raise FormatError(f"row {row_num}: invalid sex {row[2]!r}")
+
+    age = None
+    if row[3] != "":
+        try:
+            age = float(row[3])
+        except ValueError:
+            raise FormatError(f"row {row_num}: non-numeric age_approx {row[3]!r}") from None
+        if not 0.0 <= age <= AGE_MAX:
+            raise RangeError(f"row {row_num}: age_approx {age:g} outside [0, {AGE_MAX:g}]")
+
+    if row[6] not in ("0", "1"):
+        raise FormatError(f"row {row_num}: target must be 0 or 1, got {row[6]!r}")
+    if row[7] not in ("2019", "2020"):
+        raise FormatError(f"row {row_num}: source must be 2019 or 2020, got {row[7]!r}")
+
+    size = None
+    if has_size and row[8] != "":
+        try:
+            size = int(row[8])
+        except ValueError:
+            raise FormatError(
+                f"row {row_num}: non-integer image_size_bytes {row[8]!r}"
+            ) from None
+        if not 0 < size <= SIZE_MAX:
+            raise RangeError(f"row {row_num}: image_size_bytes {size} outside [1, {SIZE_MAX}]")
+
+    return SampleRecord(
+        image_name=image_name,
+        patient_id=patient_id,
+        sex=sex,
+        age_approx=age,
+        anatom_site=row[4] or None,
+        diagnosis=row[5] or None,
+        target_binary=BinaryTarget(int(row[6])),
+        source_year=SourceYear(int(row[7])),
+        image_size_bytes=size,
+    )
 
 
 def auc_pair_counting(scores, labels) -> float:
@@ -191,11 +272,10 @@ def reference_adam_step(params, m, v, t, grads, lr):
         params[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
 
 
-def reference_encode(r, vocab, stats, n_images) -> np.ndarray:
-    """One record's 14-dimensional feature vector, built scalar by scalar:
-    the oracle for the column-wise ``features.encode_dataset``."""
-    if r.image_name not in n_images:
-        raise KeyError(f"image {r.image_name!r} missing from n_images map")
+def reference_encode(r, vocab, stats, n_images: int) -> np.ndarray:
+    """One record's 14-dimensional feature vector, built scalar by scalar from
+    the record and its patient's image count: the oracle for the column-wise
+    ``features.encode_dataset``."""
     v = np.zeros(14, dtype=np.float64)
 
     if r.sex is Sex.MALE:
@@ -212,7 +292,7 @@ def reference_encode(r, vocab, stats, n_images) -> np.ndarray:
     if r.image_size_bytes is not None:
         v[12] = (math.log(r.image_size_bytes) - stats.log_size_mean) / stats.log_size_std
 
-    v[13] = (n_images[r.image_name] - stats.n_images_mean) / stats.n_images_std
+    v[13] = (n_images - stats.n_images_mean) / stats.n_images_std
     return v
 
 
