@@ -1,5 +1,6 @@
 import argparse
 import io
+import os
 import re
 import warnings
 from pathlib import Path
@@ -256,6 +257,16 @@ def _one_error_line(capsys):
 def _train_argv(meta, folds, out_dir):
     return ["train", "--meta", str(meta), "--folds-csv", str(folds), "--epochs", "2",
             "--batch-size", "8", "--hidden", "4,2", "--out-dir", str(out_dir)]
+
+
+# 8 rows x 280,073 parameters pass the fold-thread gate (2**20); 4,2 does not.
+GATED_HIDDEN = "1024,256"
+
+
+def _with_hidden(argv, hidden):
+    argv = list(argv)
+    argv[argv.index("--hidden") + 1] = hidden
+    return argv
 
 
 @pytest.mark.parametrize("flag", ["--meta", "--folds-csv", "--preds", "--cnn", "--sizes",
@@ -532,6 +543,25 @@ def test_diverging_training_exits_2_with_one_error_line(tmp_path, meta_csv, caps
     assert not out_dir.exists()
 
 
+def test_diverging_threaded_training_gives_the_serial_error_line(
+    tmp_path, meta_csv, capsys, monkeypatch
+):
+    folds = _split(tmp_path, meta_csv)
+    lines = {}
+    for cpus in (1, 2):  # the gate passes; 1 CPU keeps the folds serial
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning in a worker would fail the run
+            argv = _with_hidden(_train_argv(meta_csv, folds, tmp_path / "run"), GATED_HIDDEN)
+            rc = main(argv + ["--lr", "1e200"])
+        assert rc == 2
+        lines[cpus] = _one_error_line(capsys)
+    assert lines[2] == lines[1]
+    assert re.search(r"training diverged in fold 0, epoch \d+, batch \d+", lines[1])
+    assert not (tmp_path / "run").exists()
+
+
 def test_batch_size_past_the_cohort_trains_as_one_full_batch(tmp_path, meta_csv, capsys):
     # Training buffers are sized by the rows a batch can hold, not by the flag.
     folds = _split(tmp_path, meta_csv)
@@ -549,26 +579,28 @@ def test_batch_size_past_the_cohort_trains_as_one_full_batch(tmp_path, meta_csv,
 
 
 def test_threads_env_var_is_not_read(tmp_path, meta_csv, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     folds = _split(tmp_path, meta_csv)
-    runs = {}
-    for value in (None, "2", "x"):
-        if value is None:
-            monkeypatch.delenv("LESIONBENCH_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("LESIONBENCH_THREADS", value)
-        out_dir = tmp_path / f"run_{value}"
-        capsys.readouterr()
-        assert main(_train_argv(meta_csv, folds, out_dir)) == 0
-        assert capsys.readouterr().err == ""
-        runs[value] = {
-            p.name: (
-                [l for l in _strip_timestamp(p.read_text(encoding="utf-8"))
-                 if not l.startswith("arg.out_dir=")]
-                if p.name.endswith(".manifest.txt") else p.read_bytes()
-            )
-            for p in sorted(out_dir.iterdir())
-        }
-    assert runs["2"] == runs[None] and runs["x"] == runs[None]
+    for hidden in ("4,2", GATED_HIDDEN):  # serial folds, then fold threads
+        runs = {}
+        for value in (None, "2", "x"):
+            if value is None:
+                monkeypatch.delenv("LESIONBENCH_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("LESIONBENCH_THREADS", value)
+            out_dir = tmp_path / f"run_{hidden}_{value}"
+            capsys.readouterr()
+            assert main(_with_hidden(_train_argv(meta_csv, folds, out_dir), hidden)) == 0
+            assert capsys.readouterr().err == ""
+            runs[value] = {
+                p.name: (
+                    [l for l in _strip_timestamp(p.read_text(encoding="utf-8"))
+                     if not l.startswith("arg.out_dir=")]
+                    if p.name.endswith(".manifest.txt") else p.read_bytes()
+                )
+                for p in sorted(out_dir.iterdir())
+            }
+        assert runs["2"] == runs[None] and runs["x"] == runs[None], hidden
 
 
 def _prob_csv(names, probs, scheme):

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -454,6 +457,181 @@ def test_train_stops_a_diverging_run_with_its_context():
         warnings.simplefilter("error")  # numpy's overflow warnings stay silent
         with pytest.raises(DomainError, match=r"diverged in fold 0, epoch 0, batch \d+"):
             train(d, feature_table_for(d), None, f, cfg)
+
+
+# --- fold threads -------------------------------------------------------------
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _record_threads(monkeypatch):
+    """Thread idents of every forward pass ``train`` makes from now on."""
+    threads = []
+    original = fusion._forward_cached
+
+    def wrapper(ws, meta, cnn):
+        threads.append(threading.get_ident())
+        return original(ws, meta, cnn)
+
+    monkeypatch.setattr(fusion, "_forward_cached", wrapper)
+    return threads
+
+
+@pytest.mark.parametrize("scheme", list(TargetScheme))
+@pytest.mark.parametrize("cnn_dim", [0, 5])
+def test_serial_and_threaded_training_give_the_same_bytes(monkeypatch, scheme, cnn_dim):
+    rng = np.random.default_rng(3)
+    d = separable_dataset(n_patients=30)
+    f = assign_folds(d, k=5, seed=0)
+    feats = feature_table_for(d)
+    cnn = FeatureTable(d.image_names, rng.normal(size=(len(d), cnn_dim))) if cnn_dim else None
+    cfg = TrainConfig(epochs=3, batch_size=8, lr_peak=1e-2, seed=0, hidden=(8, 4),
+                      scheme=scheme)
+    monkeypatch.setattr(fusion, "_MATRIX_BOUND", 0)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for workers in (1, 2, 5):  # 5 workers outnumber the cores of most test hosts
+            _cpus(monkeypatch, workers)
+            threads = _record_threads(monkeypatch)
+            r = train(d, feats, cnn, f, cfg)
+            on_main = {t == threading.main_thread().ident for t in threads}
+            assert on_main == {workers == 1}, workers
+            runs[workers] = ([save_model(m) for m in r.models], r.oof.scores.tobytes(),
+                             r.oof.image_names, r.history)
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[2] == runs[1] and runs[5] == runs[1]
+
+
+@pytest.mark.parametrize("hidden, threaded", [((128, 32), False), ((256, 64), True)])
+def test_folds_take_threads_when_batch_rows_times_parameters_reach_the_bound(
+    monkeypatch, hidden, threaded
+):
+    # 64 rows x 6,345 parameters is below 2**20; 64 x 20,873 is above.
+    d = separable_dataset(n_patients=40)
+    f = assign_folds(d, k=2, seed=0)
+    cfg = TrainConfig(epochs=2, batch_size=64, lr_peak=1e-3, seed=0, hidden=hidden)
+    _cpus(monkeypatch, 2)
+    threads = _record_threads(monkeypatch)
+    train(d, feature_table_for(d), None, f, cfg)
+    assert (threading.main_thread().ident not in threads) is threaded
+
+
+def test_cpu_count_is_the_affinity_mask_or_else_the_cpu_count(monkeypatch):
+    _cpus(monkeypatch, 3)
+    assert fusion._cpu_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on platforms without one
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert fusion._cpu_count() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert fusion._cpu_count() == 1
+
+
+def test_a_failing_fold_stops_the_folds_after_it(monkeypatch):
+    started, outcome = threading.Event(), {}
+
+    def fake_fold(k, *args):
+        stop = args[-1]
+        if k == 0:
+            assert started.wait(10)
+            raise DomainError("fold 0 failed")
+        started.set()
+        outcome[k] = stop.wait(10)  # a real fold checks it before each batch
+        return None
+
+    d = separable_dataset(n_patients=10)
+    f = assign_folds(d, k=5, seed=0)
+    monkeypatch.setattr(fusion, "_MATRIX_BOUND", 0)
+    monkeypatch.setattr(fusion, "_train_one_fold", fake_fold)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(DomainError, match="fold 0 failed"):
+        train(d, feature_table_for(d), None, f, SMALL_CFG)
+    assert outcome[1] is True  # fold 1 was told to stop, not timed out
+    assert all(outcome.values())  # queued folds that started stopped at once
+
+
+def test_a_fold_before_a_failing_one_runs_on_and_the_lowest_error_is_raised(monkeypatch):
+    failed, outcome = threading.Event(), {}
+
+    def fake_fold(k, *args):
+        stop = args[-1]
+        if k == 1:
+            failed.set()
+            raise DomainError("fold 1 failed")
+        if k == 0:
+            assert failed.wait(10)
+            outcome[0] = stop.wait(0.2)  # fold 1's failure must not stop fold 0
+            raise DomainError("fold 0 failed")
+        outcome[k] = stop.wait(10)
+        return None
+
+    d = separable_dataset(n_patients=10)
+    f = assign_folds(d, k=3, seed=0)
+    monkeypatch.setattr(fusion, "_MATRIX_BOUND", 0)
+    monkeypatch.setattr(fusion, "_train_one_fold", fake_fold)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(DomainError, match="fold 0 failed"):
+        train(d, feature_table_for(d), None, f, SMALL_CFG)
+    assert outcome[0] is False
+    assert outcome.get(2, True) is True
+
+
+def test_a_stopped_fold_returns_before_its_next_batch(monkeypatch):
+    d = separable_dataset(n_patients=20)
+    f = assign_folds(d, k=2, seed=0)
+    stop, calls = threading.Event(), []
+    original = fusion._forward_cached
+
+    def wrapper(ws, meta, cnn):
+        calls.append(len(meta))
+        stop.set()  # as another fold's failure would, during this batch
+        return original(ws, meta, cnn)
+
+    monkeypatch.setattr(fusion, "_forward_cached", wrapper)
+    x_meta = feature_table_for(d).select(d.image_names)
+    y = np.zeros(len(d), dtype=np.int64)
+    result = fusion._train_one_fold(0, x_meta, np.zeros((len(d), 0)), y, y,
+                                    f.folds_of(d.image_names), SMALL_CFG, 0, stop)
+    assert result is None
+    assert calls == [SMALL_CFG.batch_size]
+
+
+@pytest.mark.parametrize("hidden, cnn_dim", [((512, 128), 0), ((128, 32), 16)])
+@pytest.mark.parametrize("offset", [(1, -1), (1, 0), (2, -1), (2, 37)])
+def test_blocked_validation_scores_equal_one_full_pass_bit_for_bit(
+    monkeypatch, hidden, cnn_dim, offset
+):
+    block = fusion.VAL_BLOCK
+    n_val, bs = offset[0] * block + offset[1], 64
+    rng = np.random.default_rng(n_val)
+    n = n_val + bs
+    x_meta, x_cnn = rng.normal(size=(n, 14)), rng.normal(size=(n, cnn_dim))
+    y = rng.integers(0, 9, n)
+    fold_of = np.repeat([0, 1], [n_val, bs])
+    cfg = TrainConfig(epochs=2, batch_size=bs, lr_peak=1e-3, seed=0, hidden=hidden)
+    mel = class_index(DiagnosisClass.MEL, cfg.scheme)
+    calls = []
+    original = fusion._forward_cached
+
+    def wrapper(ws, meta, cnn):
+        calls.append((ws.h1.shape[0], len(meta)))
+        return original(ws, meta, cnn)
+
+    monkeypatch.setattr(fusion, "_forward_cached", wrapper)
+    model, scores, _ = fusion._train_one_fold(
+        0, x_meta, x_cnn, y, (y == mel).astype(np.int64), fold_of, cfg, mel,
+        threading.Event(),
+    )
+    full = original(fusion._Workspace(model.params(), n_val, 0), x_meta[:n_val],
+                    x_cnn[:n_val])["probs"][:, mel]
+    assert scores.tobytes() == full.tobytes()
+    val_blocks = [rows for _, rows in calls if rows != bs]
+    assert sum(val_blocks) == cfg.epochs * n_val
+    assert min(val_blocks) >= min(n_val, block)
+    assert max(capacity for capacity, _ in calls) <= max(bs, 2 * block - 1)
 
 
 # --- flat parameter vector and Adam ----------------------------------------
