@@ -1,9 +1,11 @@
-"""Behaviour lock: the CLI pipeline's artifacts, byte for byte.
+"""Behaviour lock: the CLI pipeline's artifacts and printed reports, byte for byte.
 
 Runs split -> features -> train (D=0 and D=16) -> ensemble on a fixed small
 cohort and pins the sha256 of every artifact and of every manifest with its
-``timestamp=`` line dropped. A change that moves any of these digests changes
-the toolkit's output and must say so.
+``timestamp=`` line dropped. It also pins the exact stdout of ``stability``
+(shipped table and a ``--scores`` file) and of ``evaluate`` on a scalar, a
+nine-class and a four-class prediction file. A change that moves any of these
+pins changes the toolkit's output and must say so.
 """
 
 import hashlib
@@ -15,6 +17,8 @@ import pytest
 from lesionbench.cli import main
 from lesionbench.datamodel import Sex, write_metadata_csv
 from lesionbench.features import FeatureTable, write_feature_csv
+from lesionbench.metrics import ScoreRow, ScoreTable, write_score_table
+from lesionbench.targets import TargetScheme
 from util import make_dataset, make_record
 
 DIAGNOSES = (
@@ -60,6 +64,21 @@ GOLDEN = {
         "8ec5a561216c066c579c14e53108cbe949d01dad70a54dea53453b17feea1cfb",
     "ensemble.csv.manifest.txt":
         "d5a3ba11b376880899d1beff4fe842b383f0f1abbbce9be793b62b73b519255c",
+}
+
+STDOUT = {
+    "stability":
+        "cv_all std=0.001194\ncv_2020 std=0.004343\nprivate_lb std=0.005957\n"
+        "public_lb std=0.009335\nranking: cv_all > cv_2020 > private_lb > public_lb\n",
+    "stability --scores":
+        "cv_all std=0.034272\ncv_2020 std=0.024704\nprivate_lb std=0.029174\n"
+        "public_lb std=0.026088\nranking: cv_2020 > public_lb > private_lb > cv_all\n",
+    "evaluate scalar":
+        "cv_all=0.468750\ncv_2020=0.482639\nfold_0=0.289062\nfold_1=0.633333\nfold_2=0.492647\n",
+    "evaluate 9c":
+        "cv_all=0.456597\ncv_2020=0.513889\nfold_0=0.296875\nfold_1=0.766667\nfold_2=0.426471\n",
+    "evaluate 4c":
+        "cv_all=0.593750\ncv_2020=0.527778\nfold_0=0.359375\nfold_1=0.800000\nfold_2=0.558824\n",
 }
 
 
@@ -121,3 +140,44 @@ def test_pipeline_artifacts_are_pinned(tmp_path, monkeypatch):
     )
     assert produced == sorted(GOLDEN)
     assert {name: _sha256(Path(name)) for name in GOLDEN} == GOLDEN
+
+
+def _prob_csv(names, rng, scheme: TargetScheme) -> str:
+    probs = rng.dirichlet(np.ones(scheme.class_count), size=len(names))
+    header = ["image_name"] + [f"prob_{c.name}" for c in scheme.classes]
+    rows = [[name] + [repr(v) for v in row] for name, row in zip(names, probs.tolist())]
+    return "\n".join(",".join(r) for r in [header] + rows) + "\n"
+
+
+def _stdout(capsys, argv) -> str:
+    capsys.readouterr()
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_stability_and_evaluate_stdout_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    d = golden_dataset()
+    Path("meta.csv").write_text(write_metadata_csv(d), encoding="utf-8")
+    assert main(["split", "--meta", "meta.csv", "--folds", "3", "--seed", "11",
+                 "--out", "folds.csv"]) == 0
+    rng = np.random.default_rng(404)
+    scores = np.round(rng.random(len(d)), 2)  # two decimals give tied scores
+    Path("scalar.csv").write_text("image_name,target\n" + "".join(
+        f"{n},{v!r}\n" for n, v in zip(d.image_names, scores.tolist())), encoding="utf-8")
+    Path("9c.csv").write_text(_prob_csv(d.image_names, rng, TargetScheme.NINE_CLASS),
+                              encoding="utf-8")
+    Path("4c.csv").write_text(_prob_csv(d.image_names, rng, TargetScheme.FOUR_CLASS),
+                              encoding="utf-8")
+    table = ScoreTable(tuple(ScoreRow(f"model_{i}", *rng.uniform(0.85, 0.95, 4).tolist())
+                             for i in range(7)))
+    Path("scores.csv").write_text(write_score_table(table), encoding="utf-8")
+
+    evaluate = ["evaluate", "--meta", "meta.csv", "--folds-csv", "folds.csv", "--preds"]
+    printed = {
+        "stability": _stdout(capsys, ["stability"]),
+        "stability --scores": _stdout(capsys, ["stability", "--scores", "scores.csv"]),
+        **{f"evaluate {kind}": _stdout(capsys, evaluate + [f"{kind}.csv"])
+           for kind in ("scalar", "9c", "4c")},
+    }
+    assert printed == STDOUT
