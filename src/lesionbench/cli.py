@@ -6,7 +6,7 @@ write ``<out>.manifest.txt`` beside their output and ``train`` writes
 ``train.manifest.txt`` in its output directory, recording the command, seed,
 every parsed flag, input digests, and toolkit version (manifests differ
 between reruns only in their timestamp line). Exit codes: 0 success, 1 I/O
-failure, 2 validation failure.
+or out-of-memory failure, 2 validation failure.
 """
 
 from __future__ import annotations
@@ -344,6 +344,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory in {args.command}{detail}", file=sys.stderr)
         return 1
 
 

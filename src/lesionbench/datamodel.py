@@ -4,9 +4,12 @@ A :class:`Dataset` holds the metadata table column by column, one read-only
 array or tuple per field, filled straight from the CSV cells; a
 :class:`SampleRecord` is one row of it, built only on request. All types are
 immutable after construction and safe for concurrent readers. CSV streams
-are UTF-8; LF and CRLF are both accepted on read, LF is written. Floats are
-written in their shortest round-trip representation, so
-``parse(write(x)) == x`` holds exactly for datasets and prediction sets.
+are UTF-8; LF and CRLF are both accepted on read, LF is written. Every format
+is read through :func:`csv_rows`; the numeric ones (predictions, feature
+tables, score tables) then go through :func:`csv_floats`, which casts their
+cells block by block with Python ``float`` syntax. Floats are written in their
+shortest round-trip representation, so ``parse(write(x)) == x`` holds exactly
+for datasets and prediction sets.
 """
 
 from __future__ import annotations
@@ -205,9 +208,9 @@ def values_at(table: Mapping, keys: Iterable, dtype) -> np.ndarray:
 
 def first_repeat(names: Sequence[str]) -> tuple[int, int] | None:
     """Positions of the first two uses of the name repeated soonest, or None if all differ."""
-    first = dict(zip(reversed(names), range(len(names) - 1, -1, -1)))  # name -> first position
-    if len(first) == len(names):
+    if len(set(names)) == len(names):
         return None
+    first = dict(zip(reversed(names), range(len(names) - 1, -1, -1)))  # name -> first position
     again = int(np.flatnonzero(values_at(first, names, np.int64) != np.arange(len(names)))[0])
     return first[names[again]], again
 
@@ -263,6 +266,32 @@ def csv_columns(rows: Rows, width: int) -> tuple[list[int], list[list[str]]]:
         for column, same, cells in zip(columns, shared, zip(*table)):
             column.extend(map(same.setdefault, cells, cells))
     return row_nums, columns
+
+
+def csv_floats(header: list[str], rows: Rows, what: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """All of ``csv_rows``' rows as their keys and a float64 matrix of their other cells, cast
+    ``_BLOCK_ROWS`` rows at a time in one call that accepts exactly what Python ``float`` does.
+    A non-numeric cell raises FormatError naming its row and ``what``; a repeated key raises
+    UniquenessError naming both rows, once every row has parsed."""
+    nums: list[int] = []
+    names: list[str] = []
+    blocks = [np.empty(0)]
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        try:
+            blocks.append(np.array([cell for _, row in block for cell in row[1:]], np.float64))
+        except ValueError:
+            for num, row in block:  # the first row that ``float`` rejects
+                try:
+                    list(map(float, row[1:]))
+                except ValueError:
+                    raise FormatError(f"row {num}: non-numeric {what}") from None
+            raise
+        nums.extend(num for num, _ in block)
+        names.extend(row[0] for _, row in block)
+    if (repeat := first_repeat(names)) is not None:
+        i, j = repeat
+        raise UniquenessError(f"duplicate {header[0]} {names[j]!r} (rows {nums[i]} and {nums[j]})")
+    return tuple(names), np.concatenate(blocks).reshape(-1, len(header) - 1)
 
 
 _BLOCK_ROWS = 4096
@@ -540,23 +569,13 @@ def parse_predictions_csv(text: str) -> PredictionSet:
     else:
         raise FormatError(f"unrecognized prediction header: {','.join(header)!r}")
 
-    names: list[str] = []
-    values: list[list[float]] = []
-    for row_num, row in rows:
-        try:
-            vals = [float(cell) for cell in row[1:]]
-        except ValueError:
-            raise FormatError(f"row {row_num}: non-numeric score") from None
-        names.append(row[0])
-        values.append(vals)
-
-    arr = np.asarray(values, dtype=np.float64).reshape(-1, len(header) - 1)
+    names, arr = csv_floats(header, rows, "score")
     if scheme is None:
-        return PredictionSet(tuple(names), arr[:, 0])
+        return PredictionSet(names, arr[:, 0])
     _check_unit_interval(arr)
     if len(arr) and np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-9:
         raise DomainError("probability rows must sum to 1 within 1e-9")
-    return PredictionSet(tuple(names), arr[:, class_index(DiagnosisClass.MEL, scheme)])
+    return PredictionSet(names, arr[:, class_index(DiagnosisClass.MEL, scheme)])
 
 
 def require_coverage(required: Iterable[str], available: Container[str], what: str) -> None:

@@ -26,6 +26,7 @@ from .datamodel import (
     Dataset,
     _format_float,
     _frozen,
+    csv_floats,
     csv_rows,
     csv_text,
     values_at,
@@ -233,13 +234,4 @@ def read_feature_csv(text: str, prefix: str = "f") -> FeatureTable:
     n_cols = len(header) - 1
     if n_cols < 1 or header != ["image_name"] + [f"{prefix}{i}" for i in range(n_cols)]:
         raise FormatError(f"unrecognized feature header: {','.join(header)!r}")
-
-    names: list[str] = []
-    values: list[list[float]] = []
-    for row_num, row in rows:
-        try:
-            values.append([float(cell) for cell in row[1:]])
-        except ValueError:
-            raise FormatError(f"row {row_num}: non-numeric feature value") from None
-        names.append(row[0])
-    return FeatureTable(tuple(names), np.asarray(values, dtype=np.float64).reshape(-1, n_cols))
+    return FeatureTable(*csv_floats(header, rows, "feature value"))

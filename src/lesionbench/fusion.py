@@ -525,7 +525,11 @@ def train(
             raise
 
     shapes = _shapes(*cfg.hidden, x_cnn.shape[1], cfg.scheme.class_count)
-    step_size = min(cfg.batch_size, len(names)) * sum(map(math.prod, shapes))
+    n_params = sum(map(math.prod, shapes))
+    if n_params * 8 > np.iinfo(np.intp).max:  # float64 bytes numpy cannot address
+        raise DomainError(f"hidden {cfg.hidden[0]},{cfg.hidden[1]} needs {n_params} "
+                          "parameters, more than one array can hold")
+    step_size = min(cfg.batch_size, len(names)) * n_params
     workers = min(f.k, _cpu_count()) if step_size >= _MATRIX_BOUND else 1
     if workers == 1:
         results = list(map(run_fold, range(f.k)))

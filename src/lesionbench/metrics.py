@@ -18,6 +18,7 @@ from .datamodel import (
     Dataset,
     PredictionSet,
     _frozen,
+    csv_floats,
     csv_rows,
     csv_text,
     require_coverage,
@@ -292,14 +293,8 @@ def parse_score_table(text: str) -> ScoreTable:
     header, rows = csv_rows(text, "score")
     if header != ["model", *METRIC_NAMES]:
         raise FormatError(f"unrecognized score header: {','.join(header)!r}")
-    scores = []
-    for row_num, row in rows:
-        try:
-            values = [float(cell) for cell in row[1:]]
-        except ValueError:
-            raise FormatError(f"row {row_num}: non-numeric score") from None
-        scores.append(ScoreRow(row[0], *values))
-    return ScoreTable(tuple(scores))
+    names, values = csv_floats(header, rows, "score")
+    return ScoreTable(tuple(ScoreRow(name, *v) for name, v in zip(names, values.tolist())))
 
 
 def write_score_table(t: ScoreTable) -> str:

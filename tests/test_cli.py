@@ -543,6 +543,31 @@ def test_diverging_training_exits_2_with_one_error_line(tmp_path, meta_csv, caps
     assert not out_dir.exists()
 
 
+def test_hidden_widths_past_numpy_array_size_exit_2_before_training(tmp_path, meta_csv, capsys):
+    folds = _split(tmp_path, meta_csv)
+    out_dir = tmp_path / "run"
+    argv = _train_argv(meta_csv, folds, out_dir)
+    h = 10**10
+    argv[argv.index("--hidden") + 1] = f"{h},{h}"
+    capsys.readouterr()
+    assert main(argv) == 2
+    n_params = (h * 14 + h) + (h * h + h) + (9 * h + 9)  # w1,b1 + w2,b2 + w3,b3 at D=0
+    line = _one_error_line(capsys)
+    assert f"hidden {h},{h}" in line and f" {n_params} parameters" in line, line
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 8.00 EiB for an array"])
+def test_out_of_memory_exits_1_with_one_error_line(monkeypatch, capsys, message):
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_cmd_stability", exhausted)
+    assert main(["stability"]) == 1
+    assert _one_error_line(capsys) == "error: out of memory in stability" + (
+        f": {message}" if message else "")
+
+
 def test_diverging_threaded_training_gives_the_serial_error_line(
     tmp_path, meta_csv, capsys, monkeypatch
 ):

@@ -3,25 +3,29 @@ formats (metadata, predictions, features, folds, score table, sizes)."""
 
 import csv
 import io
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lesionbench import datamodel
+from lesionbench import datamodel, features, metrics
 from lesionbench.cli import _read_sizes_csv
 from lesionbench.datamodel import (
     METADATA_COLUMNS,
     _lines,
+    csv_floats,
     csv_rows,
     csv_text,
     parse_metadata_csv,
     parse_predictions_csv,
 )
-from lesionbench.errors import FormatError, LesionbenchError
-from lesionbench.features import read_feature_csv
+from lesionbench.errors import FormatError, LesionbenchError, UniquenessError
+from lesionbench.features import FeatureTable, read_feature_csv
 from lesionbench.folds import read_folds_csv
-from lesionbench.metrics import parse_score_table
+from lesionbench.metrics import ScoreTable, parse_score_table
+from util import reference_read_floats
 
 META = ",".join(METADATA_COLUMNS)
 
@@ -46,6 +50,9 @@ FORMATS = {
                     "m1,0.9,0.9,0.9,0.9"),
     "sizes": (_read_sizes_csv, "image_name,image_size_bytes", "I1,1234"),
 }
+# The formats read by csv_floats: a key column, then numeric cells.
+NUMERIC = ("scalar predictions", "9c predictions", "4c predictions", "features", "cnn",
+           "score table")
 READERS = {
     "metadata": parse_metadata_csv,
     "predictions": parse_predictions_csv,
@@ -77,6 +84,14 @@ def test_every_format_rejects_an_empty_key_cell(fmt):
     key = header.split(",")[0]
     with pytest.raises(FormatError, match=f"^row 2: empty {key}$"):
         reader(f"{header}\n{row}\n{row[row.index(','):]}\n")
+
+
+@pytest.mark.parametrize("fmt", NUMERIC)
+def test_numeric_formats_name_a_repeated_key_and_both_rows(fmt):
+    reader, header, row = FORMATS[fmt]
+    key, name = header.split(",")[0], row.split(",")[0]
+    with pytest.raises(UniquenessError, match=rf"^duplicate {key} '{name}' \(rows 1 and 3\)$"):
+        reader(f"{header}\n{row}\n\n{row}\n")
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
@@ -153,3 +168,88 @@ def test_valid_header_with_arbitrary_body_gives_a_value_or_a_toolkit_error(fmt, 
         reader(f"{header}\n{body}")
     except LesionbenchError:
         pass
+
+
+# Cells that float() reads in unusual ways or rejects: signs, "_", exponents,
+# whitespace, NUL, nan/inf spellings and non-ASCII digits.
+ODD_CELLS = st.text(alphabet="0123456789+-_.eE \t\x0c\u2003\x00nafityNAFIY\u0663\u0665",
+                    max_size=6)
+NUMBERS = st.floats(0, 1).map(repr) | st.sampled_from(["0", "1", "0.25"]) | st.floats().map(repr)
+
+
+def _floats(parse, text):
+    """``parse``'s keys and value bytes for ``text``, or its error."""
+    try:
+        names, values = parse(*csv_rows(text, "test"), "value")
+    except LesionbenchError as exc:
+        return type(exc), str(exc)
+    return names, values.tobytes()
+
+
+def _read(reader, text):
+    """What ``reader`` makes of ``text``: its keys and value bytes, or its error."""
+    try:
+        out = reader(text)
+    except LesionbenchError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, ScoreTable):
+        rows = [astuple(r) for r in out.rows]
+        return [r[0] for r in rows], np.array([r[1:] for r in rows]).tobytes()
+    return out.image_names, (out.values if isinstance(out, FeatureTable) else out.scores).tobytes()
+
+
+def _faulty(row, width):
+    """Whether ``csv_rows`` or the float parse rejects ``row`` on its own."""
+    if len(row) != width or not row[0]:
+        return True
+    try:
+        list(map(float, row[1:]))
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("fmt", ["features", "scalar predictions", "9c predictions",
+                                 "4c predictions", "score table"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_block_wise_parse_matches_the_per_row_oracle(fmt, data):
+    reader, header, _ = FORMATS[fmt]
+    header = header.split(",")
+    if fmt == "features":
+        header = header[:1] + [f"f{i}" for i in range(data.draw(st.integers(1, 16)))]
+    width = len(header)
+    cells = data.draw(st.lists(st.lists(NUMBERS, min_size=width - 1, max_size=width - 1),
+                               max_size=10))
+    prefix = data.draw(st.text(max_size=3))
+    rows = [[f"{prefix}{i}"] + r for i, r in enumerate(cells)]
+    edits = st.tuples(st.sampled_from(["cell", "empty", "key", "drop", "add", "blank", "repeat"]),
+                      st.integers(0, 9), st.integers(1, width - 1), ODD_CELLS)
+    for kind, i, j, odd in data.draw(st.lists(edits, max_size=3)) if rows else ():
+        row = rows[i % len(rows)]
+        if kind == "cell" and len(row) > j:
+            row[j] = odd
+        elif kind == "empty" and len(row) > j:
+            row[j] = ""
+        elif kind == "key" and row:
+            row[0] = ""
+        elif kind == "drop" and len(row) > 1:
+            row.pop()
+        elif kind == "add" and row:
+            row.append("0")
+        elif kind == "blank":
+            rows.insert(i % len(rows), [])
+        elif kind == "repeat" and row and rows[j % len(rows)]:
+            row[0] = rows[j % len(rows)][0]
+    text = csv_text(header, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datamodel, "_BLOCK_ROWS", 3)  # faults fall on block edges
+        got = _floats(csv_floats, text), _read(reader, text)
+        for module in (datamodel, features, metrics):
+            mp.setattr(module, "csv_floats", reference_read_floats)
+        want = _floats(reference_read_floats, text), _read(reader, text)
+    if sum(_faulty(row, width) for row in rows if row) <= 1:
+        assert got == want
+    else:  # which fault is reported first may differ
+        assert all(isinstance(outcome[0], type) for outcome in got + want)

@@ -125,6 +125,30 @@ def _reference_metadata_row(row: list[str], row_num: int, has_size: bool) -> Sam
     )
 
 
+def reference_read_floats(header, rows, what):
+    """Numeric CSV rows parsed one at a time, each cell with ``float``, and the
+    keys checked for a repeat after the last row: the oracle for the
+    block-wise ``datamodel.csv_floats``."""
+    nums: list[int] = []
+    names: list[str] = []
+    values: list[list[float]] = []
+    for row_num, row in rows:
+        try:
+            values.append([float(cell) for cell in row[1:]])
+        except ValueError:
+            raise FormatError(f"row {row_num}: non-numeric {what}") from None
+        nums.append(row_num)
+        names.append(row[0])
+    row_of: dict[str, int] = {}
+    for num, name in zip(nums, names):
+        if name in row_of:
+            raise UniquenessError(
+                f"duplicate {header[0]} {name!r} (rows {row_of[name]} and {num})"
+            )
+        row_of[name] = num
+    return tuple(names), np.asarray(values, dtype=np.float64).reshape(-1, len(header) - 1)
+
+
 def auc_pair_counting(scores, labels) -> float:
     """O(P*N) pair-counting AUC: the independent oracle.
 
