@@ -24,15 +24,15 @@ from .datamodel import (
     csv_columns,
     csv_rows,
     csv_text,
-    first_repeat,
     parse_image_size,
     parse_metadata_csv,
     parse_predictions_csv,
     require_coverage,
+    require_unique,
     write_predictions_csv,
 )
 from .ensemble import rank_average
-from .errors import FormatError, LesionbenchError, UniquenessError
+from .errors import FormatError, LesionbenchError
 from .features import (
     FeatureTable,
     build_site_vocab,
@@ -135,9 +135,9 @@ def _read_sizes_csv(text: str) -> dict[str, int]:
     if header != ["image_name", "image_size_bytes"]:
         raise FormatError("sizes CSV must have header image_name,image_size_bytes")
     nums, (names, cells) = csv_columns(rows, 2)
-    if (repeat := first_repeat(names)) is not None:
-        raise UniquenessError(f"duplicate image_name {names[repeat[1]]!r} in sizes CSV")
-    return dict(zip(names, map(parse_image_size, cells, nums)))
+    sizes = list(map(parse_image_size, cells, nums))
+    require_unique(names, "image_name", nums)
+    return dict(zip(names, sizes))
 
 
 def _apply_sizes(dataset: Dataset, sizes: dict[str, int]) -> Dataset:

@@ -7,9 +7,11 @@ immutable after construction and safe for concurrent readers. CSV streams
 are UTF-8; LF and CRLF are both accepted on read, LF is written. Every format
 is read through :func:`csv_rows`; the numeric ones (predictions, feature
 tables, score tables) then go through :func:`csv_floats`, which casts their
-cells block by block with Python ``float`` syntax. Floats are written in their
-shortest round-trip representation, so ``parse(write(x)) == x`` holds exactly
-for datasets and prediction sets.
+cells block by block with Python ``float`` syntax. Every keyed table, read or
+built, checks its keys with :func:`require_unique` and its [0, 1] values with
+:func:`require_unit_interval`, each with one message form. Floats are written
+in their shortest round-trip representation, so ``parse(write(x)) == x`` holds
+exactly for datasets and prediction sets.
 """
 
 from __future__ import annotations
@@ -140,10 +142,7 @@ class Dataset:
             if len(value) != n:
                 raise ShapeError(f"column {name} has {len(value)} rows, not {n}")
             object.__setattr__(self, name, value)
-        if (repeat := first_repeat(self.image_names)) is not None:
-            rows = row_nums or range(1, n + 1)
-            raise UniquenessError(f"duplicate image_name {self.image_names[repeat[1]]!r} "
-                                  f"(rows {rows[repeat[0]]} and {rows[repeat[1]]})")
+        require_unique(self.image_names, "image_name", row_nums)
         patient_of = dict(zip(dict.fromkeys(self.patient_ids), range(n)))
         class_of = {s: map_diagnosis(s).value for s in dict.fromkeys(self.diagnosis)}
         for name, table, keys, dtype in (("patient", patient_of, self.patient_ids, np.int64),
@@ -206,13 +205,28 @@ def values_at(table: Mapping, keys: Iterable, dtype) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, keys), dtype=dtype)
 
 
-def first_repeat(names: Sequence[str]) -> tuple[int, int] | None:
-    """Positions of the first two uses of the name repeated soonest, or None if all differ."""
+def require_unique(names: Sequence[str], key: str, rows: Sequence[int] | None = None) -> None:
+    """Raise UniquenessError ``duplicate <key> 'X' (rows i and j)`` for the name repeated soonest,
+    at its first two uses; ``rows`` numbers the names (default 1, 2, ...)."""
     if len(set(names)) == len(names):
-        return None
+        return
     first = dict(zip(reversed(names), range(len(names) - 1, -1, -1)))  # name -> first position
     again = int(np.flatnonzero(values_at(first, names, np.int64) != np.arange(len(names)))[0])
-    return first[names[again]], again
+    rows = range(1, len(names) + 1) if rows is None else rows
+    raise UniquenessError(f"duplicate {key} {names[again]!r} "
+                          f"(rows {rows[first[names[again]]]} and {rows[again]})")
+
+
+def require_unit_interval(values: np.ndarray, keys: Sequence[str], key: str,
+                          columns: Sequence[str]) -> None:
+    """Raise RangeError ``<key> 'X': <column>=v outside [0, 1]`` for the first cell of
+    ``values`` in row order that is NaN or outside [0, 1], named by ``keys`` and ``columns``."""
+    ok = (values >= 0.0) & (values <= 1.0)  # NaN fails both comparisons
+    if not ok.all():
+        at = int(np.argmin(ok))
+        i, j = divmod(at, len(columns))
+        raise RangeError(f"{key} {keys[i]!r}: {columns[j]}={values.flat[at].item()!r} "
+                         "outside [0, 1]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,9 +302,7 @@ def csv_floats(header: list[str], rows: Rows, what: str) -> tuple[tuple[str, ...
             raise
         nums.extend(num for num, _ in block)
         names.extend(row[0] for _, row in block)
-    if (repeat := first_repeat(names)) is not None:
-        i, j = repeat
-        raise UniquenessError(f"duplicate {header[0]} {names[j]!r} (rows {nums[i]} and {nums[j]})")
+    require_unique(names, header[0], nums)
     return tuple(names), np.concatenate(blocks).reshape(-1, len(header) - 1)
 
 
@@ -496,12 +508,11 @@ class PredictionSet:
 
     def __post_init__(self) -> None:
         n = len(self.image_names)
-        if len(set(self.image_names)) != n:
-            raise UniquenessError("prediction image names are not unique")
+        require_unique(self.image_names, "image_name")
         arr = np.asarray(self.scores, dtype=np.float64)
         if arr.shape != (n,):
             raise ShapeError(f"scores shape {arr.shape} != ({n},)")
-        _check_unit_interval(arr)
+        require_unit_interval(arr, self.image_names, "image_name", ("score",))
         object.__setattr__(self, "scores", _frozen(arr))
 
     @classmethod
@@ -535,14 +546,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_unit_interval(arr: np.ndarray) -> None:
-    # NaN fails both comparisons, so it is rejected here too.
-    ok = (arr >= 0.0) & (arr <= 1.0)
-    if not bool(np.all(ok)):
-        bad = arr[~ok].flat[0]
-        raise RangeError(f"probability {bad!r} outside [0, 1]")
-
-
 def write_predictions_csv(p: PredictionSet) -> str:
     """Serialize predictions as ``image_name,target``."""
     return csv_text(
@@ -572,9 +575,12 @@ def parse_predictions_csv(text: str) -> PredictionSet:
     names, arr = csv_floats(header, rows, "score")
     if scheme is None:
         return PredictionSet(names, arr[:, 0])
-    _check_unit_interval(arr)
-    if len(arr) and np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-9:
-        raise DomainError("probability rows must sum to 1 within 1e-9")
+    require_unit_interval(arr, names, "image_name", header[1:])
+    sums = arr.sum(axis=1)
+    if (off := np.abs(sums - 1.0) > 1e-9).any():
+        i = int(np.argmax(off))
+        raise DomainError(f"image_name {names[i]!r}: probabilities sum to {sums[i].item()!r}; "
+                          "rows must sum to 1 within 1e-9")
     return PredictionSet(names, arr[:, class_index(DiagnosisClass.MEL, scheme)])
 
 

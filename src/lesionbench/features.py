@@ -29,6 +29,7 @@ from .datamodel import (
     csv_floats,
     csv_rows,
     csv_text,
+    require_unique,
     values_at,
 )
 from .errors import (
@@ -182,10 +183,12 @@ class FeatureTable:
                 f"feature matrix shape {arr.shape} does not match "
                 f"{len(self.image_names)} image names"
             )
-        if len(set(self.image_names)) != len(self.image_names):
-            raise UniquenessError("feature table image names are not unique")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("feature values must be finite")
+        require_unique(self.image_names, "image_name")
+        finite = np.isfinite(arr)
+        if not finite.all():  # name the first non-finite cell in row order
+            i, j = divmod(int(np.argmin(finite)), arr.shape[1])
+            raise DomainError(f"image_name {self.image_names[i]!r}: feature column {j} is "
+                              f"{arr[i, j].item()!r}; feature values must be finite")
         object.__setattr__(self, "values", _frozen(arr))
 
     @property

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, csv_rows, csv_text, require_coverage, values_at
-from .errors import DomainError, FormatError, UniquenessError
+from .datamodel import Dataset, csv_rows, csv_text, require_coverage, require_unique, values_at
+from .errors import DomainError, FormatError
 from .hashing import MASK64, fnv1a64, splitmix64
 from .targets import TargetScheme
 from .targets import map_diagnosis  # noqa: F401 -- unused; perfbench/layers.py counts its calls
@@ -44,7 +44,9 @@ class FoldAssignment:
         return len(self.assignment)
 
     def folds_of(self, image_names: Sequence[str]) -> np.ndarray:
-        """The fold of each of ``image_names``, in order (int64)."""
+        """The fold of each of ``image_names``, in order (int64); CoverageError
+        names the first image without one."""
+        require_coverage(image_names, self.assignment, "fold assignment")
         return values_at(self.assignment, image_names, np.int64)
 
 
@@ -108,7 +110,6 @@ def assign_folds(d: Dataset, k: int, seed: int) -> FoldAssignment:
 
 def fold_ratio_report(d: Dataset, f: FoldAssignment) -> FoldRatioReport:
     """Exact per-fold sizes and positive ratios, plus the global ones."""
-    require_coverage(d.image_names, f.assignment, "fold assignment")
     folds = f.folds_of(d.image_names)
     sizes = np.bincount(folds, minlength=f.k).tolist()
     positives = np.bincount(folds[d.positive], minlength=f.k).tolist()
@@ -129,12 +130,11 @@ def check_folds(d: Dataset, f: FoldAssignment) -> None:
     Fold ids need not be contiguous: ``assign_folds`` leaves surplus folds
     empty when there are fewer patients than folds.
     """
-    require_coverage(d.image_names, f.assignment, "fold assignment")
+    folds = f.folds_of(d.image_names)
     if len(f.assignment) > len(d):  # names on both sides are unique
         require_coverage(f.assignment, set(d.image_names), "metadata")
     # Every fold id costs a model in ``train`` and a line in ``evaluate``.
     _require_fold_count(f.k, len(d))
-    folds = f.folds_of(d.image_names)
     first_row = np.unique(d.patient, return_index=True)[1]
     split = d.patient[folds != folds[first_row][d.patient]]
     if split.size:  # report the first split patient in order of appearance
@@ -146,7 +146,6 @@ def check_folds(d: Dataset, f: FoldAssignment) -> None:
 def write_folds_csv(d: Dataset, f: FoldAssignment) -> str:
     """Serialize an assignment in dataset row order (header
     ``image_name,fold``)."""
-    require_coverage(d.image_names, f.assignment, "fold assignment")
     return csv_text(
         ["image_name", "fold"],
         zip(d.image_names, map(str, f.folds_of(d.image_names).tolist())),
@@ -158,17 +157,18 @@ def read_folds_csv(text: str) -> FoldAssignment:
     header, rows = csv_rows(text, "folds")
     if header != ["image_name", "fold"]:
         raise FormatError(f"unrecognized folds header: {','.join(header)!r}")
-    assignment: dict[str, int] = {}
+    nums, names, folds = [], [], []
     for row_num, (name, fold_cell) in rows:
-        if name in assignment:
-            raise UniquenessError(f"duplicate image_name {name!r} in folds CSV")
         try:
             fold = int(fold_cell)
         except ValueError:
             raise FormatError(f"row {row_num}: non-integer fold {fold_cell!r}") from None
         if fold < 0:
             raise FormatError(f"row {row_num}: negative fold {fold}")
-        assignment[name] = fold
-    if not assignment:
+        nums.append(row_num)
+        names.append(name)
+        folds.append(fold)
+    if not names:
         raise FormatError("folds CSV contains no data rows")
-    return FoldAssignment(k=max(assignment.values()) + 1, assignment=assignment, seed=None)
+    require_unique(names, "image_name", nums)
+    return FoldAssignment(k=max(folds) + 1, assignment=dict(zip(names, folds)), seed=None)

@@ -494,7 +494,6 @@ def train(
     require_coverage(names, feats, "feature table")
     if cnn is not None:
         require_coverage(names, cnn, "external feature table")
-    require_coverage(names, f.assignment, "fold assignment")
 
     x_meta = feats.select(names)
     x_cnn = cnn.select(names) if cnn is not None else np.zeros((len(names), 0))

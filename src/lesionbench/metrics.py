@@ -1,4 +1,4 @@
-"""Ranking metrics and their stability.
+"""Ranking metrics, and the stability of a table of model scores.
 
 The AUC here is the Mann-Whitney statistic: the probability that a random
 positive outscores a random negative, with ties counted half. It is computed
@@ -22,15 +22,11 @@ from .datamodel import (
     csv_rows,
     csv_text,
     require_coverage,
+    require_unique,
+    require_unit_interval,
     values_at,
 )
-from .errors import (
-    DomainError,
-    FormatError,
-    RangeError,
-    ShapeError,
-    UniquenessError,
-)
+from .errors import DomainError, FormatError, ShapeError
 from .folds import FoldAssignment
 from .hashing import MASK64
 
@@ -147,7 +143,6 @@ def evaluate_cv(preds: PredictionSet, d: Dataset, f: FoldAssignment) -> CvReport
     """
     score_by_name = preds.score_map()
     require_coverage(d.image_names, score_by_name, "predictions")
-    require_coverage(d.image_names, f.assignment, "fold assignment")
 
     scores = values_at(score_by_name, d.image_names, np.float64)
     labels = d.positive.astype(np.int64)
@@ -161,36 +156,31 @@ def evaluate_cv(preds: PredictionSet, d: Dataset, f: FoldAssignment) -> CvReport
     return CvReport(cv_all=cv_all, cv_2020=cv_2020, per_fold=per_fold)
 
 
-@dataclass(frozen=True)
-class ScoreRow:
-    model_id: str
-    cv_all: float
-    cv_2020: float
-    private_lb: float
-    public_lb: float
-
-    def __post_init__(self) -> None:
-        for name in METRIC_NAMES:
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise RangeError(f"model {self.model_id!r}: {name}={v!r} outside [0, 1]")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """Per-model scores on the four tracked metrics."""
+    """Per-model scores on the four tracked metrics: the model ids, and a read-only (n, 4)
+    float64 array of their scores in ``METRIC_NAMES`` order, each in [0, 1]."""
 
-    rows: tuple[ScoreRow, ...]
+    model_ids: tuple[str, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = [r.model_id for r in self.rows]
-        if len(set(ids)) != len(ids):
-            raise UniquenessError("score table model ids are not unique")
+        n = len(self.model_ids)
+        require_unique(self.model_ids, "model")
+        arr = np.asarray(self.values, dtype=np.float64)
+        if arr.shape != (n, len(METRIC_NAMES)):
+            raise ShapeError(f"scores shape {arr.shape} != ({n}, {len(METRIC_NAMES)})")
+        require_unit_interval(arr, self.model_ids, "model", METRIC_NAMES)
+        object.__setattr__(self, "values", _frozen(arr))
 
-    def column(self, metric: str) -> np.ndarray:
-        if metric not in METRIC_NAMES:
-            raise DomainError(f"unknown metric {metric!r}")
-        return np.array([getattr(r, metric) for r in self.rows], dtype=np.float64)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScoreTable):
+            return NotImplemented
+        return self.model_ids == other.model_ids and bool(
+            np.array_equal(self.values, other.values)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)
@@ -206,11 +196,11 @@ class StabilityResult:
 
 def stability(t: ScoreTable) -> StabilityResult:
     """Per-metric sample standard deviation ((n-1) denominator) and ranking."""
-    if len(t.rows) < 2:
+    if len(t.model_ids) < 2:
         raise DomainError("stability needs at least 2 rows")
     # Each column is summed in sorted order, so the result is bitwise
     # independent of row order.
-    stds = tuple(float(np.std(np.sort(t.column(m)), ddof=1)) for m in METRIC_NAMES)
+    stds = tuple(float(np.std(np.sort(column), ddof=1)) for column in t.values.T)
     ranking = tuple(
         name for _, name in sorted(zip(stds, METRIC_NAMES), key=lambda p: p[0])
     )
@@ -293,14 +283,13 @@ def parse_score_table(text: str) -> ScoreTable:
     header, rows = csv_rows(text, "score")
     if header != ["model", *METRIC_NAMES]:
         raise FormatError(f"unrecognized score header: {','.join(header)!r}")
-    names, values = csv_floats(header, rows, "score")
-    return ScoreTable(tuple(ScoreRow(name, *v) for name, v in zip(names, values.tolist())))
+    return ScoreTable(*csv_floats(header, rows, "score"))
 
 
 def write_score_table(t: ScoreTable) -> str:
     return csv_text(
         ["model", *METRIC_NAMES],
-        ([r.model_id] + [repr(getattr(r, m)) for m in METRIC_NAMES] for r in t.rows),
+        ([name, *map(repr, v)] for name, v in zip(t.model_ids, t.values.tolist())),
     )
 
 

@@ -3,7 +3,7 @@ formats (metadata, predictions, features, folds, score table, sizes)."""
 
 import csv
 import io
-from dataclasses import astuple
+import re
 
 import numpy as np
 import pytest
@@ -14,18 +14,26 @@ from lesionbench import datamodel, features, metrics
 from lesionbench.cli import _read_sizes_csv
 from lesionbench.datamodel import (
     METADATA_COLUMNS,
+    PredictionSet,
     _lines,
     csv_floats,
     csv_rows,
     csv_text,
     parse_metadata_csv,
     parse_predictions_csv,
+    require_unique,
 )
-from lesionbench.errors import FormatError, LesionbenchError, UniquenessError
+from lesionbench.errors import (
+    DomainError,
+    FormatError,
+    LesionbenchError,
+    RangeError,
+    UniquenessError,
+)
 from lesionbench.features import FeatureTable, read_feature_csv
 from lesionbench.folds import read_folds_csv
 from lesionbench.metrics import ScoreTable, parse_score_table
-from util import reference_read_floats
+from util import reference_read_floats, reference_require_unique
 
 META = ",".join(METADATA_COLUMNS)
 
@@ -50,9 +58,6 @@ FORMATS = {
                     "m1,0.9,0.9,0.9,0.9"),
     "sizes": (_read_sizes_csv, "image_name,image_size_bytes", "I1,1234"),
 }
-# The formats read by csv_floats: a key column, then numeric cells.
-NUMERIC = ("scalar predictions", "9c predictions", "4c predictions", "features", "cnn",
-           "score table")
 READERS = {
     "metadata": parse_metadata_csv,
     "predictions": parse_predictions_csv,
@@ -86,12 +91,72 @@ def test_every_format_rejects_an_empty_key_cell(fmt):
         reader(f"{header}\n{row}\n{row[row.index(','):]}\n")
 
 
-@pytest.mark.parametrize("fmt", NUMERIC)
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
 def test_numeric_formats_name_a_repeated_key_and_both_rows(fmt):
     reader, header, row = FORMATS[fmt]
     key, name = header.split(",")[0], row.split(",")[0]
     with pytest.raises(UniquenessError, match=rf"^duplicate {key} '{name}' \(rows 1 and 3\)$"):
         reader(f"{header}\n{row}\n\n{row}\n")
+
+
+@pytest.mark.parametrize("make, key, values", [
+    (PredictionSet.from_scores, "image_name", [0.5] * 3),
+    (FeatureTable, "image_name", np.zeros((3, 2))),
+    (ScoreTable, "model", np.full((3, 4), 0.5)),
+], ids=["PredictionSet", "FeatureTable", "ScoreTable"])
+def test_keyed_tables_name_a_repeated_key_and_both_rows(make, key, values):
+    with pytest.raises(UniquenessError, match=rf"^duplicate {key} 'a' \(rows 1 and 3\)$"):
+        make(("a", "b", "a"), values)
+
+
+NINE = FORMATS["9c predictions"][1]
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (parse_predictions_csv, "image_name,target\na,0.5\nb,1.5\n",
+     "image_name 'b': score=1.5 outside [0, 1]"),
+    (parse_predictions_csv, f"{NINE}\na,0.5,nan,0.5,0,0,0,0,0,0\n",
+     "image_name 'a': prob_MEL=nan outside [0, 1]"),
+    (parse_score_table, "model,cv_all,cv_2020,private_lb,public_lb\nm,0.5,1.2,-1,0.5\n",
+     "model 'm': cv_2020=1.2 outside [0, 1]"),
+], ids=["scalar predictions", "9c predictions", "score table"])
+def test_range_errors_name_the_key_and_column_of_the_first_bad_cell(reader, text, message):
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        reader(text)
+
+
+def test_value_errors_name_the_first_offending_image():
+    with pytest.raises(DomainError, match=r"^image_name 'b': feature column 1 is inf; "
+                                          r"feature values must be finite$"):
+        read_feature_csv("image_name,c0,c1\na,0,1\nb,1,inf\nc,-inf,0\n", prefix="c")
+    with pytest.raises(DomainError, match=r"^image_name 'b': probabilities sum to 0\.9; "
+                                          r"rows must sum to 1 within 1e-9$"):
+        parse_predictions_csv(f"{NINE}\na,0,1,0,0,0,0,0,0,0\nb,0.5,0.4,0,0,0,0,0,0,0\n")
+
+
+@pytest.mark.parametrize("fmt, bad_row, message", [
+    ("folds", "b,x", "row 3: non-integer fold 'x'"),
+    ("sizes", "b,0", "row 3: image_size_bytes 0 outside [1, "),
+])
+def test_a_bad_cell_is_reported_before_an_earlier_repeated_key(fmt, bad_row, message):
+    reader, header, row = FORMATS[fmt]
+    with pytest.raises(LesionbenchError, match=re.escape(message)):
+        reader(f"{header}\n{row}\n{row}\n{bad_row}\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(st.text(alphabet="abc", min_size=1, max_size=2), max_size=12),
+       gaps=st.lists(st.integers(1, 3), min_size=12, max_size=12), numbered=st.booleans())
+def test_require_unique_matches_the_per_row_oracle(names, gaps, numbered):
+    rows = np.cumsum(gaps)[:len(names)].tolist() if numbered else None
+    outcomes = []
+    for check in (require_unique, reference_require_unique):
+        try:
+            check(names, "image_name", rows)
+            outcomes.append(None)
+        except UniquenessError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
@@ -193,8 +258,7 @@ def _read(reader, text):
     except LesionbenchError as exc:
         return type(exc), str(exc)
     if isinstance(out, ScoreTable):
-        rows = [astuple(r) for r in out.rows]
-        return [r[0] for r in rows], np.array([r[1:] for r in rows]).tobytes()
+        return out.model_ids, out.values.tobytes()
     return out.image_names, (out.values if isinstance(out, FeatureTable) else out.scores).tobytes()
 
 

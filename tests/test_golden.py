@@ -4,7 +4,8 @@ Runs split -> features -> train (D=0 and D=16) -> ensemble on a fixed small
 cohort and pins the sha256 of every artifact and of every manifest with its
 ``timestamp=`` line dropped. It also pins the exact stdout of ``stability``
 (shipped table and a ``--scores`` file) and of ``evaluate`` on a scalar, a
-nine-class and a four-class prediction file. A change that moves any of these
+nine-class and a four-class prediction file, and the bytes of the shipped
+score table as ``write_score_table`` writes it. A change that moves any of these
 pins changes the toolkit's output and must say so.
 """
 
@@ -17,7 +18,7 @@ import pytest
 from lesionbench.cli import main
 from lesionbench.datamodel import Sex, write_metadata_csv
 from lesionbench.features import FeatureTable, write_feature_csv
-from lesionbench.metrics import ScoreRow, ScoreTable, write_score_table
+from lesionbench.metrics import ScoreTable, load_reference_scores, write_score_table
 from lesionbench.targets import TargetScheme
 from util import make_dataset, make_record
 
@@ -149,6 +150,12 @@ def _prob_csv(names, rng, scheme: TargetScheme) -> str:
     return "\n".join(",".join(r) for r in [header] + rows) + "\n"
 
 
+def test_shipped_score_table_writes_its_pinned_bytes():
+    text = write_score_table(load_reference_scores())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "6ae39a785767760f4f0db966f9cff11db4bea024cf7c9a1c4467347e88b759e7")
+
+
 def _stdout(capsys, argv) -> str:
     capsys.readouterr()
     assert main(argv) == 0
@@ -169,8 +176,8 @@ def test_stability_and_evaluate_stdout_is_pinned(tmp_path, monkeypatch, capsys):
                               encoding="utf-8")
     Path("4c.csv").write_text(_prob_csv(d.image_names, rng, TargetScheme.FOUR_CLASS),
                               encoding="utf-8")
-    table = ScoreTable(tuple(ScoreRow(f"model_{i}", *rng.uniform(0.85, 0.95, 4).tolist())
-                             for i in range(7)))
+    names = tuple(f"model_{i}" for i in range(7))
+    table = ScoreTable(names, rng.uniform(0.85, 0.95, (7, 4)))
     Path("scores.csv").write_text(write_score_table(table), encoding="utf-8")
 
     evaluate = ["evaluate", "--meta", "meta.csv", "--folds-csv", "folds.csv", "--preds"]

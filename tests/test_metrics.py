@@ -7,7 +7,6 @@ from lesionbench.folds import FoldAssignment
 from lesionbench.metrics import (
     BootstrapResult,
     LabeledScores,
-    ScoreRow,
     ScoreTable,
     auc,
     auc_or_none,
@@ -173,37 +172,30 @@ def test_stability_reference_table():
 
 
 def test_stability_identical_rows_zero():
-    rows = (
-        ScoreRow("a", 0.9, 0.8, 0.7, 0.6),
-        ScoreRow("b", 0.9, 0.8, 0.7, 0.6),
-    )
-    assert stability(ScoreTable(rows)).stds == (0.0, 0.0, 0.0, 0.0)
+    table = ScoreTable(("a", "b"), [[0.9, 0.8, 0.7, 0.6], [0.9, 0.8, 0.7, 0.6]])
+    assert stability(table).stds == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_stability_two_point_std():
-    rows = (
-        ScoreRow("a", 0.9, 0.5, 0.5, 0.5),
-        ScoreRow("b", 1.0, 0.5, 0.5, 0.5),
-    )
-    stds = stability(ScoreTable(rows)).stds
+    stds = stability(ScoreTable(("a", "b"), [[0.9, 0.5, 0.5, 0.5], [1.0, 0.5, 0.5, 0.5]])).stds
     assert stds[0] == pytest.approx(0.0707107, abs=1e-7)
     assert stds[1:] == (0.0, 0.0, 0.0)
 
 
 def test_stability_needs_two_rows():
     with pytest.raises(DomainError):
-        stability(ScoreTable((ScoreRow("a", 0.9, 0.8, 0.7, 0.6),)))
+        stability(ScoreTable(("a",), [[0.9, 0.8, 0.7, 0.6]]))
 
 
 def test_stability_permutation_invariant():
     table = load_reference_scores()
-    reversed_table = ScoreTable(tuple(reversed(table.rows)))
+    reversed_table = ScoreTable(table.model_ids[::-1], table.values[::-1])
     assert stability(table).stds == stability(reversed_table).stds
 
 
 def test_score_table_round_trip_and_validation():
     table = load_reference_scores()
-    assert parse_score_table(write_score_table(table)).rows == table.rows
+    assert parse_score_table(write_score_table(table)) == table
     with pytest.raises(FormatError):
         parse_score_table("model,a,b\nx,0.1,0.2\n")
     with pytest.raises(RangeError):

@@ -139,14 +139,18 @@ def reference_read_floats(header, rows, what):
             raise FormatError(f"row {row_num}: non-numeric {what}") from None
         nums.append(row_num)
         names.append(row[0])
-    row_of: dict[str, int] = {}
-    for num, name in zip(nums, names):
-        if name in row_of:
-            raise UniquenessError(
-                f"duplicate {header[0]} {name!r} (rows {row_of[name]} and {num})"
-            )
-        row_of[name] = num
+    reference_require_unique(names, header[0], nums)
     return tuple(names), np.asarray(values, dtype=np.float64).reshape(-1, len(header) - 1)
+
+
+def reference_require_unique(names, key, rows=None) -> None:
+    """The keys checked one at a time against a dict of the rows seen so far:
+    the oracle for ``datamodel.require_unique``."""
+    row_of: dict[str, int] = {}
+    for num, name in zip(rows or range(1, len(names) + 1), names):
+        if name in row_of:
+            raise UniquenessError(f"duplicate {key} {name!r} (rows {row_of[name]} and {num})")
+        row_of[name] = num
 
 
 def auc_pair_counting(scores, labels) -> float:
