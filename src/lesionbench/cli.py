@@ -29,10 +29,11 @@ from .datamodel import (
     parse_predictions_csv,
     require_coverage,
     require_unique,
+    validate_consistency,
     write_predictions_csv,
 )
 from .ensemble import rank_average
-from .errors import FormatError, LesionbenchError
+from .errors import DomainError, FormatError, LesionbenchError
 from .features import (
     FeatureTable,
     build_site_vocab,
@@ -110,9 +111,36 @@ def _write_manifest(out_path: Path, args: argparse.Namespace, digests: dict[str,
     _write_output(out_path.with_name(out_path.name + ".manifest.txt"), "\n".join(lines) + "\n")
 
 
+def _check_labels(dataset: Dataset) -> list[str]:
+    """Raise on labels that contradict their diagnoses, naming the count and
+    the first image; otherwise return one warning line per rule the metadata
+    breaks. Commands print the lines only once they succeed, so a failed
+    command still prints a single error line."""
+    report = validate_consistency(dataset)
+    if report.errors:
+        first = report.errors[0]
+        raise DomainError(
+            f"{len(report.errors)} label(s) contradict their diagnosis; "
+            f"first {first.image_name!r}: {first.message}"
+        )
+    lines = []
+    for rule in dict.fromkeys(w.rule for w in report.warnings):
+        hits = [w for w in report.warnings if w.rule == rule]
+        where = "" if hits[0].image_name == "*" else (
+            f"{len(hits)} image(s), first {hits[0].image_name!r}: ")
+        lines.append(f"warning: {rule}: {where}{hits[0].message}")
+    return lines
+
+
+def _print_warnings(lines: list[str]) -> None:
+    for line in lines:
+        print(line, file=sys.stderr)
+
+
 def _cmd_split(args: argparse.Namespace) -> int:
     digests: dict[str, str] = {}
     dataset = parse_metadata_csv(_read_input(args.meta, digests, "meta"))
+    label_warnings = _check_labels(dataset)
     assignment = assign_folds(dataset, args.folds, args.seed)
     out_path = Path(args.out)
     _write_output(out_path, write_folds_csv(dataset, assignment))
@@ -127,6 +155,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
         f"total: size={report.total.size} positives={report.total.positives} "
         f"ratio={report.total.positive_ratio:.6f}"
     )
+    _print_warnings(label_warnings)
     return 0
 
 
@@ -195,6 +224,7 @@ def _parse_scheme(text: str) -> TargetScheme:
 def _cmd_train(args: argparse.Namespace) -> int:
     digests: dict[str, str] = {}
     dataset = parse_metadata_csv(_read_input(args.meta, digests, "meta"))
+    label_warnings = _check_labels(dataset)
     assignment = read_folds_csv(_read_input(args.folds_csv, digests, "folds"))
     check_folds(dataset, assignment)
     feats = _metadata_features(dataset)
@@ -227,6 +257,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     _write_manifest(out_dir / "train", args, digests)
     report = evaluate_cv(result.oof, dataset, assignment)
     print(_format_cv(report))
+    _print_warnings(label_warnings)
     return 0
 
 
@@ -246,11 +277,13 @@ def _format_cv(report) -> str:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = parse_metadata_csv(_read_input(args.meta))
+    label_warnings = _check_labels(dataset)
     assignment = read_folds_csv(_read_input(args.folds_csv))
     check_folds(dataset, assignment)
     preds = parse_predictions_csv(_read_input(args.preds))
     report = evaluate_cv(preds, dataset, assignment)
     print(_format_cv(report))
+    _print_warnings(label_warnings)
     return 0
 
 

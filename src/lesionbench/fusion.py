@@ -482,6 +482,14 @@ def train(
     non-finite loss, parameter or validation score stops training with a
     DomainError naming fold, epoch and batch; with several failing folds it
     is the lowest fold's, and the folds after it stop within one batch.
+
+    ``_MATRIX_BOUND`` was measured with one BLAS thread, and nothing here
+    sets the BLAS thread count. With OpenBLAS's default of one BLAS thread
+    per core, each fold thread's matrix products start their own BLAS
+    threads and the cores are oversubscribed: on 2 cores, paper-scale
+    hidden 512,128 training took 19.9-21.6 s with the default and
+    10.0-10.1 s with ``OPENBLAS_NUM_THREADS=1``, with the same output
+    bytes. Set that variable before a large run.
     """
     if not len(d):
         raise DomainError("cannot train on an empty dataset")

@@ -63,6 +63,15 @@ class LabeledScores:
         return int(self.scores.size)
 
 
+def _tie_groups(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tie group of each element of a non-empty ascending array, numbered
+    from 0 in order with equal values sharing one, and each group's start."""
+    new_group = np.empty(sorted_values.size, dtype=bool)
+    new_group[0] = True
+    new_group[1:] = sorted_values[1:] != sorted_values[:-1]
+    return np.cumsum(new_group) - 1, np.flatnonzero(new_group)
+
+
 def doubled_ranks(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Twice the 1-based average ranks, as exact int64.
 
@@ -74,12 +83,7 @@ def doubled_ranks(values: Sequence[float] | np.ndarray) -> np.ndarray:
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     order = np.argsort(x, kind="stable")
-    sx = x[order]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sx[1:] != sx[:-1]
-    group = np.cumsum(new_group) - 1
-    starts = np.flatnonzero(new_group)
+    group, starts = _tie_groups(x[order])
     ends = np.append(starts[1:], n) - 1
     r2_sorted = (starts + ends + 2)[group]  # (first_rank + last_rank) per position
     r2 = np.empty(n, dtype=np.int64)
@@ -224,6 +228,17 @@ def bootstrap_auc_std(s: LabeledScores, n_boot: int, seed: int) -> BootstrapResu
     by ``(seed, i)``, so replicates are reproducible and order-independent.
     Single-class resamples are redrawn up to a bounded number of times, then
     skipped and counted.
+
+    Every element gets a key once, before the draws. The K tie groups that
+    hold a positive are numbered k = 0..K-1 in score order; an element of
+    such a group gets 3k+1 if negative and 3k+2 if positive, and an element
+    of any other group gets 3k, where k counts the positive-holding groups
+    below it (3K above the last). One bincount of the drawn keys then gives
+    each group's positive and negative draws, and the cumulative count at 3k
+    less the positive draws of groups before k gives the negative draws
+    below group k. A replicate costs an O(n) draw and an O(K) score, and its
+    AUC equals a direct AUC of the resampled arrays: wins and ties are exact
+    integer sums, and the one division is the same.
     """
     if n_boot < 100:
         raise DomainError(f"n_boot must be at least 100, got {n_boot}")
@@ -234,16 +249,15 @@ def bootstrap_auc_std(s: LabeledScores, n_boot: int, seed: int) -> BootstrapResu
     n = int(labels.size)
     seed64 = seed & MASK64
 
-    # The data are sorted once; each replicate is then scored from its
-    # multiset of draw counts in O(n), with the same exact integer numerator
-    # a direct AUC of the resampled arrays would produce.
     order = np.argsort(s.scores, kind="stable")
-    sorted_scores = s.scores[order]
     sorted_pos = labels[order]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_scores[1:] != sorted_scores[:-1]
-    starts = np.flatnonzero(new_group)
+    group, starts = _tie_groups(s.scores[order])
+    has_pos = np.zeros(starts.size, dtype=np.int64)
+    has_pos[group[sorted_pos == 1]] = 1
+    group_key = 3 * (np.cumsum(has_pos) - has_pos) + has_pos
+    key = np.empty(n, dtype=np.intp)
+    key[order] = group_key[group] + sorted_pos
+    n_keys = 3 * int(has_pos.sum()) + 1
 
     aucs = []
     n_skipped = 0
@@ -252,17 +266,14 @@ def bootstrap_auc_std(s: LabeledScores, n_boot: int, seed: int) -> BootstrapResu
         value = None
         for _ in range(_MAX_REDRAWS + 1):
             idx = rng.integers(0, n, size=n)
-            counts = np.bincount(idx, minlength=n)[order]
-            cp = counts * sorted_pos
-            total_pos = int(cp.sum())
+            c = np.bincount(key[idx], minlength=n_keys)
+            group_pos = c[2::3]
+            total_pos = int(group_pos.sum())
             if not 0 < total_pos < n:
                 continue
-            cn = counts - cp
-            group_pos = np.add.reduceat(cp, starts)
-            group_neg = np.add.reduceat(cn, starts)
-            neg_below = np.concatenate(([0], np.cumsum(group_neg)[:-1]))
+            neg_below = np.cumsum(c)[:-1:3] - (np.cumsum(group_pos) - group_pos)
             wins = int((group_pos * neg_below).sum())
-            ties = int((group_pos * group_neg).sum())
+            ties = int((group_pos * c[1::3]).sum())
             value = (2 * wins + ties) / (2 * total_pos * (n - total_pos))
             break
         if value is None:

@@ -47,6 +47,13 @@ def small_dataset(n_patients=12, images=2, with_sizes=True, seed=0):
     return make_dataset(records)
 
 
+# small_dataset()'s 2020 rows are 42% positive, against an expected 1.76%.
+SMALL_COHORT_WARNING = (
+    "warning: positive-rate-2020: 2020 positive ratio 0.4167 deviates from 0.0176 "
+    "by more than a factor of 2\n"
+)
+
+
 @pytest.fixture
 def meta_csv(tmp_path):
     path = tmp_path / "meta.csv"
@@ -384,6 +391,7 @@ def test_every_input_is_read_once(tmp_path, meta_csv, monkeypatch):
 
 def test_stray_folds_row_exits_2(tmp_path, meta_csv, capsys):
     folds = _split(tmp_path, meta_csv)
+    capsys.readouterr()
     with folds.open("a", encoding="utf-8") as fh:
         fh.write("Z,7\n")
     out_dir = tmp_path / "run"
@@ -405,6 +413,7 @@ def test_split_patient_exits_2(tmp_path, meta_csv, capsys):
     assert name == "P0_I0"
     lines[1] = f"{name},{1 - int(fold)}"
     folds.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
     assert main(_train_argv(meta_csv, folds, tmp_path / "run")) == 2
     assert "patient 'P0' is split across folds" in _one_error_line(capsys)
     assert main(["evaluate", "--meta", str(meta_csv), "--folds-csv", str(folds),
@@ -429,6 +438,50 @@ def _move_patient(folds, pid, fold):
     text = folds.read_text(encoding="utf-8")
     folds.write_text(re.sub(rf"^({pid}_I\d+),\d+$", rf"\g<1>,{fold}", text, flags=re.M),
                      encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["split", "train", "evaluate"])
+def test_label_contradicting_its_diagnosis_exits_2(tmp_path, meta_csv, capsys, command):
+    folds = _split(tmp_path, meta_csv)
+    bad = tmp_path / "mislabeled.csv"
+    bad.write_text(re.sub(r"^(P1_I0,(?:[^,]*,){4})nevus,", r"\g<1>melanoma,",
+                          meta_csv.read_text(encoding="utf-8"), flags=re.M), encoding="utf-8")
+    argv = {
+        "split": ["split", "--meta", str(bad), "--out", str(tmp_path / "f.csv")],
+        "train": _train_argv(bad, folds, tmp_path / "run"),
+        "evaluate": ["evaluate", "--meta", str(bad), "--folds-csv", str(folds),
+                     "--preds", str(tmp_path / "unused.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert _one_error_line(capsys) == (
+        "error: 1 label(s) contradict their diagnosis; first 'P1_I0': "
+        "diagnosis 'melanoma' maps to MEL but target is benign")
+    assert not (tmp_path / "f.csv").exists() and not (tmp_path / "run").exists()
+
+
+def test_missing_diagnoses_give_one_warning_line_per_command(tmp_path, capsys):
+    # 57 images from 2020 with one positive (1.75%): only the missing diagnoses warn.
+    records = [
+        make_record(f"P{p}_I0", patient_id=f"P{p}", malignant=p == 0,
+                    diagnosis=None if p in (3, 5) else "melanoma" if p == 0 else "nevus")
+        for p in range(57)
+    ]
+    meta = tmp_path / "meta.csv"
+    meta.write_text(write_metadata_csv(make_dataset(records)), encoding="utf-8")
+    expected = ("warning: diagnosis-missing: 2 image(s), first 'P3_I0': "
+                "diagnosis missing; melanoma consistency not verifiable\n")
+    folds = tmp_path / "folds.csv"
+    out_dir = tmp_path / "run"
+    for argv in (
+        ["split", "--meta", str(meta), "--folds", "2", "--out", str(folds)],
+        _train_argv(meta, folds, out_dir),
+        ["evaluate", "--meta", str(meta), "--folds-csv", str(folds),
+         "--preds", str(out_dir / "oof.csv")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().err == expected
 
 
 def test_split_rejects_more_folds_than_images(tmp_path, meta_csv, capsys):
@@ -616,7 +669,7 @@ def test_threads_env_var_is_not_read(tmp_path, meta_csv, capsys, monkeypatch):
             out_dir = tmp_path / f"run_{hidden}_{value}"
             capsys.readouterr()
             assert main(_with_hidden(_train_argv(meta_csv, folds, out_dir), hidden)) == 0
-            assert capsys.readouterr().err == ""
+            assert capsys.readouterr().err == SMALL_COHORT_WARNING
             runs[value] = {
                 p.name: (
                     [l for l in _strip_timestamp(p.read_text(encoding="utf-8"))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lesionbench.datamodel import PredictionSet
 from lesionbench.errors import CoverageError, DomainError, FormatError, RangeError
@@ -18,7 +20,12 @@ from lesionbench.metrics import (
     stability,
     write_score_table,
 )
-from util import auc_pair_counting, make_dataset, make_record
+from util import (
+    auc_pair_counting,
+    make_dataset,
+    make_record,
+    reference_bootstrap_auc_std,
+)
 
 
 def labeled(scores, labels) -> LabeledScores:
@@ -233,3 +240,50 @@ def test_bootstrap_reproducible():
     assert a == b
     c = bootstrap_auc_std(s, n_boot=100, seed=100)
     assert c.std != a.std
+
+
+def _bootstrap_outcome(f, s, n_boot, seed):
+    try:
+        return f(s, n_boot, seed)
+    except DomainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bootstrap_equals_a_direct_auc_of_each_resample(data):
+    n = data.draw(st.integers(2, 30), label="n")
+    top = data.draw(st.integers(0, 4), label="distinct scores - 1")  # 0: all equal
+    scores = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n), label="scores")
+    few = data.draw(st.booleans(), label="1-3 positives")
+    p = data.draw(st.integers(1, min(3, n - 1) if few else n - 1), label="positives")
+    positives = data.draw(st.permutations(range(n)), label="order")[:p]
+    labels = np.zeros(n, dtype=np.int64)
+    labels[positives] = 1
+    s = labeled(np.asarray(scores) / 4.0, labels)
+    n_boot = data.draw(st.sampled_from([100, 101, 157]), label="n_boot")
+    seed = data.draw(st.integers(-(2**70), 2**70), label="seed")
+    assert _bootstrap_outcome(bootstrap_auc_std, s, n_boot, seed) == _bootstrap_outcome(
+        reference_bootstrap_auc_std, s, n_boot, seed
+    )
+
+
+def test_bootstrap_skips_match_the_direct_oracle():
+    # Two elements: each draw is single-class with probability 1/2, so 11 in a
+    # row happen about once in 2,000 replicates.
+    s = labeled([0.3, 0.7], [1, 0])
+    result = bootstrap_auc_std(s, n_boot=5000, seed=3)
+    assert result.n_skipped > 0
+    assert result == reference_bootstrap_auc_std(s, 5000, 3)
+
+
+def test_bootstrap_std_of_a_fixed_33k_input_is_pinned():
+    # The first low-rate trial of acceptance criterion 8. The std was recorded
+    # from the per-tie-group kernel that the keyed bincount replaced.
+    n = 33000
+    rng = np.random.default_rng((8080, 0))
+    labels = np.zeros(n, dtype=np.int64)
+    labels[: round(n * 0.0176)] = 1
+    scores = np.where(labels == 1, rng.normal(1.0, 1.0, n), rng.normal(0.0, 1.0, n))
+    result = bootstrap_auc_std(LabeledScores(scores, labels), 100, seed=0)
+    assert result == BootstrapResult(std=0.010081733671033667, n_used=100, n_skipped=0)

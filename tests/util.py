@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from lesionbench import fusion
+from lesionbench import fusion, metrics
 from lesionbench.datamodel import (
     AGE_MAX,
     METADATA_COLUMNS,
@@ -19,7 +19,8 @@ from lesionbench.datamodel import (
     SourceYear,
     csv_rows,
 )
-from lesionbench.errors import FormatError, RangeError, UniquenessError
+from lesionbench.errors import DomainError, FormatError, RangeError, UniquenessError
+from lesionbench.hashing import MASK64
 
 
 def make_record(
@@ -165,6 +166,32 @@ def auc_pair_counting(scores, labels) -> float:
     wins = int(np.sum(pos[:, None] > neg[None, :]))
     ties = int(np.sum(pos[:, None] == neg[None, :]))
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def reference_bootstrap_auc_std(s, n_boot: int, seed: int) -> metrics.BootstrapResult:
+    """Each resample drawn as ``metrics.bootstrap_auc_std`` draws it, redrawn
+    or skipped by the same rule, and scored by pair counting on the resampled
+    arrays: the oracle for its keyed-bincount kernel."""
+    n = len(s)
+    aucs = []
+    n_skipped = 0
+    for i in range(n_boot):
+        rng = np.random.default_rng((seed & MASK64, i))
+        for _ in range(metrics._MAX_REDRAWS + 1):
+            idx = rng.integers(0, n, size=n)
+            labels = s.labels[idx]
+            if 0 < labels.sum() < n:
+                aucs.append(auc_pair_counting(s.scores[idx], labels))
+                break
+        else:
+            n_skipped += 1
+    if len(aucs) < 2:
+        raise DomainError(
+            f"all but {len(aucs)} resamples were single-class; cannot estimate spread"
+        )
+    return metrics.BootstrapResult(
+        std=float(np.std(aucs, ddof=1)), n_used=len(aucs), n_skipped=n_skipped
+    )
 
 
 def numeric_gradients(model, x_meta, x_cnn, targets, eps=1e-5):
