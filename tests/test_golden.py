@@ -5,8 +5,9 @@ cohort and pins the sha256 of every artifact and of every manifest with its
 ``timestamp=`` line dropped. It also pins the exact stdout of ``stability``
 (shipped table and a ``--scores`` file) and of ``evaluate`` on a scalar, a
 nine-class and a four-class prediction file, and the bytes of the shipped
-score table as ``write_score_table`` writes it. A change that moves any of these
-pins changes the toolkit's output and must say so.
+score table as ``write_score_table`` writes it, and of the metadata, feature and
+prediction writers on 10,000-row tables, which cross their 4,096-row write blocks.
+A change that moves any of these pins changes the toolkit's output and must say so.
 """
 
 import hashlib
@@ -16,7 +17,13 @@ import numpy as np
 import pytest
 
 from lesionbench.cli import main
-from lesionbench.datamodel import Sex, write_metadata_csv
+from lesionbench.datamodel import (
+    Dataset,
+    PredictionSet,
+    Sex,
+    write_metadata_csv,
+    write_predictions_csv,
+)
 from lesionbench.features import FeatureTable, write_feature_csv
 from lesionbench.metrics import ScoreTable, load_reference_scores, write_score_table
 from lesionbench.targets import TargetScheme
@@ -188,3 +195,43 @@ def test_stability_and_evaluate_stdout_is_pinned(tmp_path, monkeypatch, capsys):
            for kind in ("scalar", "9c", "4c")},
     }
     assert printed == STDOUT
+
+
+def _block_crossing_tables(n=10_000):
+    """Seeded tables of ``n`` rows, more than two write blocks of 4,096 rows each."""
+    rng = np.random.default_rng(4096)
+    names = tuple(f"ISIC_{i:05d}" for i in range(n))
+    age = rng.integers(0, 241, n) / 2  # whole and half years
+    age[rng.random(n) < 0.1] = np.nan
+    size = rng.integers(1, 10**7, n)
+    size[rng.random(n) < 0.1] = 0
+    d = Dataset(names, tuple(f"IP_{i // 3:05d}" for i in range(n)), rng.integers(-1, 2, n),
+                age, tuple(SITES[i % 4] for i in range(n)), ("nevus",) * n,
+                np.zeros(n, bool), rng.random(n) < 0.5, size)
+    values = rng.normal(size=(n, 5))
+    values[:, 0] = np.round(values[:, 0])  # integral cells, -0.0 among them
+    values[::7, 1] = -0.0
+    values[::5, 2] = values[1, 2]  # a repeated cell
+    scores = np.round(rng.random(n), 3)  # ties
+    scores[::11], scores[::13] = 0.0, 1.0
+    return d, FeatureTable(names, values), PredictionSet.from_scores(names, scores)
+
+
+def test_multi_block_writes_are_pinned():
+    d, table, preds = _block_crossing_tables()
+    texts = {
+        "metadata": write_metadata_csv(d),
+        "features f": write_feature_csv(table),
+        "features c": write_feature_csv(table, prefix="c"),
+        "predictions": write_predictions_csv(preds),
+    }
+    assert {k: hashlib.sha256(t.encode("utf-8")).hexdigest() for k, t in texts.items()} == {
+        "metadata":
+            "3b920de5dd8f19b02fd913451848007da14e44182acc6a649acc3eef1c843552",
+        "features f":
+            "d910c9ac4b93b8a378cdce0ff1b0699c52e502a61da39366303e60d442b448df",
+        "features c":
+            "2e08198a687d3b7bdabbd684cc336c0d1906554e291332c1d4d585fb1ed82d1d",
+        "predictions":
+            "a7b38c4b93435a8403a2c9cb67d22a96716c0078763d32f649f8b14fb1db5b57",
+    }
