@@ -9,9 +9,10 @@ is read through :func:`csv_rows`; the numeric ones (predictions, feature
 tables, score tables) then go through :func:`csv_floats`, which casts their
 cells block by block with Python ``float`` syntax. Every keyed table, read or
 built, checks its keys with :func:`require_unique` and its [0, 1] values with
-:func:`require_unit_interval`, each with one message form. Floats are written
-in their shortest round-trip representation, so ``parse(write(x)) == x`` holds
-exactly for datasets and prediction sets.
+:func:`require_unit_interval`, each with one message form. Every float cell is
+written by :func:`float_cells`, a numeric table's rows through :func:`float_rows`:
+the shortest round-trip ``repr``, or a plain integer if integral and below 1e16,
+so ``parse(write(x)) == x`` holds exactly for datasets and every keyed table.
 """
 
 from __future__ import annotations
@@ -356,6 +357,26 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return out.getvalue()
 
 
+def float_cells(a: np.ndarray) -> list[str]:
+    """The one float formatter: each value of the 1-D float64 array ``a`` as its shortest
+    round-trip ``repr``, or as a plain integer if integral and below 1e16 (-0.0 as ``0``)."""
+    cells = list(map(repr, a.tolist()))
+    whole = np.flatnonzero((np.trunc(a) == a) & (np.abs(a) < 1e16))
+    for i, v in zip(whole.tolist(), a[whole].astype(np.int64).tolist()):
+        cells[i] = str(v)
+    return cells
+
+
+def float_rows(names: Sequence[str], values: np.ndarray) -> Iterator[list[str]]:
+    """``[name, *cells]`` per name and row of the float64 matrix ``values``, its cells formatted
+    ``_BLOCK_ROWS`` rows at a time: a whole feature table's strings at once double its memory."""
+    width = values.shape[1]
+    for start in range(0, len(names), _BLOCK_ROWS):
+        cells = float_cells(values[start:start + _BLOCK_ROWS].ravel())
+        for i, name in enumerate(names[start:start + _BLOCK_ROWS]):
+            yield [name, *cells[i * width:(i + 1) * width]]
+
+
 def parse_metadata_csv(text: str) -> Dataset:
     """Parse the metadata CSV format into a Dataset.
 
@@ -434,18 +455,10 @@ def parse_image_size(cell: str, row_num: int) -> int:
     return size
 
 
-def _format_float(v: float) -> str:
-    # repr() is the shortest digit string that round-trips; drop a trailing
-    # ".0" so integral values stay as plain integers.
-    if float(v).is_integer() and abs(v) < 1e16:
-        return str(int(v))
-    return repr(float(v))
-
-
 def write_metadata_csv(d: Dataset) -> str:
     """Serialize a Dataset back to metadata-CSV text (inverse of parsing)."""
     distinct, at = np.unique(d.age, return_inverse=True)  # each distinct age is formatted once
-    ages = np.array(["" if math.isnan(a) else _format_float(a) for a in distinct.tolist()], object)
+    ages = np.where(np.isnan(distinct), "", np.array(float_cells(distinct), object))
     columns = [d.image_names, d.patient_ids, map(_SEX_CELL.__getitem__, d.sex.tolist()),
                ages[at].tolist(), d.site, d.diagnosis, np.where(d.positive, "1", "0").tolist(),
                np.where(d.is_2020, "2020", "2019").tolist()]
@@ -548,10 +561,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def write_predictions_csv(p: PredictionSet) -> str:
     """Serialize predictions as ``image_name,target``."""
-    return csv_text(
-        _SCORE_HEADER,
-        ([name, _format_float(float(s))] for name, s in zip(p.image_names, p.scores)),
-    )
+    return csv_text(_SCORE_HEADER, float_rows(p.image_names, p.scores[:, None]))
 
 
 def parse_predictions_csv(text: str) -> PredictionSet:
@@ -587,7 +597,7 @@ def parse_predictions_csv(text: str) -> PredictionSet:
 def require_coverage(required: Iterable[str], available: Container[str], what: str) -> None:
     """Raise CoverageError naming the first of ``required`` not in ``available``.
 
-    ``available`` should answer ``in`` cheaply: a dict, set or FeatureTable.
+    ``available`` should answer ``in`` cheaply: a dict or a set.
     """
     missing = [name for name in required if name not in available]
     if missing:

@@ -11,6 +11,7 @@ metadata row, validation folds included, so one feature table serves all
 folds. Missing continuous values encode as 0, i.e. the mean. The
 anatomical site occupies ten one-hot slots against a data-derived
 vocabulary; a missing or out-of-vocabulary site leaves the whole block zero.
+A FeatureTable is written with ``datamodel.float_rows`` and read with ``csv_floats``.
 """
 
 from __future__ import annotations
@@ -18,17 +19,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
 from .datamodel import (
     Dataset,
-    _format_float,
     _frozen,
     csv_floats,
     csv_rows,
     csv_text,
+    float_rows,
+    require_coverage,
     require_unique,
     values_at,
 )
@@ -198,17 +200,15 @@ class FeatureTable:
     def __len__(self) -> int:
         return len(self.image_names)
 
-    def __contains__(self, image_name: str) -> bool:
-        return image_name in self._positions
-
     @cached_property
     def _positions(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.image_names)}
 
-    def select(self, image_names: Iterable[str]) -> np.ndarray:
-        """Rows for the given images, in the given order."""
-        idx = [self._positions[name] for name in image_names]
-        return self.values[idx]
+    def select(self, image_names: Sequence[str], what: str) -> np.ndarray:
+        """Rows for the given images, in the given order. CoverageError names the table as
+        ``what`` and the first image it lacks."""
+        require_coverage(image_names, self._positions, what)
+        return self.values[values_at(self._positions, image_names, np.intp)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FeatureTable):
@@ -222,13 +222,8 @@ class FeatureTable:
 
 def write_feature_csv(table: FeatureTable, prefix: str = "f") -> str:
     """Serialize a feature table with header ``image_name,<prefix>0,...``."""
-    return csv_text(
-        ["image_name"] + [f"{prefix}{i}" for i in range(table.width)],
-        (
-            [name] + [_format_float(float(v)) for v in row]
-            for name, row in zip(table.image_names, table.values)
-        ),
-    )
+    header = ["image_name"] + [f"{prefix}{i}" for i in range(table.width)]
+    return csv_text(header, float_rows(table.image_names, table.values))
 
 
 def read_feature_csv(text: str, prefix: str = "f") -> FeatureTable:

@@ -32,13 +32,11 @@ class FoldAssignment:
     """Image -> fold map for a k-fold split.
 
     Every image of the source dataset appears exactly once, and all images
-    of one patient share a fold. ``seed`` is None for assignments read back
-    from CSV, where the generating seed is unknown.
+    of one patient share a fold.
     """
 
     k: int
     assignment: dict[str, int]
-    seed: int | None
 
     def __len__(self) -> int:
         return len(self.assignment)
@@ -105,7 +103,7 @@ def assign_folds(d: Dataset, k: int, seed: int) -> FoldAssignment:
         patient_fold[p] = fold
 
     assignment = dict(zip(d.image_names, patient_fold[d.patient].tolist()))
-    return FoldAssignment(k=k, assignment=assignment, seed=seed)
+    return FoldAssignment(k=k, assignment=assignment)
 
 
 def fold_ratio_report(d: Dataset, f: FoldAssignment) -> FoldRatioReport:
@@ -171,4 +169,4 @@ def read_folds_csv(text: str) -> FoldAssignment:
     if not names:
         raise FormatError("folds CSV contains no data rows")
     require_unique(names, "image_name", nums)
-    return FoldAssignment(k=max(folds) + 1, assignment=dict(zip(names, folds)), seed=None)
+    return FoldAssignment(k=max(folds) + 1, assignment=dict(zip(names, folds)))

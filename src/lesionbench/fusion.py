@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, PredictionSet, _frozen, require_coverage
+from .datamodel import Dataset, PredictionSet, _frozen
 from .errors import DomainError, FormatError, ShapeError
 from .features import N_METADATA_FEATURES, FeatureTable, read_feature_csv
 from .folds import FoldAssignment
@@ -499,12 +499,9 @@ def train(
             f"metadata features must have width {N_METADATA_FEATURES}, "
             f"got {feats.width}"
         )
-    require_coverage(names, feats, "feature table")
-    if cnn is not None:
-        require_coverage(names, cnn, "external feature table")
-
-    x_meta = feats.select(names)
-    x_cnn = cnn.select(names) if cnn is not None else np.zeros((len(names), 0))
+    x_meta = feats.select(names, "feature table")
+    x_cnn = (cnn.select(names, "external feature table") if cnn is not None
+             else np.zeros((len(names), 0)))
     nine = cfg.scheme is TargetScheme.NINE_CLASS
     column_of = [class_index(c if nine else collapse(c), cfg.scheme) for c in DiagnosisClass]
     y = np.array(column_of, dtype=np.int64)[d.diagnosis_class]

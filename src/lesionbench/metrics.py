@@ -21,6 +21,7 @@ from .datamodel import (
     csv_floats,
     csv_rows,
     csv_text,
+    float_rows,
     require_coverage,
     require_unique,
     require_unit_interval,
@@ -298,10 +299,7 @@ def parse_score_table(text: str) -> ScoreTable:
 
 
 def write_score_table(t: ScoreTable) -> str:
-    return csv_text(
-        ["model", *METRIC_NAMES],
-        ([name, *map(repr, v)] for name, v in zip(t.model_ids, t.values.tolist())),
-    )
+    return csv_text(["model", *METRIC_NAMES], float_rows(t.model_ids, t.values))
 
 
 def load_reference_scores() -> ScoreTable:

@@ -311,6 +311,20 @@ def test_empty_key_in_cnn_csv_exits_2(tmp_path, meta_csv, capsys):
     assert not out_dir.exists()
 
 
+def test_cnn_csv_missing_an_image_exits_2(tmp_path, meta_csv, capsys):
+    folds = _split(tmp_path, meta_csv)
+    cnn = tmp_path / "cnn.csv"
+    d = small_dataset()
+    cnn.write_text(write_feature_csv(FeatureTable(d.image_names[1:], np.ones((23, 2))),
+                                     prefix="c"), encoding="utf-8")
+    out_dir = tmp_path / "run"
+    capsys.readouterr()
+    assert main(_train_argv(meta_csv, folds, out_dir) + ["--cnn", str(cnn)]) == 2
+    assert _one_error_line(capsys) == (
+        f"error: external feature table missing 1 image(s), first: {d.image_names[0]!r}")
+    assert not out_dir.exists()
+
+
 def test_oversized_csv_field_exits_2(tmp_path, capsys):
     meta = tmp_path / "meta.csv"
     meta.write_text(write_metadata_csv(small_dataset()) + "x" * 200_000 + "\n",

@@ -1,9 +1,11 @@
 """The shared CSV layer: one checked row reader and one writer behind all six
-formats (metadata, predictions, features, folds, score table, sizes)."""
+formats (metadata, predictions, features, folds, score table, sizes), and one
+float formatter behind every numeric writer."""
 
 import csv
 import io
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -14,14 +16,18 @@ from lesionbench import datamodel, features, metrics
 from lesionbench.cli import _read_sizes_csv
 from lesionbench.datamodel import (
     METADATA_COLUMNS,
+    Dataset,
     PredictionSet,
     _lines,
     csv_floats,
     csv_rows,
     csv_text,
+    float_cells,
     parse_metadata_csv,
     parse_predictions_csv,
     require_unique,
+    write_metadata_csv,
+    write_predictions_csv,
 )
 from lesionbench.errors import (
     DomainError,
@@ -30,10 +36,15 @@ from lesionbench.errors import (
     RangeError,
     UniquenessError,
 )
-from lesionbench.features import FeatureTable, read_feature_csv
+from lesionbench.features import FeatureTable, read_feature_csv, write_feature_csv
 from lesionbench.folds import read_folds_csv
-from lesionbench.metrics import ScoreTable, parse_score_table
-from util import reference_read_floats, reference_require_unique
+from lesionbench.metrics import ScoreTable, parse_score_table, write_score_table
+from util import (
+    reference_float_rows,
+    reference_format_float,
+    reference_read_floats,
+    reference_require_unique,
+)
 
 META = ",".join(METADATA_COLUMNS)
 
@@ -317,3 +328,52 @@ def test_block_wise_parse_matches_the_per_row_oracle(fmt, data):
         assert got == want
     else:  # which fault is reported first may differ
         assert all(isinstance(outcome[0], type) for outcome in got + want)
+
+
+MAX = sys.float_info.max
+EDGE_FLOATS = [-0.0, 1e16, -1e16, 1e16 - 2, 9999999999999998.0, 5e-324, -5e-324, MAX, -MAX,
+               1e15 + 0.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats() | st.sampled_from(EDGE_FLOATS), max_size=40))
+def test_float_cells_match_the_per_cell_oracle(values):
+    assert float_cells(np.array(values, np.float64)) == list(map(reference_format_float, values))
+
+
+def _metadata_with_ages(names, ages):
+    n = len(names)
+    return Dataset(names, names, np.zeros(n), ages, ("",) * n, ("",) * n, np.zeros(n),
+                   np.zeros(n), np.zeros(n))
+
+
+UNIT = st.floats(0, 1) | st.sampled_from([0.0, -0.0, 1.0, 0.5])
+WRITERS = {  # cells, width, writer of (names, matrix)
+    "metadata": (st.floats(0, 120) | st.sampled_from([np.nan, -0.0, 45.0]), 1,
+                 lambda names, v: write_metadata_csv(_metadata_with_ages(names, v[:, 0]))),
+    "features": (st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS),
+                 3, lambda names, v: write_feature_csv(FeatureTable(names, v))),
+    "cnn": (st.sampled_from(EDGE_FLOATS + [0.0, 2.0, -3.0]), 2,
+            lambda names, v: write_feature_csv(FeatureTable(names, v), prefix="c")),
+    "predictions": (UNIT, 1, lambda names, v: write_predictions_csv(PredictionSet(names, v[:, 0]))),
+    "score table": (UNIT, 4, lambda names, v: write_score_table(ScoreTable(names, v))),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(WRITERS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_block_wise_writes_match_the_per_cell_oracle(fmt, data):
+    cells, width, write = WRITERS[fmt]
+    rows = data.draw(st.lists(st.lists(cells, min_size=width, max_size=width), max_size=10))
+    names = tuple(f"I{i}" for i in range(len(rows)))
+    values = np.array(rows, np.float64).reshape(-1, width)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datamodel, "_BLOCK_ROWS", 3)  # rows fall on both sides of block edges
+        got = write(names, values)
+        for module in (datamodel, features, metrics):
+            mp.setattr(module, "float_rows", reference_float_rows)
+        mp.setattr(datamodel, "float_cells",
+                   lambda a: list(map(reference_format_float, a.tolist())))
+        want = write(names, values)
+    assert got == want

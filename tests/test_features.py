@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lesionbench.datamodel import Sex
-from lesionbench.errors import CapacityError, DomainError, ShapeError
+from lesionbench.errors import CapacityError, CoverageError, DomainError, ShapeError
 from lesionbench.features import (
     FEATURE_NAMES,
     N_METADATA_FEATURES,
@@ -313,6 +313,8 @@ def test_feature_csv_round_trip():
 
 def test_feature_table_select_aligns_rows():
     table = FeatureTable(("A", "B", "C"), np.arange(42.0).reshape(3, 14))
-    picked = table.select(["C", "A"])
+    picked = table.select(["C", "A"], "feature table")
     assert np.array_equal(picked[0], table.values[2])
     assert np.array_equal(picked[1], table.values[0])
+    with pytest.raises(CoverageError, match=r"^cnn table missing 2 image\(s\), first: 'D'$"):
+        table.select(["A", "D", "E"], "cnn table")

@@ -58,9 +58,9 @@ def test_fold_count_bounded_by_image_count():
     assert assign_folds(d, k=3, seed=42).k == 3
     with pytest.raises(DomainError, match="^fold count 4 exceeds the image count 3$"):
         assign_folds(d, k=4, seed=42)
-    check_folds(d, FoldAssignment(k=3, assignment={"I0": 0, "I1": 1, "I2": 2}, seed=None))
+    check_folds(d, FoldAssignment(k=3, assignment={"I0": 0, "I1": 1, "I2": 2}))
     with pytest.raises(DomainError, match="^fold count 4 exceeds the image count 3$"):
-        check_folds(d, FoldAssignment(k=4, assignment={"I0": 0, "I1": 1, "I2": 3}, seed=None))
+        check_folds(d, FoldAssignment(k=4, assignment={"I0": 0, "I1": 1, "I2": 3}))
 
 
 def test_empty_dataset_rejected():
@@ -167,7 +167,7 @@ def test_ratio_report_all_negative():
 
 def test_ratio_report_uncovered_image_named():
     d = make_dataset([make_record("I1"), make_record("I2", patient_id="P2")])
-    f = FoldAssignment(k=2, assignment={"I1": 0}, seed=None)
+    f = FoldAssignment(k=2, assignment={"I1": 0})
     with pytest.raises(CoverageError, match="I2"):
         fold_ratio_report(d, f)
 
@@ -183,7 +183,6 @@ def test_folds_csv_round_trip_and_determinism():
     back = read_folds_csv(text1)
     assert back.assignment == f.assignment
     assert back.k == f.k
-    assert back.seed is None
 
 
 def test_read_folds_csv_errors():

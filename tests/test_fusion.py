@@ -383,7 +383,7 @@ def test_oof_scores_are_each_folds_final_model_scores():
     oof = dict(zip(result.oof.image_names, result.oof.scores))
     for k, model in enumerate(result.models):
         names = [n for n in d.image_names if f.assignment[n] == k]
-        _, probs = forward(model, feats.select(names), cnn.select(names))
+        _, probs = forward(model, feats.select(names, "f"), cnn.select(names, "c"))
         assert np.array([oof[n] for n in names]).tobytes() == probs[:, mel].tobytes(), k
 
 
@@ -405,8 +405,7 @@ def test_train_calls_the_step_functions_the_benchmark_traces(monkeypatch):
     d = separable_dataset(n_patients=13)
     names = d.image_names
     # Fold 2 of 4 is empty, so its model trains on every image and scores none.
-    f = FoldAssignment(k=4, assignment={n: (0, 1, 3)[i % 3] for i, n in enumerate(names)},
-                       seed=None)
+    f = FoldAssignment(k=4, assignment={n: (0, 1, 3)[i % 3] for i, n in enumerate(names)})
     cfg = TrainConfig(epochs=3, batch_size=7, lr_peak=1e-3, seed=0, hidden=(4, 2))
     train(d, feature_table_for(d), None, f, cfg)
 
@@ -440,11 +439,7 @@ def test_train_coverage_checked_before_work():
         train(d, partial, None, f, SMALL_CFG)
     assert d.image_names[-1] in str(exc_info.value)
 
-    missing_fold = FoldAssignment(
-        k=2,
-        assignment={n: 0 for n in d.image_names[:-1]},
-        seed=None,
-    )
+    missing_fold = FoldAssignment(k=2, assignment={n: 0 for n in d.image_names[:-1]})
     with pytest.raises(Exception):
         train(d, feats, None, missing_fold, SMALL_CFG)
 
@@ -591,7 +586,7 @@ def test_a_stopped_fold_returns_before_its_next_batch(monkeypatch):
         return original(ws, meta, cnn)
 
     monkeypatch.setattr(fusion, "_forward_cached", wrapper)
-    x_meta = feature_table_for(d).select(d.image_names)
+    x_meta = feature_table_for(d).select(d.image_names, "features")
     y = np.zeros(len(d), dtype=np.int64)
     result = fusion._train_one_fold(0, x_meta, np.zeros((len(d), 0)), y, y,
                                     f.folds_of(d.image_names), SMALL_CFG, 0, stop)

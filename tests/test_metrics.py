@@ -115,7 +115,7 @@ def _cv_fixture():
         make_record("D", patient_id="PD", malignant=False, year=2019),
     ]
     d = make_dataset(records)
-    f = FoldAssignment(k=2, assignment={"A": 0, "B": 0, "C": 1, "D": 1}, seed=None)
+    f = FoldAssignment(k=2, assignment={"A": 0, "B": 0, "C": 1, "D": 1})
     preds = PredictionSet.from_scores(["A", "B", "C", "D"], [0.9, 0.1, 0.5, 0.5])
     return d, f, preds
 
@@ -135,7 +135,7 @@ def test_evaluate_cv_all_2020_equals_cv_all():
         make_record("B", patient_id="PB", malignant=False, year=2020),
     ]
     d = make_dataset(records)
-    f = FoldAssignment(k=2, assignment={"A": 0, "B": 1}, seed=None)
+    f = FoldAssignment(k=2, assignment={"A": 0, "B": 1})
     preds = PredictionSet.from_scores(["A", "B"], [0.7, 0.2])
     report = evaluate_cv(preds, d, f)
     assert report.cv_all == report.cv_2020 == 1.0
@@ -150,7 +150,7 @@ def test_evaluate_cv_degenerate_2020_subset():
         make_record("D", patient_id="PD", malignant=False, year=2019),
     ]
     d = make_dataset(records)
-    f = FoldAssignment(k=2, assignment={"A": 0, "C": 1, "D": 1}, seed=None)
+    f = FoldAssignment(k=2, assignment={"A": 0, "C": 1, "D": 1})
     preds = PredictionSet.from_scores(["A", "C", "D"], [0.1, 0.8, 0.3])
     report = evaluate_cv(preds, d, f)
     assert report.cv_2020 is None
@@ -203,6 +203,10 @@ def test_stability_permutation_invariant():
 def test_score_table_round_trip_and_validation():
     table = load_reference_scores()
     assert parse_score_table(write_score_table(table)) == table
+    whole = ScoreTable(("m0", "m1"), [[0.0, 1.0, 0.5, 0.25], [1.0, 0.0, 0.0, 0.875]])
+    text = write_score_table(whole)
+    assert text.splitlines()[1:] == ["m0,0,1,0.5,0.25", "m1,1,0,0,0.875"]
+    assert parse_score_table(text) == whole
     with pytest.raises(FormatError):
         parse_score_table("model,a,b\nx,0.1,0.2\n")
     with pytest.raises(RangeError):

@@ -144,6 +144,21 @@ def reference_read_floats(header, rows, what):
     return tuple(names), np.asarray(values, dtype=np.float64).reshape(-1, len(header) - 1)
 
 
+def reference_format_float(v: float) -> str:
+    """One float cell as every writer writes it, formatted on its own: the
+    shortest round-trip ``repr``, an integral value below 1e16 in magnitude as a
+    plain integer. The oracle for ``datamodel.float_cells``."""
+    if float(v).is_integer() and abs(v) < 1e16:
+        return str(int(v))
+    return repr(float(v))
+
+
+def reference_float_rows(names, values):
+    """``[name, *cells]`` per row, one cell at a time: the oracle for the
+    block-wise ``datamodel.float_rows``."""
+    return [[name, *map(reference_format_float, row)] for name, row in zip(names, values.tolist())]
+
+
 def reference_require_unique(names, key, rows=None) -> None:
     """The keys checked one at a time against a dict of the rows seen so far:
     the oracle for ``datamodel.require_unique``."""
