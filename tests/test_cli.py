@@ -738,3 +738,69 @@ def test_full_probability_inputs_score_as_their_mel_column(tmp_path, meta_csv, c
         capsys.readouterr()
         assert main(argv) == 2
         _one_error_line(capsys)
+
+
+def _rows_in_order(text, order):
+    """``text``'s header, then its data rows in ``order``."""
+    header, *rows = text.splitlines(keepends=True)
+    return header + "".join(rows[i] for i in order)
+
+
+def test_permuted_input_rows_give_the_bytes_of_ordered_ones(tmp_path, monkeypatch, capsys):
+    # Keyed inputs are aligned by image name, never by row: reordering the rows of folds.csv,
+    # --cnn, --preds, every ensemble member and --sizes changes no artifact and no output line.
+    d = small_dataset()
+    n = len(d)
+    rng = np.random.default_rng(9)
+    meta = write_metadata_csv(d)
+    (tmp_path / "meta.csv").write_text(meta, encoding="utf-8")
+    folds = _split(tmp_path, tmp_path / "meta.csv").read_text(encoding="utf-8")
+    inputs = {
+        "folds.csv": folds,
+        "cnn.csv": write_feature_csv(FeatureTable(d.image_names, rng.normal(size=(n, 3))), "c"),
+        "sizes.csv": "image_name,image_size_bytes\n" + "".join(
+            f"{name},{5000 + 37 * i}\n" for i, name in enumerate(d.image_names)),
+        "a.csv": write_predictions_csv(PredictionSet.from_scores(d.image_names, rng.random(n))),
+        "b.csv": write_predictions_csv(PredictionSet.from_scores(d.image_names, rng.random(n))),
+    }
+    shuffled = rng.permutation(n)
+    permutations = {"folds.csv": range(n - 1, -1, -1), "cnn.csv": shuffled,
+                    "sizes.csv": range(n - 1, -1, -1), "a.csv": rng.permutation(n),
+                    "b.csv": shuffled}
+    commands = [
+        ["features", "--meta", "meta.csv", "--sizes", "sizes.csv", "--out", "features.csv"],
+        ["train", "--meta", "meta.csv", "--folds-csv", "folds.csv", "--cnn", "cnn.csv",
+         "--epochs", "2", "--batch-size", "8", "--hidden", "4,2", "--out-dir", "run"],
+        ["evaluate", "--meta", "meta.csv", "--folds-csv", "folds.csv", "--preds", "a.csv"],
+        ["evaluate", "--meta", "meta.csv", "--folds-csv", "folds.csv", "--preds", "run/oof.csv"],
+        ["ensemble", "--preds", "run/oof.csv,a.csv,b.csv", "--out", "ens.csv"],
+        ["ensemble", "--preds", "b.csv,run/oof.csv,a.csv", "--out", "ens_b.csv"],
+    ]
+    artifacts = ["features.csv", "run/oof.csv", "run/history.csv", "run/model_fold0.lsnb",
+                 "run/model_fold1.lsnb", "ens.csv"]
+    manifests = ["features.csv.manifest.txt", "run/train.manifest.txt", "ens.csv.manifest.txt",
+                 "ens_b.csv.manifest.txt"]
+
+    def run(name, permuted):
+        work = tmp_path / name
+        work.mkdir()
+        (work / "meta.csv").write_text(meta, encoding="utf-8")
+        for file, text in inputs.items():
+            order = permutations[file] if permuted else range(n)
+            (work / file).write_text(_rows_in_order(text, order), encoding="utf-8")
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        assert [main(argv) for argv in commands] == [0] * len(commands)
+        printed = capsys.readouterr()
+        kept = {m: [line for line in (work / m).read_text(encoding="utf-8").splitlines()
+                    if not line.startswith(("input.", "timestamp="))] for m in manifests}
+        ens_b = (work / "ens_b.csv").read_text(encoding="utf-8")
+        return ({a: (work / a).read_bytes() for a in artifacts}, printed.out, printed.err,
+                kept, ens_b)
+
+    ordered = run("ordered", False)
+    permuted = run("permuted", True)
+    assert permuted[:4] == ordered[:4]
+    # An ensemble follows its first member's image order, so permuting b.csv permutes it too.
+    assert permuted[4] == _rows_in_order(ordered[4], shuffled)
+    assert "fold_1=" in ordered[1]
