@@ -18,6 +18,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .datamodel import (
     Dataset,
@@ -27,9 +29,10 @@ from .datamodel import (
     parse_image_size,
     parse_metadata_csv,
     parse_predictions_csv,
-    require_coverage,
+    positions,
     require_unique,
     validate_consistency,
+    values_at,
     write_predictions_csv,
 )
 from .ensemble import rank_average
@@ -170,10 +173,9 @@ def _read_sizes_csv(text: str) -> dict[str, int]:
 
 
 def _apply_sizes(dataset: Dataset, sizes: dict[str, int]) -> Dataset:
-    row_of = dict(zip(dataset.image_names, range(len(dataset))))
-    require_coverage(sizes, row_of, "metadata")
+    rows = values_at(positions(dataset.image_names), sizes, np.intp, "metadata")
     column = dataset.size.copy()
-    column[list(map(row_of.__getitem__, sizes))] = list(sizes.values())
+    column[rows] = list(sizes.values())
     return dataclasses.replace(dataset, size=column)
 
 

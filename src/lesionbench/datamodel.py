@@ -9,7 +9,9 @@ is read through :func:`csv_rows`; the numeric ones (predictions, feature
 tables, score tables) then go through :func:`csv_floats`, which casts their
 cells block by block with Python ``float`` syntax. Every keyed table, read or
 built, checks its keys with :func:`require_unique` and its [0, 1] values with
-:func:`require_unit_interval`, each with one message form. Every float cell is
+:func:`require_unit_interval`, each with one message form; one table's rows are
+found by another's names only through :func:`values_at` (over :func:`positions`
+for a name tuple), whose misses raise one CoverageError form. Every float cell is
 written by :func:`float_cells`, a numeric table's rows through :func:`float_rows`:
 the shortest round-trip ``repr``, or a plain integer if integral and below 1e16,
 so ``parse(write(x)) == x`` holds exactly for datasets and every keyed table.
@@ -25,7 +27,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, islice
 from operator import attrgetter
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -148,7 +150,7 @@ class Dataset:
         class_of = {s: map_diagnosis(s).value for s in dict.fromkeys(self.diagnosis)}
         for name, table, keys, dtype in (("patient", patient_of, self.patient_ids, np.int64),
                                          ("diagnosis_class", class_of, self.diagnosis, np.int8)):
-            object.__setattr__(self, name, _frozen(values_at(table, keys, dtype)))
+            object.__setattr__(self, name, _frozen(values_at(table, keys, dtype, name)))
 
     @classmethod
     def from_records(cls, records: Iterable[SampleRecord]) -> "Dataset":
@@ -160,7 +162,7 @@ class Dataset:
 
         code_of = {sex.value: code for code, sex in _SEX_OF_CODE.items()}
         d = cls(column("image_name"), column("patient_id"),
-                values_at(code_of, column("sex._value_"), np.int8),
+                values_at(code_of, column("sex._value_"), np.int8, "sex"),
                 np.array(column("age_approx"), dtype=np.float64),  # None becomes NaN
                 [s or "" for s in column("anatom_site")], [s or "" for s in column("diagnosis")],
                 column("target_binary._value_"), np.array(column("source_year._value_")) == 2020,
@@ -201,9 +203,20 @@ class Dataset:
         return {pid: tuple(g.tolist()) for pid, g in zip(dict.fromkeys(self.patient_ids), groups)}
 
 
-def values_at(table: Mapping, keys: Iterable, dtype) -> np.ndarray:
-    """``table[key]`` for each of ``keys``, as a 1-D array of ``dtype``."""
-    return np.fromiter(map(table.__getitem__, keys), dtype=dtype)
+def values_at(table: Mapping, keys: Collection, dtype, what: str) -> np.ndarray:
+    """The one checked name lookup: ``table[key]`` for each of ``keys``, as a 1-D array of
+    ``dtype``. If any key is missing, CoverageError ``<what> missing N image(s), first: 'X'``
+    counts every missing key, repeats included, and names the first."""
+    try:
+        return np.fromiter(map(table.__getitem__, keys), dtype=dtype)
+    except KeyError:
+        missing = [key for key in keys if key not in table]
+    raise CoverageError(f"{what} missing {len(missing)} image(s), first: {missing[0]!r}")
+
+
+def positions(names: Sequence[str]) -> dict[str, int]:
+    """name -> its position in ``names``: the table that ``values_at`` aligns rows through."""
+    return dict(zip(names, range(len(names))))
 
 
 def require_unique(names: Sequence[str], key: str, rows: Sequence[int] | None = None) -> None:
@@ -212,7 +225,7 @@ def require_unique(names: Sequence[str], key: str, rows: Sequence[int] | None = 
     if len(set(names)) == len(names):
         return
     first = dict(zip(reversed(names), range(len(names) - 1, -1, -1)))  # name -> first position
-    again = int(np.flatnonzero(values_at(first, names, np.int64) != np.arange(len(names)))[0])
+    again = int(np.flatnonzero(values_at(first, names, np.int64, key) != np.arange(len(names)))[0])
     rows = range(1, len(names) + 1) if rows is None else rows
     raise UniquenessError(f"duplicate {key} {names[again]!r} "
                           f"(rows {rows[first[names[again]]]} and {rows[again]})")
@@ -422,7 +435,7 @@ def _coded(cells: Sequence[str], row_nums: Sequence[int], code: Callable[[str], 
     bad = next((cell for cell, c in codes.items() if c is None), None)
     if bad is not None:
         raise FormatError(f"row {row_nums[cells.index(bad)]}: " + problem.format(bad))
-    return values_at(codes, cells, dtype)
+    return values_at(codes, cells, dtype, "codes")
 
 
 def _present(cells: Sequence[str], row_nums: Sequence[int], parse: Callable[[str, int], object],
@@ -592,15 +605,3 @@ def parse_predictions_csv(text: str) -> PredictionSet:
         raise DomainError(f"image_name {names[i]!r}: probabilities sum to {sums[i].item()!r}; "
                           "rows must sum to 1 within 1e-9")
     return PredictionSet(names, arr[:, class_index(DiagnosisClass.MEL, scheme)])
-
-
-def require_coverage(required: Iterable[str], available: Container[str], what: str) -> None:
-    """Raise CoverageError naming the first of ``required`` not in ``available``.
-
-    ``available`` should answer ``in`` cheaply: a dict or a set.
-    """
-    missing = [name for name in required if name not in available]
-    if missing:
-        raise CoverageError(
-            f"{what} missing {len(missing)} image(s), first: {missing[0]!r}"
-        )

@@ -3,7 +3,8 @@
 Each model's scores are replaced by their normalized ranks before averaging,
 which discards calibration differences between models: any strictly
 increasing rescaling of a member's scores leaves the ensemble output
-bit-identical.
+bit-identical. Members are aligned by image name, never by row: each member's
+names are looked up among the first member's through ``datamodel.values_at``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import PredictionSet
+from .datamodel import PredictionSet, positions, values_at
 from .errors import CoverageError, DomainError
 from .metrics import average_ranks
 
@@ -42,30 +43,24 @@ def rank_average(models: Sequence[PredictionSet]) -> PredictionSet:
     """Per-image mean of each model's rank-transformed scores.
 
     All models must cover the identical image set; the output follows the
-    first model's image order. The reduction sorts each image's contributions
-    before summing, so the result is bitwise independent of model order.
+    first model's image order. A member of another length raises CoverageError
+    ``model i has N image(s), model 0 has M``; one with an image that model 0
+    lacks, ``model 0 (against model i) missing N image(s), first: 'X'``. The
+    reduction sorts each image's contributions before summing, so the result
+    is bitwise independent of model order.
     """
     if not models:
         raise DomainError("rank_average needs at least one model")
 
     base = models[0]
-    base_set = set(base.image_names)
-    for i, m in enumerate(models[1:], start=1):
-        other = set(m.image_names)
-        if other != base_set:
-            diff = sorted(base_set.symmetric_difference(other))
-            shown = ", ".join(diff[:10])
-            raise CoverageError(
-                f"model {i} covers a different image set "
-                f"({len(diff)} mismatched, first: {shown})"
-            )
-
+    at = positions(base.image_names)
     aligned = np.empty((len(models), len(base)), dtype=np.float64)
     for i, m in enumerate(models):
-        ranked = rank_transform(m.scores)
-        pos = {name: j for j, name in enumerate(m.image_names)}
-        idx = np.array([pos[name] for name in base.image_names])
-        aligned[i] = ranked[idx]
+        if len(m) != len(base):
+            raise CoverageError(f"model {i} has {len(m)} image(s), model 0 has {len(base)}")
+        # Names are unique, so finding all n of them among model 0's n means the same set.
+        rows = values_at(at, m.image_names, np.intp, f"model 0 (against model {i})")
+        aligned[i, rows] = rank_transform(m.scores)
 
     # Canonical summation order makes the mean symmetric in its arguments.
     aligned.sort(axis=0)

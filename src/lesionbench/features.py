@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ from .datamodel import (
     csv_rows,
     csv_text,
     float_rows,
-    require_coverage,
+    positions,
     require_unique,
     values_at,
 )
@@ -161,7 +160,8 @@ def encode_dataset(d: Dataset, vocab: SiteVocabulary, stats: NormStats,
     out[has_age, 1] = (d.age[has_age] - stats.age_mean) / stats.age_std
 
     slot_of = {site: i for i, site in enumerate(vocab.sites) if site}  # "" is a missing site
-    slots = values_at({s: slot_of.get(s, -1) for s in dict.fromkeys(d.site)}, d.site, np.int64)
+    slot = {s: slot_of.get(s, -1) for s in dict.fromkeys(d.site)}  # -1: no slot
+    slots = values_at(slot, d.site, np.int64, "site")
     hit = slots >= 0
     out[np.flatnonzero(hit), 2 + slots[hit]] = 1.0
 
@@ -200,15 +200,10 @@ class FeatureTable:
     def __len__(self) -> int:
         return len(self.image_names)
 
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.image_names)}
-
     def select(self, image_names: Sequence[str], what: str) -> np.ndarray:
         """Rows for the given images, in the given order. CoverageError names the table as
         ``what`` and the first image it lacks."""
-        require_coverage(image_names, self._positions, what)
-        return self.values[values_at(self._positions, image_names, np.intp)]
+        return self.values[values_at(positions(self.image_names), image_names, np.intp, what)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FeatureTable):

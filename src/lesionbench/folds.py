@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, csv_rows, csv_text, require_coverage, require_unique, values_at
+from .datamodel import Dataset, csv_rows, csv_text, positions, require_unique, values_at
 from .errors import DomainError, FormatError
 from .hashing import MASK64, fnv1a64, splitmix64
 from .targets import TargetScheme
@@ -32,11 +32,22 @@ class FoldAssignment:
     """Image -> fold map for a k-fold split.
 
     Every image of the source dataset appears exactly once, and all images
-    of one patient share a fold.
+    of one patient share a fold. ``k`` is at least 1 and every fold lies in
+    0..k-1, else DomainError names the first image outside that range.
     """
 
     k: int
     assignment: dict[str, int]
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise DomainError(f"fold count must be at least 1, got {self.k}")
+        folds = np.fromiter(self.assignment.values(), np.int64, len(self.assignment))
+        outside = (folds < 0) | (folds >= self.k)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise DomainError(f"image {list(self.assignment)[i]!r} has fold {folds[i]}, "
+                              f"outside 0..{self.k - 1} for k={self.k}")
 
     def __len__(self) -> int:
         return len(self.assignment)
@@ -44,8 +55,7 @@ class FoldAssignment:
     def folds_of(self, image_names: Sequence[str]) -> np.ndarray:
         """The fold of each of ``image_names``, in order (int64); CoverageError
         names the first image without one."""
-        require_coverage(image_names, self.assignment, "fold assignment")
-        return values_at(self.assignment, image_names, np.int64)
+        return values_at(self.assignment, image_names, np.int64, "fold assignment")
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,7 @@ def check_folds(d: Dataset, f: FoldAssignment) -> None:
     """
     folds = f.folds_of(d.image_names)
     if len(f.assignment) > len(d):  # names on both sides are unique
-        require_coverage(f.assignment, set(d.image_names), "metadata")
+        values_at(positions(d.image_names), f.assignment, np.intp, "metadata")
     # Every fold id costs a model in ``train`` and a line in ``evaluate``.
     _require_fold_count(f.k, len(d))
     first_row = np.unique(d.patient, return_index=True)[1]

@@ -477,11 +477,12 @@ def train(
     prediction set, in dataset order. Each fold is seeded with
     ``cfg.seed + k`` and owns its buffers, so folds are independent: when a
     step is matrix-bound (see ``_MATRIX_BOUND``) they train on one thread per
-    core of the CPU affinity mask, and otherwise one after another. The
-    result is the same bytes either way, and for any number of cores. A
-    non-finite loss, parameter or validation score stops training with a
-    DomainError naming fold, epoch and batch; with several failing folds it
-    is the lowest fold's, and the folds after it stop within one batch.
+    core of the CPU affinity mask, and otherwise one after another on one
+    worker thread. The result is the same bytes either way, and for any
+    number of cores. A non-finite loss, parameter or validation score stops
+    training with a DomainError naming fold, epoch and batch; with several
+    failing folds it is the lowest fold's, and the folds after it stop within
+    one batch.
 
     ``_MATRIX_BOUND`` was measured with one BLAS thread, and nothing here
     sets the BLAS thread count. With OpenBLAS's default of one BLAS thread
@@ -522,8 +523,7 @@ def train(
                     k, x_meta, x_cnn, y, y_bin, fold_of, cfg, mel_col, stops[k]
                 )
         except BaseException:
-            # The folds before k run on: the serial path would meet their
-            # errors first.
+            # The folds before k run on: in fold order their errors come first.
             for stop in stops[k + 1 :]:
                 stop.set()
             raise
@@ -535,19 +535,15 @@ def train(
                           "parameters, more than one array can hold")
     step_size = min(cfg.batch_size, len(names)) * n_params
     workers = min(f.k, _cpu_count()) if step_size >= _MATRIX_BOUND else 1
-    if workers == 1:
-        results = list(map(run_fold, range(f.k)))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(run_fold, k) for k in range(f.k)]
-            try:
-                results = [future.result() for future in futures]
-            except BaseException:  # a fold's error, or KeyboardInterrupt
-                for stop in stops:
-                    stop.set()
-                for future in futures:
-                    future.cancel()
-                raise
+    with ThreadPoolExecutor(workers) as pool:
+        # ``map`` yields in fold order, so the lowest failing fold's error comes first, and
+        # leaving its iterator early cancels the folds that have not started.
+        try:
+            results = list(pool.map(run_fold, range(f.k)))
+        except BaseException:  # a fold's error, or KeyboardInterrupt
+            for stop in stops:
+                stop.set()
+            raise
 
     oof = np.empty(len(names), dtype=np.float64)
     models: list[FusionHeadModel] = []

@@ -22,7 +22,7 @@ from .datamodel import (
     csv_rows,
     csv_text,
     float_rows,
-    require_coverage,
+    positions,
     require_unique,
     require_unit_interval,
     values_at,
@@ -146,10 +146,8 @@ def evaluate_cv(preds: PredictionSet, d: Dataset, f: FoldAssignment) -> CvReport
     ``preds`` must cover every image of ``d``; producing predictions
     out-of-fold is the caller's responsibility.
     """
-    score_by_name = preds.score_map()
-    require_coverage(d.image_names, score_by_name, "predictions")
-
-    scores = values_at(score_by_name, d.image_names, np.float64)
+    scores = preds.scores[values_at(positions(preds.image_names), d.image_names, np.intp,
+                                    "predictions")]
     labels = d.positive.astype(np.int64)
     folds = f.folds_of(d.image_names)
 

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lesionbench.datamodel import (
@@ -14,11 +14,14 @@ from lesionbench.datamodel import (
     SourceYear,
     parse_metadata_csv,
     parse_predictions_csv,
+    positions,
     validate_consistency,
+    values_at,
     write_metadata_csv,
     write_predictions_csv,
 )
 from lesionbench.errors import (
+    CoverageError,
     DomainError,
     FormatError,
     LesionbenchError,
@@ -26,7 +29,7 @@ from lesionbench.errors import (
     UniquenessError,
 )
 from lesionbench.targets import DiagnosisClass, TargetScheme, class_index
-from util import make_dataset, make_record, reference_parse_metadata
+from util import make_dataset, make_record, reference_parse_metadata, reference_values_at
 
 HEADER = "image_name,patient_id,sex,age_approx,anatom_site_general_challenge,diagnosis,target,source"
 
@@ -374,3 +377,26 @@ def test_prediction_arrays_read_only():
     p = PredictionSet.from_scores(["I1"], [0.5])
     with pytest.raises(ValueError):
         p.scores[0] = 0.9
+
+
+
+# Twelve possible names, so a drawn key is often in the table and often not.
+NAMES = st.text(alphabet="abc", min_size=1, max_size=2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=st.dictionaries(NAMES, st.integers(-2**62, 2**62), max_size=8),
+       keys=st.lists(NAMES, max_size=12))
+@example(table={}, keys=[])
+@example(table={}, keys=["a", "b", "a"])  # every key missing, one of them twice
+@example(table={"a": 1, "b": 2}, keys=["b", "c", "a", "c", "a", "ca"])  # repeats, hit and miss
+def test_values_at_equals_the_two_pass_oracle(table, keys):
+    def outcome(lookup):
+        try:
+            return lookup(table, tuple(keys), np.int64, "t").tobytes()
+        except CoverageError as exc:
+            return str(exc)
+
+    assert outcome(values_at) == outcome(reference_values_at)
+    names = list(table)
+    assert positions(names) == {name: names.index(name) for name in names}

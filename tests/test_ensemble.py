@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,17 @@ def test_rank_average_image_set_mismatch():
     b = PredictionSet.from_scores(["x", "q"], [0.1, 0.2])
     with pytest.raises(CoverageError, match="q"):
         rank_average([a, b])
+
+
+def test_rank_average_mismatch_messages_name_the_member():
+    a = PredictionSet.from_scores(["x", "y", "z"], [0.1, 0.2, 0.3])
+    short = PredictionSet.from_scores(["x", "y"], [0.1, 0.2])
+    foreign = PredictionSet.from_scores(["q", "y", "r"], [0.1, 0.2, 0.3])
+    with pytest.raises(CoverageError, match=r"^model 2 has 2 image\(s\), model 0 has 3$"):
+        rank_average([a, a, short])
+    with pytest.raises(CoverageError, match=re.escape(
+            "model 0 (against model 1) missing 2 image(s), first: 'q'")):
+        rank_average([a, foreign])
 
 
 def test_rank_average_needs_models():

@@ -192,3 +192,17 @@ def test_read_folds_csv_errors():
         read_folds_csv("image_name,fold\nI1,0\nI1,1\n")
     with pytest.raises(FormatError):
         read_folds_csv("image_name,fold\nI1,x\n")
+
+
+def test_fold_ids_outside_zero_to_k_minus_one_rejected():
+    # An image whose fold is not in range(k) would never be scored out of fold: ``train`` would
+    # leave its OOF score unwritten and ``evaluate_cv`` would score it anyway.
+    d = random_dataset(np.random.default_rng(0), n_patients=12, singleton=True)
+    names = d.image_names
+    with pytest.raises(DomainError, match=rf"image '{names[3]}' has fold 5, outside 0\.\.1 for k=2"):
+        FoldAssignment(k=2, assignment={n: 5 if i == 3 else i % 2 for i, n in enumerate(names)})
+    with pytest.raises(DomainError, match=rf"image '{names[1]}' has fold -1, outside 0\.\.1"):
+        FoldAssignment(k=2, assignment={n: -1 if i % 2 else 0 for i, n in enumerate(names)})
+    with pytest.raises(DomainError, match="fold count must be at least 1, got 0"):
+        FoldAssignment(k=0, assignment={})
+    assert len(FoldAssignment(k=1, assignment={n: 0 for n in names})) == len(names)

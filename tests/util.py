@@ -19,7 +19,7 @@ from lesionbench.datamodel import (
     SourceYear,
     csv_rows,
 )
-from lesionbench.errors import DomainError, FormatError, RangeError, UniquenessError
+from lesionbench.errors import CoverageError, DomainError, FormatError, RangeError, UniquenessError
 from lesionbench.hashing import MASK64
 
 
@@ -167,6 +167,15 @@ def reference_require_unique(names, key, rows=None) -> None:
         if name in row_of:
             raise UniquenessError(f"duplicate {key} {name!r} (rows {row_of[name]} and {num})")
         row_of[name] = num
+
+
+def reference_values_at(table, keys, dtype, what):
+    """A pass that lists every missing key, then the dict lookup: the oracle for the one-pass
+    ``datamodel.values_at``."""
+    missing = [key for key in keys if key not in table]
+    if missing:
+        raise CoverageError(f"{what} missing {len(missing)} image(s), first: {missing[0]!r}")
+    return np.fromiter(map(table.__getitem__, keys), dtype=dtype)
 
 
 def auc_pair_counting(scores, labels) -> float:
