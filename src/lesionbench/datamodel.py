@@ -7,14 +7,18 @@ immutable after construction and safe for concurrent readers. CSV streams
 are UTF-8; LF and CRLF are both accepted on read, LF is written. Every format
 is read through :func:`csv_rows`; the numeric ones (predictions, feature
 tables, score tables) then go through :func:`csv_floats`, which casts their
-cells block by block with Python ``float`` syntax. Every keyed table, read or
-built, checks its keys with :func:`require_unique` and its [0, 1] values with
-:func:`require_unit_interval`, each with one message form; one table's rows are
+cells block by block with Python ``float`` syntax. Every keyed table
+(:class:`PredictionSet`, ``features.FeatureTable``, ``metrics.ScoreTable``) is a
+:class:`KeyedTable`: a tuple of keys checked by :func:`require_unique`, and a
+read-only float64 array with one row per key; [0, 1] values are checked by
+:func:`require_unit_interval`, each with one message form. One table's rows are
 found by another's names only through :func:`values_at` (over :func:`positions`
-for a name tuple), whose misses raise one CoverageError form. Every float cell is
-written by :func:`float_cells`, a numeric table's rows through :func:`float_rows`:
-the shortest round-trip ``repr``, or a plain integer if integral and below 1e16,
-so ``parse(write(x)) == x`` holds exactly for datasets and every keyed table.
+for a name tuple, as ``KeyedTable.select`` does), whose misses raise one
+CoverageError form. The read-only dataclasses compare by :func:`equal_fields`.
+Every float cell is written by :func:`float_cells`, a numeric table's rows
+through :func:`float_rows`: the shortest round-trip ``repr``, or a plain integer
+if integral and below 1e16, so ``parse(write(x)) == x`` holds exactly for
+datasets and every keyed table.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, islice
@@ -107,6 +111,20 @@ class SampleRecord:
         return self.target_binary is BinaryTarget.MALIGNANT
 
 
+def equal_fields(a: object, b: object) -> bool:
+    """The one value equality of the read-only dataclasses: ``b`` has ``a``'s type and every
+    field is equal, arrays by value with NaN equal to NaN."""
+    return type(b) is type(a) and all(
+        np.array_equal(x, y, equal_nan=True) if isinstance(x, np.ndarray) else x == y
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a)))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    out = arr.copy()
+    out.flags.writeable = False
+    return out
+
+
 # The columns given to Dataset, in order: None marks a tuple of str, else the array dtype.
 _COLUMNS = dict(image_names=None, patient_ids=None, sex=np.int8, age=np.float64, site=None,
                 diagnosis=None, positive=np.bool_, is_2020=np.bool_, size=np.int64)
@@ -173,13 +191,7 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.image_names)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        pairs = ((getattr(self, name), getattr(other, name)) for name in _COLUMNS)
-        return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
-                   for a, b in pairs)
-
+    __eq__ = equal_fields
     __hash__ = None  # type: ignore[assignment]
 
     @cached_property
@@ -241,6 +253,44 @@ def require_unit_interval(values: np.ndarray, keys: Sequence[str], key: str,
         i, j = divmod(at, len(columns))
         raise RangeError(f"{key} {keys[i]!r}: {columns[j]}={values.flat[at].item()!r} "
                          "outside [0, 1]")
+
+
+@dataclass(frozen=True, eq=False)
+class KeyedTable:
+    """Base of the keyed tables, frozen dataclasses whose first field is a tuple of unique keys
+    and whose second is a read-only float64 array with one row per key.
+
+    On construction the keys become a tuple, a repeat raises UniquenessError through
+    :func:`require_unique` with the class's key column ``key``, the subclass's
+    ``_check(keys, values)`` checks the array's shape and values, and the table holds a
+    read-only copy of the array. Tables are equal by :func:`equal_fields`.
+    """
+
+    key = "image_name"
+
+    def __post_init__(self) -> None:
+        keys_field, values_field = (f.name for f in fields(self))
+        keys = tuple(getattr(self, keys_field))
+        require_unique(keys, self.key)
+        values = np.asarray(getattr(self, values_field), dtype=np.float64)
+        self._check(keys, values)
+        object.__setattr__(self, keys_field, keys)
+        object.__setattr__(self, values_field, _frozen(values))
+
+    def _columns(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __len__(self) -> int:
+        return len(self._columns()[0])
+
+    __eq__ = equal_fields
+    __hash__ = None  # type: ignore[assignment]
+
+    def select(self, keys: Sequence[str], what: str) -> np.ndarray:
+        """The rows of ``keys``, in that order. CoverageError names the table as ``what`` and
+        the first key it lacks."""
+        names, values = self._columns()
+        return values[values_at(positions(names), keys, np.intp, what)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -522,7 +572,7 @@ def _full_header(scheme: TargetScheme) -> list[str]:
 
 
 @dataclass(frozen=True, eq=False)
-class PredictionSet:
+class PredictionSet(KeyedTable):
     """Per-image melanoma scores, each in [0, 1], stored read-only.
 
     This is the only in-memory form of predictions: a full class-probability
@@ -532,14 +582,11 @@ class PredictionSet:
     image_names: tuple[str, ...]
     scores: np.ndarray
 
-    def __post_init__(self) -> None:
-        n = len(self.image_names)
-        require_unique(self.image_names, "image_name")
-        arr = np.asarray(self.scores, dtype=np.float64)
-        if arr.shape != (n,):
-            raise ShapeError(f"scores shape {arr.shape} != ({n},)")
-        require_unit_interval(arr, self.image_names, "image_name", ("score",))
-        object.__setattr__(self, "scores", _frozen(arr))
+    @staticmethod
+    def _check(keys: tuple[str, ...], values: np.ndarray) -> None:
+        if values.shape != (len(keys),):
+            raise ShapeError(f"scores shape {values.shape} != ({len(keys)},)")
+        require_unit_interval(values, keys, "image_name", ("score",))
 
     @classmethod
     def from_scores(
@@ -547,29 +594,11 @@ class PredictionSet:
     ) -> "PredictionSet":
         if not isinstance(scores, (np.ndarray, Sequence)):
             scores = list(scores)
-        return cls(tuple(image_names), np.asarray(scores, dtype=np.float64))
-
-    def __len__(self) -> int:
-        return len(self.image_names)
+        return cls(image_names, scores)
 
     def score_map(self) -> dict[str, float]:
         """image_name -> score."""
         return dict(zip(self.image_names, self.scores.tolist()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PredictionSet):
-            return NotImplemented
-        return self.image_names == other.image_names and bool(
-            np.array_equal(self.scores, other.scores)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = arr.copy()
-    out.flags.writeable = False
-    return out
 
 
 def write_predictions_csv(p: PredictionSet) -> str:
@@ -583,7 +612,7 @@ def parse_predictions_csv(text: str) -> PredictionSet:
     ``image_name,target`` holds the scores themselves. A full class-probability
     file, ``image_name,prob_<CLASS>,...`` in nine- or four-class column order,
     must hold values in [0, 1] with each row summing to 1 within 1e-9; it
-    is reduced to its MEL column.
+    is reduced to its MEL column. A file without data rows raises FormatError.
     """
     header, rows = csv_rows(text, "prediction")
     if header == _SCORE_HEADER:
@@ -596,6 +625,8 @@ def parse_predictions_csv(text: str) -> PredictionSet:
         raise FormatError(f"unrecognized prediction header: {','.join(header)!r}")
 
     names, arr = csv_floats(header, rows, "score")
+    if not names:
+        raise FormatError("prediction CSV contains no data rows")
     if scheme is None:
         return PredictionSet(names, arr[:, 0])
     require_unit_interval(arr, names, "image_name", header[1:])

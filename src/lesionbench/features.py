@@ -18,19 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .datamodel import (
     Dataset,
-    _frozen,
+    KeyedTable,
     csv_floats,
     csv_rows,
     csv_text,
     float_rows,
-    positions,
-    require_unique,
     values_at,
 )
 from .errors import (
@@ -172,47 +169,26 @@ def encode_dataset(d: Dataset, vocab: SiteVocabulary, stats: NormStats,
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureTable:
+class FeatureTable(KeyedTable):
     """Image-keyed feature matrix, the unit of feature CSV exchange."""
 
     image_names: tuple[str, ...]
     values: np.ndarray  # (n, width) float64
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != len(self.image_names):
-            raise ShapeError(
-                f"feature matrix shape {arr.shape} does not match "
-                f"{len(self.image_names)} image names"
-            )
-        require_unique(self.image_names, "image_name")
-        finite = np.isfinite(arr)
+    @staticmethod
+    def _check(keys: tuple[str, ...], values: np.ndarray) -> None:
+        if values.ndim != 2 or values.shape[0] != len(keys):
+            raise ShapeError(f"feature matrix shape {values.shape} does not match "
+                             f"{len(keys)} image names")
+        finite = np.isfinite(values)
         if not finite.all():  # name the first non-finite cell in row order
-            i, j = divmod(int(np.argmin(finite)), arr.shape[1])
-            raise DomainError(f"image_name {self.image_names[i]!r}: feature column {j} is "
-                              f"{arr[i, j].item()!r}; feature values must be finite")
-        object.__setattr__(self, "values", _frozen(arr))
+            i, j = divmod(int(np.argmin(finite)), values.shape[1])
+            raise DomainError(f"image_name {keys[i]!r}: feature column {j} is "
+                              f"{values[i, j].item()!r}; feature values must be finite")
 
     @property
     def width(self) -> int:
         return int(self.values.shape[1])
-
-    def __len__(self) -> int:
-        return len(self.image_names)
-
-    def select(self, image_names: Sequence[str], what: str) -> np.ndarray:
-        """Rows for the given images, in the given order. CoverageError names the table as
-        ``what`` and the first image it lacks."""
-        return self.values[values_at(positions(self.image_names), image_names, np.intp, what)]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FeatureTable):
-            return NotImplemented
-        return self.image_names == other.image_names and bool(
-            np.array_equal(self.values, other.values)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def write_feature_csv(table: FeatureTable, prefix: str = "f") -> str:

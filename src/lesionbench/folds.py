@@ -11,7 +11,8 @@ runs and platforms while still varying with the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,13 +34,15 @@ class FoldAssignment:
 
     Every image of the source dataset appears exactly once, and all images
     of one patient share a fold. ``k`` is at least 1 and every fold lies in
-    0..k-1, else DomainError names the first image outside that range.
+    0..k-1, else DomainError names the first image outside that range. The
+    map is held as a read-only copy, so the range check stays true.
     """
 
     k: int
-    assignment: dict[str, int]
+    assignment: Mapping[str, int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
         if self.k < 1:
             raise DomainError(f"fold count must be at least 1, got {self.k}")
         folds = np.fromiter(self.assignment.values(), np.int64, len(self.assignment))
@@ -51,6 +54,9 @@ class FoldAssignment:
 
     def __len__(self) -> int:
         return len(self.assignment)
+
+    def __reduce__(self):  # a MappingProxyType cannot be pickled or deep-copied itself
+        return FoldAssignment, (self.k, dict(self.assignment))
 
     def folds_of(self, image_names: Sequence[str]) -> np.ndarray:
         """The fold of each of ``image_names``, in order (int64); CoverageError

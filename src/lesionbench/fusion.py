@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, PredictionSet, _frozen
+from .datamodel import Dataset, PredictionSet, _frozen, equal_fields
 from .errors import DomainError, FormatError, ShapeError
 from .features import N_METADATA_FEATURES, FeatureTable, read_feature_csv
 from .folds import FoldAssignment
@@ -141,13 +141,7 @@ class FusionHeadModel:
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FusionHeadModel):
-            return NotImplemented
-        return self.scheme is other.scheme and all(
-            np.array_equal(getattr(self, n), getattr(other, n)) for n in PARAM_NAMES
-        )
-
+    __eq__ = equal_fields
     __hash__ = None  # type: ignore[assignment]
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .datamodel import (
     Dataset,
+    KeyedTable,
     PredictionSet,
     _frozen,
     csv_floats,
@@ -23,7 +24,6 @@ from .datamodel import (
     csv_text,
     float_rows,
     positions,
-    require_unique,
     require_unit_interval,
     values_at,
 )
@@ -143,11 +143,13 @@ class CvReport:
 def evaluate_cv(preds: PredictionSet, d: Dataset, f: FoldAssignment) -> CvReport:
     """Score out-of-fold predictions against a dataset's labels.
 
-    ``preds`` must cover every image of ``d``; producing predictions
-    out-of-fold is the caller's responsibility.
+    ``preds`` must name exactly the images of ``d``, else CoverageError names the
+    first image one side lacks; producing predictions out-of-fold is the
+    caller's responsibility.
     """
-    scores = preds.scores[values_at(positions(preds.image_names), d.image_names, np.intp,
-                                    "predictions")]
+    scores = preds.select(d.image_names, "predictions")
+    if len(preds) > len(d):  # names on both sides are unique
+        values_at(positions(d.image_names), preds.image_names, np.intp, "metadata")
     labels = d.positive.astype(np.int64)
     folds = f.folds_of(d.image_names)
 
@@ -160,30 +162,20 @@ def evaluate_cv(preds: PredictionSet, d: Dataset, f: FoldAssignment) -> CvReport
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreTable:
+class ScoreTable(KeyedTable):
     """Per-model scores on the four tracked metrics: the model ids, and a read-only (n, 4)
     float64 array of their scores in ``METRIC_NAMES`` order, each in [0, 1]."""
 
     model_ids: tuple[str, ...]
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        n = len(self.model_ids)
-        require_unique(self.model_ids, "model")
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.shape != (n, len(METRIC_NAMES)):
-            raise ShapeError(f"scores shape {arr.shape} != ({n}, {len(METRIC_NAMES)})")
-        require_unit_interval(arr, self.model_ids, "model", METRIC_NAMES)
-        object.__setattr__(self, "values", _frozen(arr))
+    key = "model"
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScoreTable):
-            return NotImplemented
-        return self.model_ids == other.model_ids and bool(
-            np.array_equal(self.values, other.values)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
+    @staticmethod
+    def _check(keys: tuple[str, ...], values: np.ndarray) -> None:
+        if values.shape != (len(keys), len(METRIC_NAMES)):
+            raise ShapeError(f"scores shape {values.shape} != ({len(keys)}, {len(METRIC_NAMES)})")
+        require_unit_interval(values, keys, "model", METRIC_NAMES)
 
 
 @dataclass(frozen=True)

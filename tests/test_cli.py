@@ -227,6 +227,43 @@ def test_evaluate_missing_prediction_exits_2(tmp_path, meta_csv, capsys):
     assert "P" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_prediction_images_the_metadata_lacks(tmp_path, meta_csv, capsys):
+    folds = tmp_path / "folds.csv"
+    assert main(["split", "--meta", str(meta_csv), "--folds", "2", "--seed", "0",
+                 "--out", str(folds)]) == 0
+    capsys.readouterr()
+    names = small_dataset().image_names
+    preds = tmp_path / "preds.csv"
+    preds.write_text(write_predictions_csv(PredictionSet.from_scores(
+        names + ("zz",), [0.5] * (len(names) + 1))), encoding="utf-8")
+    rc = main(["evaluate", "--meta", str(meta_csv), "--folds-csv", str(folds),
+               "--preds", str(preds)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: metadata missing 1 image(s), first: 'zz'\n")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ensemble", "ensemble-with-full"])
+def test_header_only_prediction_file_exits_2(tmp_path, meta_csv, capsys, command):
+    folds = tmp_path / "folds.csv"
+    assert main(["split", "--meta", str(meta_csv), "--folds", "2", "--seed", "0",
+                 "--out", str(folds)]) == 0
+    capsys.readouterr()
+    names = small_dataset().image_names
+    full, empty = tmp_path / "full.csv", tmp_path / "empty.csv"
+    full.write_text(write_predictions_csv(PredictionSet.from_scores(names, [0.5] * len(names))),
+                    encoding="utf-8")
+    empty.write_text("image_name,target\n", encoding="utf-8")
+    args = {
+        "evaluate": ["evaluate", "--meta", str(meta_csv), "--folds-csv", str(folds),
+                     "--preds", str(empty)],
+        "ensemble": ["ensemble", "--preds", str(empty), "--out", str(tmp_path / "o.csv")],
+        "ensemble-with-full": ["ensemble", "--preds", f"{full},{empty}",
+                               "--out", str(tmp_path / "o.csv")],
+    }[command]
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", "error: prediction CSV contains no data rows\n")
+
+
 def test_stability_reference_output(capsys):
     rc = main(["stability"])
     assert rc == 0

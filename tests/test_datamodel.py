@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -28,6 +29,8 @@ from lesionbench.errors import (
     RangeError,
     UniquenessError,
 )
+from lesionbench.features import FeatureTable
+from lesionbench.metrics import ScoreTable
 from lesionbench.targets import DiagnosisClass, TargetScheme, class_index
 from util import make_dataset, make_record, reference_parse_metadata, reference_values_at
 
@@ -400,3 +403,43 @@ def test_values_at_equals_the_two_pass_oracle(table, keys):
     assert outcome(values_at) == outcome(reference_values_at)
     names = list(table)
     assert positions(names) == {name: names.index(name) for name in names}
+
+
+# Each keyed table type, its key column, and a valid 3-row array for it.
+KEYED_TABLES = [
+    (PredictionSet, "image_name", np.array([0.1, 0.7, 0.4])),
+    (FeatureTable, "image_name", np.array([[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8],
+                                           [0.9, 0.0, 0.1, 0.2]])),
+    (ScoreTable, "model", np.array([[0.9, 0.8, 0.7, 0.6], [0.5, 0.4, 0.3, 0.2],
+                                    [0.1, 0.2, 0.3, 0.4]])),
+]
+
+
+@pytest.mark.parametrize("cls, key, values", KEYED_TABLES,
+                         ids=[cls.__name__ for cls, _, _ in KEYED_TABLES])
+def test_keyed_table_contract(cls, key, values):
+    keys = ("a", "b", "c")
+    given = values.copy()
+    t = cls(list(keys), given)
+    held_keys, held = (getattr(t, f.name) for f in dataclasses.fields(t))
+    assert isinstance(held_keys, tuple) and held_keys == keys
+    assert t == cls(keys, values) and len(t) == 3
+
+    given[0] = 0.5  # the table holds a read-only copy
+    assert np.array_equal(held, values) and not held.flags.writeable
+
+    subclass = type("Sub" + cls.__name__, (cls,), {})
+    others = [subclass] + [other for other, _, _ in KEYED_TABLES if other is not cls]
+    for other in others:
+        try:
+            u = other(keys, values)
+        except LesionbenchError:  # this type's shape check rejects these cells
+            continue
+        assert t != u and u != t
+    assert t != (keys, values)
+
+    assert np.array_equal(t.select(["c", "a", "b", "a"], "t"), values[[2, 0, 1, 0]])
+    with pytest.raises(CoverageError, match=r"^some table missing 2 image\(s\), first: 'x'$"):
+        t.select(["b", "x", "a", "y"], "some table")
+    with pytest.raises(UniquenessError, match=rf"^duplicate {key} 'a' \(rows 1 and 3\)$"):
+        cls(["a", "b", "a"], values)

@@ -1,4 +1,6 @@
 import collections
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -206,3 +208,15 @@ def test_fold_ids_outside_zero_to_k_minus_one_rejected():
     with pytest.raises(DomainError, match="fold count must be at least 1, got 0"):
         FoldAssignment(k=0, assignment={})
     assert len(FoldAssignment(k=1, assignment={n: 0 for n in names})) == len(names)
+
+
+def test_assignment_cannot_change_after_its_range_check():
+    given = {"a": 0, "b": 1}
+    f = FoldAssignment(k=2, assignment=given)
+    with pytest.raises(TypeError):
+        f.assignment["b"] = 7
+    given["b"] = 7
+    assert f.folds_of(["a", "b"]).tolist() == [0, 1]
+    assert f == FoldAssignment(k=2, assignment={"a": 0, "b": 1})
+    assert f.assignment == {"a": 0, "b": 1}
+    assert pickle.loads(pickle.dumps(f)) == f == copy.deepcopy(f)
