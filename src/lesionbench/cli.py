@@ -48,6 +48,7 @@ from .features import (
 from .folds import (
     DEFAULT_FOLDS,
     DEFAULT_SEED,
+    FoldAssignment,
     assign_folds,
     check_folds,
     fold_ratio_report,
@@ -223,12 +224,19 @@ def _parse_scheme(text: str) -> TargetScheme:
     raise FormatError(f"--scheme must be 9c or 4c, got {text!r}")
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    digests: dict[str, str] = {}
+def _read_folded(args: argparse.Namespace,
+                 digests: dict[str, str] | None) -> tuple[Dataset, FoldAssignment, list[str]]:
+    """The metadata, its label warnings and the fold split checked against it."""
     dataset = parse_metadata_csv(_read_input(args.meta, digests, "meta"))
     label_warnings = _check_labels(dataset)
     assignment = read_folds_csv(_read_input(args.folds_csv, digests, "folds"))
     check_folds(dataset, assignment)
+    return dataset, assignment, label_warnings
+
+
+def _cmd_train(args: argparse.Namespace) -> int:
+    digests: dict[str, str] = {}
+    dataset, assignment, label_warnings = _read_folded(args, digests)
     feats = _metadata_features(dataset)
     cnn = read_cnn_csv(_read_input(args.cnn, digests, "cnn")) if args.cnn else None
 
@@ -278,10 +286,7 @@ def _format_cv(report) -> str:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    dataset = parse_metadata_csv(_read_input(args.meta))
-    label_warnings = _check_labels(dataset)
-    assignment = read_folds_csv(_read_input(args.folds_csv))
-    check_folds(dataset, assignment)
+    dataset, assignment, label_warnings = _read_folded(args, None)
     preds = parse_predictions_csv(_read_input(args.preds))
     report = evaluate_cv(preds, dataset, assignment)
     print(_format_cv(report))

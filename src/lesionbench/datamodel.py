@@ -1,24 +1,22 @@
 """Canonical record types and the toolkit's CSV formats.
 
-A :class:`Dataset` holds the metadata table column by column, one read-only
-array or tuple per field, filled straight from the CSV cells; a
-:class:`SampleRecord` is one row of it, built only on request. All types are
-immutable after construction and safe for concurrent readers. CSV streams
-are UTF-8; LF and CRLF are both accepted on read, LF is written. Every format
-is read through :func:`csv_rows`; the numeric ones (predictions, feature
-tables, score tables) then go through :func:`csv_floats`, which casts their
-cells block by block with Python ``float`` syntax. Every keyed table
-(:class:`PredictionSet`, ``features.FeatureTable``, ``metrics.ScoreTable``) is a
-:class:`KeyedTable`: a tuple of keys checked by :func:`require_unique`, and a
-read-only float64 array with one row per key; [0, 1] values are checked by
-:func:`require_unit_interval`, each with one message form. One table's rows are
-found by another's names only through :func:`values_at` (over :func:`positions`
-for a name tuple, as ``KeyedTable.select`` does), whose misses raise one
-CoverageError form. The read-only dataclasses compare by :func:`equal_fields`.
-Every float cell is written by :func:`float_cells`, a numeric table's rows
-through :func:`float_rows`: the shortest round-trip ``repr``, or a plain integer
-if integral and below 1e16, so ``parse(write(x)) == x`` holds exactly for
-datasets and every keyed table.
+A :class:`Dataset` holds the metadata table column by column, one read-only array or tuple per
+field, filled straight from the CSV cells; a :class:`SampleRecord` is one row of it, built only
+on request. All types are immutable after construction and safe for concurrent readers. CSV
+streams are UTF-8; LF and CRLF are both accepted on read, LF is written. Every format is read
+through :func:`csv_rows`; the numeric ones (predictions, feature tables, score tables) then go
+through :func:`csv_floats`, which casts their cells block by block with Python ``float`` syntax.
+Every keyed table (:class:`PredictionSet`, ``features.FeatureTable``, ``metrics.ScoreTable``,
+``folds.FoldAssignment``) is a :class:`KeyedTable`: a tuple of keys checked by
+:func:`require_unique`, and a read-only float64 (int64 for folds) array with one row per key;
+[0, 1] values are checked by :func:`require_unit_interval`, each with one message form. One
+table's rows are found by another's names only through :func:`values_at` (over :func:`positions`
+for a name tuple, as ``KeyedTable.select`` does), whose misses raise one CoverageError form;
+:func:`aligned_rows` aligns a table to the metadata in both directions. The read-only
+dataclasses compare by :func:`equal_fields` and are copied by :func:`reduce_fields`. Every float
+cell is written by :func:`float_cells`, a numeric table's rows through :func:`float_rows`: the
+shortest round-trip ``repr``, or a plain integer if integral and below 1e16, so
+``parse(write(x)) == x`` holds exactly for datasets and every keyed table.
 """
 
 from __future__ import annotations
@@ -113,10 +111,17 @@ class SampleRecord:
 
 def equal_fields(a: object, b: object) -> bool:
     """The one value equality of the read-only dataclasses: ``b`` has ``a``'s type and every
-    field is equal, arrays by value with NaN equal to NaN."""
+    field is equal, arrays by value with NaN equal to NaN. A class that takes it as ``__eq__``
+    is unhashable, as is any class that defines ``__eq__``."""
     return type(b) is type(a) and all(
         np.array_equal(x, y, equal_nan=True) if isinstance(x, np.ndarray) else x == y
         for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a)))
+
+
+def reduce_fields(self: object) -> tuple:
+    """The one ``__reduce__`` of the read-only dataclasses: a pickled or deep-copied object is
+    rebuilt through its constructor from its init fields, so the copy's arrays are read-only."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -192,7 +197,7 @@ class Dataset:
         return len(self.image_names)
 
     __eq__ = equal_fields
-    __hash__ = None  # type: ignore[assignment]
+    __reduce__ = reduce_fields
 
     @cached_property
     def records(self) -> tuple[SampleRecord, ...]:
@@ -257,40 +262,49 @@ def require_unit_interval(values: np.ndarray, keys: Sequence[str], key: str,
 
 @dataclass(frozen=True, eq=False)
 class KeyedTable:
-    """Base of the keyed tables, frozen dataclasses whose first field is a tuple of unique keys
-    and whose second is a read-only float64 array with one row per key.
-
-    On construction the keys become a tuple, a repeat raises UniquenessError through
-    :func:`require_unique` with the class's key column ``key``, the subclass's
-    ``_check(keys, values)`` checks the array's shape and values, and the table holds a
-    read-only copy of the array. Tables are equal by :func:`equal_fields`.
-    """
+    """Base of the keyed tables, frozen dataclasses whose first field is a tuple of unique keys and
+    whose second is a read-only array of the class's ``dtype`` with one row per key; further fields
+    are the subclass's own. On construction the keys become a tuple, a repeat raises UniquenessError
+    through :func:`require_unique` with the class's key column ``key``, the subclass's
+    ``_check(keys, values)`` checks the array's shape and values, and the table holds a read-only
+    copy of the array. Tables are equal by :func:`equal_fields`, row order included."""
 
     key = "image_name"
+    dtype = np.float64
 
     def __post_init__(self) -> None:
-        keys_field, values_field = (f.name for f in fields(self))
+        keys_field, values_field = (f.name for f in fields(self)[:2])
         keys = tuple(getattr(self, keys_field))
         require_unique(keys, self.key)
-        values = np.asarray(getattr(self, values_field), dtype=np.float64)
+        values = np.asarray(getattr(self, values_field), dtype=self.dtype)
         self._check(keys, values)
         object.__setattr__(self, keys_field, keys)
         object.__setattr__(self, values_field, _frozen(values))
 
     def _columns(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return tuple(getattr(self, f.name) for f in fields(self)[:2])
 
     def __len__(self) -> int:
         return len(self._columns()[0])
 
     __eq__ = equal_fields
-    __hash__ = None  # type: ignore[assignment]
+    __reduce__ = reduce_fields
 
     def select(self, keys: Sequence[str], what: str) -> np.ndarray:
         """The rows of ``keys``, in that order. CoverageError names the table as ``what`` and
         the first key it lacks."""
         names, values = self._columns()
         return values[values_at(positions(names), keys, np.intp, what)]
+
+
+def aligned_rows(table: KeyedTable, d: Dataset, what: str) -> np.ndarray:
+    """The one two-way alignment of a keyed table to the metadata: ``table``'s rows for ``d``'s
+    images, in ``d``'s order. CoverageError names ``what`` and the first image ``table`` lacks,
+    or reads ``metadata missing N image(s), first: 'X'`` for images ``d`` lacks."""
+    rows = table.select(d.image_names, what)
+    if len(table) > len(d):  # names on both sides are unique
+        values_at(positions(d.image_names), table._columns()[0], np.intp, "metadata")
+    return rows
 
 
 @dataclass(frozen=True, slots=True)

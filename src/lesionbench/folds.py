@@ -1,23 +1,21 @@
 """Deterministic patient-grouped, class-stratified fold assignment.
 
-Patients are the assignment unit so no patient's images leak across folds.
-Stratification targets the nine-class diagnosis distribution: patients are
-processed largest-first and each goes to the fold currently least loaded
-with respect to the patient's own class counts. Ties are broken by a seeded
-64-bit mix of the patient id, which makes assignments reproducible across
-runs and platforms while still varying with the seed.
+Patients are the assignment unit so no patient's images leak across folds. Stratification
+targets the nine-class diagnosis distribution: patients are processed largest-first and each
+goes to the fold currently least loaded with respect to the patient's own class counts. Ties
+are broken by a seeded 64-bit mix of the patient id, which makes assignments reproducible
+across runs and platforms while still varying with the seed. A split is a
+:class:`FoldAssignment`, a ``datamodel.KeyedTable`` of image names and their int64 folds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, csv_rows, csv_text, positions, require_unique, values_at
-from .errors import DomainError, FormatError
+from .datamodel import Dataset, KeyedTable, aligned_rows, csv_rows, csv_text, require_unique
+from .errors import DomainError, FormatError, RangeError, ShapeError
 from .hashing import MASK64, fnv1a64, splitmix64
 from .targets import TargetScheme
 from .targets import map_diagnosis  # noqa: F401 -- unused; perfbench/layers.py counts its calls
@@ -28,40 +26,28 @@ DEFAULT_FOLDS = 5
 DEFAULT_SEED = 42
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Image -> fold map for a k-fold split.
+@dataclass(frozen=True, eq=False)
+class FoldAssignment(KeyedTable):
+    """A k-fold split as a keyed table: image names and a read-only int64 array of their folds.
+    ``k`` is at least 1 and every fold lies in 0..k-1, else DomainError names the first image
+    outside that range; :func:`check_folds` checks the split against the metadata."""
 
-    Every image of the source dataset appears exactly once, and all images
-    of one patient share a fold. ``k`` is at least 1 and every fold lies in
-    0..k-1, else DomainError names the first image outside that range. The
-    map is held as a read-only copy, so the range check stays true.
-    """
-
+    image_names: tuple[str, ...]
+    folds: np.ndarray
     k: int
-    assignment: Mapping[str, int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
+    dtype = np.int64
+
+    def _check(self, keys: tuple[str, ...], values: np.ndarray) -> None:
         if self.k < 1:
             raise DomainError(f"fold count must be at least 1, got {self.k}")
-        folds = np.fromiter(self.assignment.values(), np.int64, len(self.assignment))
-        outside = (folds < 0) | (folds >= self.k)
+        if values.shape != (len(keys),):
+            raise ShapeError(f"folds shape {values.shape} != ({len(keys)},)")
+        outside = (values < 0) | (values >= self.k)
         if outside.any():
             i = int(np.argmax(outside))
-            raise DomainError(f"image {list(self.assignment)[i]!r} has fold {folds[i]}, "
+            raise DomainError(f"image {keys[i]!r} has fold {values[i]}, "
                               f"outside 0..{self.k - 1} for k={self.k}")
-
-    def __len__(self) -> int:
-        return len(self.assignment)
-
-    def __reduce__(self):  # a MappingProxyType cannot be pickled or deep-copied itself
-        return FoldAssignment, (self.k, dict(self.assignment))
-
-    def folds_of(self, image_names: Sequence[str]) -> np.ndarray:
-        """The fold of each of ``image_names``, in order (int64); CoverageError
-        names the first image without one."""
-        return values_at(self.assignment, image_names, np.int64, "fold assignment")
 
 
 @dataclass(frozen=True)
@@ -118,13 +104,12 @@ def assign_folds(d: Dataset, k: int, seed: int) -> FoldAssignment:
         fold_counts[fold] += v
         patient_fold[p] = fold
 
-    assignment = dict(zip(d.image_names, patient_fold[d.patient].tolist()))
-    return FoldAssignment(k=k, assignment=assignment)
+    return FoldAssignment(d.image_names, patient_fold[d.patient], k)
 
 
 def fold_ratio_report(d: Dataset, f: FoldAssignment) -> FoldRatioReport:
     """Exact per-fold sizes and positive ratios, plus the global ones."""
-    folds = f.folds_of(d.image_names)
+    folds = f.select(d.image_names, "fold assignment")
     sizes = np.bincount(folds, minlength=f.k).tolist()
     positives = np.bincount(folds[d.positive], minlength=f.k).tolist()
     per_fold = tuple(map(FoldStats, sizes, positives))
@@ -137,16 +122,11 @@ def _require_fold_count(k: int, n_images: int) -> None:
 
 
 def check_folds(d: Dataset, f: FoldAssignment) -> None:
-    """Check that ``f`` fits ``d``: each side names only the other's images,
-    the fold count is at most the image count, and every patient's images
-    share one fold.
-
-    Fold ids need not be contiguous: ``assign_folds`` leaves surplus folds
-    empty when there are fewer patients than folds.
-    """
-    folds = f.folds_of(d.image_names)
-    if len(f.assignment) > len(d):  # names on both sides are unique
-        values_at(positions(d.image_names), f.assignment, np.intp, "metadata")
+    """Check that ``f`` fits ``d``: each side names only the other's images (see
+    :func:`~lesionbench.datamodel.aligned_rows`), the fold count is at most the image count, and
+    every patient's images share one fold. Fold ids need not be contiguous: ``assign_folds``
+    leaves surplus folds empty when there are fewer patients than folds."""
+    folds = aligned_rows(f, d, "fold assignment")
     # Every fold id costs a model in ``train`` and a line in ``evaluate``.
     _require_fold_count(f.k, len(d))
     first_row = np.unique(d.patient, return_index=True)[1]
@@ -162,7 +142,7 @@ def write_folds_csv(d: Dataset, f: FoldAssignment) -> str:
     ``image_name,fold``)."""
     return csv_text(
         ["image_name", "fold"],
-        zip(d.image_names, map(str, f.folds_of(d.image_names).tolist())),
+        zip(d.image_names, map(str, f.select(d.image_names, "fold assignment").tolist())),
     )
 
 
@@ -179,10 +159,12 @@ def read_folds_csv(text: str) -> FoldAssignment:
             raise FormatError(f"row {row_num}: non-integer fold {fold_cell!r}") from None
         if fold < 0:
             raise FormatError(f"row {row_num}: negative fold {fold}")
+        if fold >= 2**63:  # folds are held as int64
+            raise RangeError(f"row {row_num}: fold {fold} outside [0, {2**63 - 1}]")
         nums.append(row_num)
         names.append(name)
         folds.append(fold)
     if not names:
         raise FormatError("folds CSV contains no data rows")
     require_unique(names, "image_name", nums)
-    return FoldAssignment(k=max(folds) + 1, assignment=dict(zip(names, folds)))
+    return FoldAssignment(names, folds, max(folds) + 1)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import Dataset, PredictionSet, _frozen, equal_fields
+from .datamodel import Dataset, PredictionSet, _frozen, aligned_rows, equal_fields, reduce_fields
 from .errors import DomainError, FormatError, ShapeError
 from .features import N_METADATA_FEATURES, FeatureTable, read_feature_csv
 from .folds import FoldAssignment
@@ -142,7 +142,7 @@ class FusionHeadModel:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
     __eq__ = equal_fields
-    __hash__ = None  # type: ignore[assignment]
+    __reduce__ = reduce_fields
 
 
 @dataclass(frozen=True)
@@ -468,7 +468,8 @@ def train(
 
     For each fold k a model is trained on every record outside k and then
     scores fold k; the union of those melanoma probabilities is the OOF
-    prediction set, in dataset order. Each fold is seeded with
+    prediction set, in dataset order. ``cnn``, if given, must name exactly the
+    images of ``d`` (see ``datamodel.aligned_rows``). Each fold is seeded with
     ``cfg.seed + k`` and owns its buffers, so folds are independent: when a
     step is matrix-bound (see ``_MATRIX_BOUND``) they train on one thread per
     core of the CPU affinity mask, and otherwise one after another on one
@@ -495,13 +496,13 @@ def train(
             f"got {feats.width}"
         )
     x_meta = feats.select(names, "feature table")
-    x_cnn = (cnn.select(names, "external feature table") if cnn is not None
+    x_cnn = (aligned_rows(cnn, d, "external feature table") if cnn is not None
              else np.zeros((len(names), 0)))
     nine = cfg.scheme is TargetScheme.NINE_CLASS
     column_of = [class_index(c if nine else collapse(c), cfg.scheme) for c in DiagnosisClass]
     y = np.array(column_of, dtype=np.int64)[d.diagnosis_class]
     y_bin = d.positive.astype(np.int64)
-    fold_of = f.folds_of(names)
+    fold_of = f.select(names, "fold assignment")
     mel_col = class_index(DiagnosisClass.MEL, cfg.scheme)
 
     # Setting stops[k] makes fold k return None before its next batch.

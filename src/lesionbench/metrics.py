@@ -19,13 +19,13 @@ from .datamodel import (
     KeyedTable,
     PredictionSet,
     _frozen,
+    aligned_rows,
     csv_floats,
     csv_rows,
     csv_text,
     float_rows,
-    positions,
+    reduce_fields,
     require_unit_interval,
-    values_at,
 )
 from .errors import DomainError, FormatError, ShapeError
 from .folds import FoldAssignment
@@ -62,6 +62,8 @@ class LabeledScores:
 
     def __len__(self) -> int:
         return int(self.scores.size)
+
+    __reduce__ = reduce_fields
 
 
 def _tie_groups(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,17 +143,12 @@ class CvReport:
 
 
 def evaluate_cv(preds: PredictionSet, d: Dataset, f: FoldAssignment) -> CvReport:
-    """Score out-of-fold predictions against a dataset's labels.
-
-    ``preds`` must name exactly the images of ``d``, else CoverageError names the
-    first image one side lacks; producing predictions out-of-fold is the
-    caller's responsibility.
-    """
-    scores = preds.select(d.image_names, "predictions")
-    if len(preds) > len(d):  # names on both sides are unique
-        values_at(positions(d.image_names), preds.image_names, np.intp, "metadata")
+    """Score out-of-fold predictions against a dataset's labels. ``preds`` must name exactly the
+    images of ``d`` (see :func:`~lesionbench.datamodel.aligned_rows`); producing them out of
+    fold is the caller's responsibility."""
+    scores = aligned_rows(preds, d, "predictions")
     labels = d.positive.astype(np.int64)
-    folds = f.folds_of(d.image_names)
+    folds = f.select(d.image_names, "fold assignment")
 
     cv_all = auc_or_none(scores, labels)
     cv_2020 = auc_or_none(scores[d.is_2020], labels[d.is_2020])

@@ -214,17 +214,18 @@ def test_criterion_7_fold_properties():
         seed = int(rng.integers(0, 2**63))
         f = assign_folds(d, k, seed)
 
-        assert set(f.assignment) == set(d.image_names)
-        assert all(0 <= v < k for v in f.assignment.values())
+        assert len(f) == len(d) and set(f.image_names) == set(d.image_names)
+        assert all(0 <= v < k for v in f.folds.tolist())
+        fold_of = dict(zip(f.image_names, f.folds.tolist()))
         for pid, positions in d.by_patient.items():
-            folds = {f.assignment[d.records[i].image_name] for i in positions}
+            folds = {fold_of[d.records[i].image_name] for i in positions}
             assert len(folds) == 1
 
         if singleton:
             counts = np.zeros((k, 9), dtype=int)
             for r in d.records:
                 cls = map_diagnosis(r.diagnosis, TargetScheme.NINE_CLASS).value
-                counts[f.assignment[r.image_name], cls] += 1
+                counts[fold_of[r.image_name], cls] += 1
             spread = counts.max(axis=0) - counts.min(axis=0)
             assert spread.max() <= 1
 
@@ -301,8 +302,8 @@ def test_criterion_9_end_to_end_desk_scale(tmp_path):
     assert folds_csv.read_bytes() == folds_again.read_bytes()
     assignment = assign_folds(d, 5, 42)
     per_fold_patients = {k: set() for k in range(5)}
-    for r in d.records:
-        per_fold_patients[assignment.assignment[r.image_name]].add(r.patient_id)
+    for r, fold in zip(d.records, assignment.select(d.image_names, "folds").tolist()):
+        per_fold_patients[fold].add(r.patient_id)
     assert all(len(p) >= 20 for p in per_fold_patients.values())
 
     # features

@@ -242,6 +242,19 @@ def test_evaluate_rejects_prediction_images_the_metadata_lacks(tmp_path, meta_cs
     assert capsys.readouterr() == ("", "error: metadata missing 1 image(s), first: 'zz'\n")
 
 
+def test_train_rejects_cnn_images_the_metadata_lacks(tmp_path, meta_csv, capsys):
+    folds = _split(tmp_path, meta_csv)
+    names = small_dataset().image_names
+    cnn = tmp_path / "cnn.csv"
+    cnn.write_text(write_feature_csv(FeatureTable(names + ("zz",), np.ones((len(names) + 1, 2))),
+                                     prefix="c"), encoding="utf-8")
+    out_dir = tmp_path / "run"
+    capsys.readouterr()
+    assert main(_train_argv(meta_csv, folds, out_dir) + ["--cnn", str(cnn)]) == 2
+    assert _one_error_line(capsys) == "error: metadata missing 1 image(s), first: 'zz'"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "ensemble", "ensemble-with-full"])
 def test_header_only_prediction_file_exits_2(tmp_path, meta_csv, capsys, command):
     folds = tmp_path / "folds.csv"
@@ -564,6 +577,25 @@ def test_evaluate_rejects_a_fold_id_past_the_image_count(tmp_path, meta_csv, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: fold count 1001 exceeds the image count 24\n"
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_fold_ids_at_the_int64_limit_exit_2(tmp_path, meta_csv, capsys, command):
+    folds = _split(tmp_path, meta_csv)
+    preds = tmp_path / "preds.csv"
+    preds.write_text(write_predictions_csv(PredictionSet.from_scores(
+        small_dataset().image_names, np.linspace(0.0, 1.0, 24))), encoding="utf-8")
+    argv = (_train_argv(meta_csv, folds, tmp_path / "run") if command == "train" else
+            ["evaluate", "--meta", str(meta_csv), "--folds-csv", str(folds), "--preds", str(preds)])
+    row = next(i for i, line in enumerate(folds.read_text(encoding="utf-8").splitlines())
+               if line.startswith("P0_I0,"))
+    for fold, error in ((2**63 - 1, f"fold count {2**63} exceeds the image count 24"),
+                        (2**63, f"row {row}: fold {2**63} outside [0, {2**63 - 1}]")):
+        _move_patient(folds, "P0", fold)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert _one_error_line(capsys) == f"error: {error}"
+    assert not (tmp_path / "run").exists()
 
 
 def test_sizes_duplicate_and_foreign_names_rejected(tmp_path, capsys):

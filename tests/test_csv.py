@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lesionbench import datamodel, features, metrics
@@ -238,6 +238,8 @@ CSVISH = st.text(alphabet=',\n\r"0123456789.-+eEinfaI_PmlMNV xé', max_size=120)
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 @settings(max_examples=60, deadline=None)
 @given(body=CSVISH)
+@example(body="D,9223372036854775808")  # folds past int64, which CSVISH seldom draws
+@example(body="D,18446744073709551616")
 def test_valid_header_with_arbitrary_body_gives_a_value_or_a_toolkit_error(fmt, body):
     reader, header, _ = FORMATS[fmt]
     try:

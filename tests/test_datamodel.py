@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -13,6 +15,7 @@ from lesionbench.datamodel import (
     PredictionSet,
     Sex,
     SourceYear,
+    equal_fields,
     parse_metadata_csv,
     parse_predictions_csv,
     positions,
@@ -30,7 +33,9 @@ from lesionbench.errors import (
     UniquenessError,
 )
 from lesionbench.features import FeatureTable
-from lesionbench.metrics import ScoreTable
+from lesionbench.folds import FoldAssignment
+from lesionbench.fusion import init_fusion_head
+from lesionbench.metrics import LabeledScores, ScoreTable
 from lesionbench.targets import DiagnosisClass, TargetScheme, class_index
 from util import make_dataset, make_record, reference_parse_metadata, reference_values_at
 
@@ -443,3 +448,30 @@ def test_keyed_table_contract(cls, key, values):
         t.select(["b", "x", "a", "y"], "some table")
     with pytest.raises(UniquenessError, match=rf"^duplicate {key} 'a' \(rows 1 and 3\)$"):
         cls(["a", "b", "a"], values)
+
+
+# A builder for one instance of each read-only type whose fields include arrays.
+READ_ONLY = {
+    "PredictionSet": lambda: PredictionSet(("a", "b"), [0.1, 0.7]),
+    "FeatureTable": lambda: FeatureTable(("a", "b"), np.ones((2, 3))),
+    "ScoreTable": lambda: ScoreTable(("m1", "m2"), np.full((2, 4), 0.5)),
+    "FoldAssignment": lambda: FoldAssignment(("a", "b"), [0, 1], 2),
+    "Dataset": lambda: make_dataset([make_record("a"), make_record("b", patient_id="P2")]),
+    "FusionHeadModel": lambda: init_fusion_head(TargetScheme.NINE_CLASS, (4, 2), 3,
+                                                np.random.default_rng(0)),
+    "LabeledScores": lambda: LabeledScores(np.array([0.2, 0.8]), np.array([0, 1])),
+}
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("name", sorted(READ_ONLY))
+def test_copies_of_read_only_objects_stay_read_only(name, copy_of):
+    original = READ_ONLY[name]()
+    twin = copy_of(original)
+    assert equal_fields(twin, original) and twin is not original
+    if type(original).__eq__ is equal_fields:  # unhashable, as its arrays compare by value
+        pytest.raises(TypeError, hash, original)
+    arrays = [a for a in (getattr(twin, f.name) for f in dataclasses.fields(twin))
+              if isinstance(a, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)

@@ -1,11 +1,9 @@
 import collections
-import copy
-import pickle
 
 import numpy as np
 import pytest
 
-from lesionbench.errors import CoverageError, DomainError, FormatError, UniquenessError
+from lesionbench.errors import CoverageError, DomainError, FormatError, RangeError, UniquenessError
 from lesionbench.folds import (
     FoldAssignment,
     assign_folds,
@@ -15,7 +13,7 @@ from lesionbench.folds import (
     write_folds_csv,
 )
 from lesionbench.targets import TargetScheme, map_diagnosis
-from util import make_dataset, make_record
+from util import make_dataset, make_folds, make_record
 
 DIAGNOSES = ["nevus", "melanoma", "BCC", "BKL", "AK", "SCC", "VASC", "DF", None]
 
@@ -43,7 +41,7 @@ def random_dataset(rng, n_patients=None, singleton=False):
 def test_single_patient_lands_in_one_fold():
     d = make_dataset([make_record(f"I{i}", patient_id="P1") for i in range(5)])
     f = assign_folds(d, k=5, seed=42)
-    folds_used = {f.assignment[r.image_name] for r in d.records}
+    folds_used = set(f.select(d.image_names, "folds").tolist())
     assert len(folds_used) == 1
 
 
@@ -60,9 +58,9 @@ def test_fold_count_bounded_by_image_count():
     assert assign_folds(d, k=3, seed=42).k == 3
     with pytest.raises(DomainError, match="^fold count 4 exceeds the image count 3$"):
         assign_folds(d, k=4, seed=42)
-    check_folds(d, FoldAssignment(k=3, assignment={"I0": 0, "I1": 1, "I2": 2}))
+    check_folds(d, make_folds({"I0": 0, "I1": 1, "I2": 2}, k=3))
     with pytest.raises(DomainError, match="^fold count 4 exceeds the image count 3$"):
-        check_folds(d, FoldAssignment(k=4, assignment={"I0": 0, "I1": 1, "I2": 3}))
+        check_folds(d, make_folds({"I0": 0, "I1": 1, "I2": 3}, k=4))
 
 
 def test_empty_dataset_rejected():
@@ -81,13 +79,14 @@ def test_ten_singleton_patients_balanced_classes():
     ]
     d = make_dataset(records)
     f = assign_folds(d, k=5, seed=42)
-    per_fold = collections.Counter(f.assignment.values())
+    per_fold = collections.Counter(f.folds.tolist())
     assert all(per_fold[k] == 2 for k in range(5))
+    fold_of = dict(zip(f.image_names, f.folds.tolist()))
     for k in range(5):
         classes = {
             d.records[i].diagnosis
             for i, r in enumerate(d.records)
-            if f.assignment[r.image_name] == k
+            if fold_of[r.image_name] == k
         }
         assert classes == {"nevus", "melanoma"}
 
@@ -99,11 +98,12 @@ def test_partition_and_grouping_properties():
         k = int(rng.integers(2, 6))
         f = assign_folds(d, k=k, seed=int(rng.integers(0, 2**32)))
         # partition: every image exactly once, folds within range
-        assert set(f.assignment) == set(d.image_names)
-        assert all(0 <= v < k for v in f.assignment.values())
+        assert len(f) == len(d) and set(f.image_names) == set(d.image_names)
+        assert all(0 <= v < k for v in f.folds.tolist())
         # grouping: one fold per patient
+        fold_of = dict(zip(f.image_names, f.folds.tolist()))
         for pid, positions in d.by_patient.items():
-            folds = {f.assignment[d.records[i].image_name] for i in positions}
+            folds = {fold_of[d.records[i].image_name] for i in positions}
             assert len(folds) == 1, pid
 
 
@@ -114,9 +114,10 @@ def test_stratification_spread_on_singleton_patients():
         k = int(rng.integers(2, 6))
         f = assign_folds(d, k=k, seed=int(rng.integers(0, 2**32)))
         counts = np.zeros((k, 9), dtype=int)
+        fold_of = dict(zip(f.image_names, f.folds.tolist()))
         for r in d.records:
             cls = map_diagnosis(r.diagnosis, TargetScheme.NINE_CLASS).value
-            counts[f.assignment[r.image_name], cls] += 1
+            counts[fold_of[r.image_name], cls] += 1
         for cls in range(9):
             col = counts[:, cls]
             assert col.max() - col.min() <= 1
@@ -127,7 +128,7 @@ def test_deterministic_for_fixed_inputs():
     d = random_dataset(rng)
     a = assign_folds(d, k=4, seed=123)
     b = assign_folds(d, k=4, seed=123)
-    assert a.assignment == b.assignment
+    assert a == b
     assert a.k == b.k == 4
 
 
@@ -136,7 +137,7 @@ def test_seed_varies_assignment():
         [make_record(f"I{i}", patient_id=f"P{i}", diagnosis="nevus") for i in range(10)]
     )
     assignments = {
-        tuple(sorted(assign_folds(d, k=5, seed=s).assignment.items()))
+        tuple(assign_folds(d, k=5, seed=s).folds.tolist())  # rows in dataset order for every seed
         for s in range(10)
     }
     assert len(assignments) > 1
@@ -169,7 +170,7 @@ def test_ratio_report_all_negative():
 
 def test_ratio_report_uncovered_image_named():
     d = make_dataset([make_record("I1"), make_record("I2", patient_id="P2")])
-    f = FoldAssignment(k=2, assignment={"I1": 0})
+    f = make_folds({"I1": 0}, k=2)
     with pytest.raises(CoverageError, match="I2"):
         fold_ratio_report(d, f)
 
@@ -183,7 +184,7 @@ def test_folds_csv_round_trip_and_determinism():
     assert text1 == text2
     assert text1.splitlines()[0] == "image_name,fold"
     back = read_folds_csv(text1)
-    assert back.assignment == f.assignment
+    assert back == f
     assert back.k == f.k
 
 
@@ -194,6 +195,12 @@ def test_read_folds_csv_errors():
         read_folds_csv("image_name,fold\nI1,0\nI1,1\n")
     with pytest.raises(FormatError):
         read_folds_csv("image_name,fold\nI1,x\n")
+    with pytest.raises(FormatError, match="^row 2: negative fold -1$"):
+        read_folds_csv("image_name,fold\nI1,0\nD,-1\n")
+    # Folds are held as int64: a larger cell is named by its row, not an OverflowError.
+    with pytest.raises(RangeError, match=rf"^row 2: fold {2**63} outside \[0, {2**63 - 1}\]$"):
+        read_folds_csv(f"image_name,fold\nI1,0\nD,{2**63}\n")
+    assert read_folds_csv(f"image_name,fold\nD,{2**63 - 1}\n").k == 2**63
 
 
 def test_fold_ids_outside_zero_to_k_minus_one_rejected():
@@ -202,21 +209,21 @@ def test_fold_ids_outside_zero_to_k_minus_one_rejected():
     d = random_dataset(np.random.default_rng(0), n_patients=12, singleton=True)
     names = d.image_names
     with pytest.raises(DomainError, match=rf"image '{names[3]}' has fold 5, outside 0\.\.1 for k=2"):
-        FoldAssignment(k=2, assignment={n: 5 if i == 3 else i % 2 for i, n in enumerate(names)})
+        make_folds({n: 5 if i == 3 else i % 2 for i, n in enumerate(names)}, k=2)
     with pytest.raises(DomainError, match=rf"image '{names[1]}' has fold -1, outside 0\.\.1"):
-        FoldAssignment(k=2, assignment={n: -1 if i % 2 else 0 for i, n in enumerate(names)})
+        make_folds({n: -1 if i % 2 else 0 for i, n in enumerate(names)}, k=2)
     with pytest.raises(DomainError, match="fold count must be at least 1, got 0"):
-        FoldAssignment(k=0, assignment={})
-    assert len(FoldAssignment(k=1, assignment={n: 0 for n in names})) == len(names)
+        make_folds({}, k=0)
+    assert len(make_folds({n: 0 for n in names}, k=1)) == len(names)
 
 
 def test_assignment_cannot_change_after_its_range_check():
-    given = {"a": 0, "b": 1}
-    f = FoldAssignment(k=2, assignment=given)
-    with pytest.raises(TypeError):
-        f.assignment["b"] = 7
-    given["b"] = 7
-    assert f.folds_of(["a", "b"]).tolist() == [0, 1]
-    assert f == FoldAssignment(k=2, assignment={"a": 0, "b": 1})
-    assert f.assignment == {"a": 0, "b": 1}
-    assert pickle.loads(pickle.dumps(f)) == f == copy.deepcopy(f)
+    given = np.array([0, 1])
+    f = FoldAssignment(["a", "b"], given, 2)
+    with pytest.raises(ValueError):
+        f.folds[1] = 7
+    given[1] = 7
+    assert f.select(["a", "b"], "folds").tolist() == [0, 1]
+    assert f.image_names == ("a", "b") and f.folds.dtype == np.int64
+    assert f == make_folds({"a": 0, "b": 1}, k=2)
+    assert f != make_folds({"b": 1, "a": 0}, k=2) != make_folds({"a": 0, "b": 1}, k=3)

@@ -19,7 +19,7 @@ from lesionbench.features import (
     encode_dataset,
     fit_norm_stats,
 )
-from lesionbench.folds import FoldAssignment, assign_folds
+from lesionbench.folds import assign_folds
 from lesionbench.fusion import (
     FusionHeadModel,
     TrainConfig,
@@ -38,6 +38,7 @@ from lesionbench.targets import DiagnosisClass, TargetScheme, class_index
 from util import (
     gradient_rel_error,
     make_dataset,
+    make_folds,
     make_record,
     numeric_gradients,
     random_fusion_instance,
@@ -381,8 +382,9 @@ def test_oof_scores_are_each_folds_final_model_scores():
     result = train(d, feats, cnn, f, cfg)
     mel = class_index(DiagnosisClass.MEL, cfg.scheme)
     oof = dict(zip(result.oof.image_names, result.oof.scores))
+    fold_of = dict(zip(f.image_names, f.folds.tolist()))
     for k, model in enumerate(result.models):
-        names = [n for n in d.image_names if f.assignment[n] == k]
+        names = [n for n in d.image_names if fold_of[n] == k]
         _, probs = forward(model, feats.select(names, "f"), cnn.select(names, "c"))
         assert np.array([oof[n] for n in names]).tobytes() == probs[:, mel].tobytes(), k
 
@@ -405,11 +407,11 @@ def test_train_calls_the_step_functions_the_benchmark_traces(monkeypatch):
     d = separable_dataset(n_patients=13)
     names = d.image_names
     # Fold 2 of 4 is empty, so its model trains on every image and scores none.
-    f = FoldAssignment(k=4, assignment={n: (0, 1, 3)[i % 3] for i, n in enumerate(names)})
+    f = make_folds({n: (0, 1, 3)[i % 3] for i, n in enumerate(names)}, k=4)
     cfg = TrainConfig(epochs=3, batch_size=7, lr_peak=1e-3, seed=0, hidden=(4, 2))
     train(d, feature_table_for(d), None, f, cfg)
 
-    n_val = [sum(f.assignment[n] == k for n in names) for k in range(f.k)]
+    n_val = [int((f.folds == k).sum()) for k in range(f.k)]
     n_train = [len(names) - v for v in n_val]
     steps = sum(cfg.epochs * math.ceil(t / min(cfg.batch_size, t)) for t in n_train)
     val_passes = cfg.epochs * sum(v > 0 for v in n_val)
@@ -439,7 +441,7 @@ def test_train_coverage_checked_before_work():
         train(d, partial, None, f, SMALL_CFG)
     assert d.image_names[-1] in str(exc_info.value)
 
-    missing_fold = FoldAssignment(k=2, assignment={n: 0 for n in d.image_names[:-1]})
+    missing_fold = make_folds({n: 0 for n in d.image_names[:-1]}, k=2)
     with pytest.raises(Exception):
         train(d, feats, None, missing_fold, SMALL_CFG)
 
@@ -590,7 +592,7 @@ def test_a_stopped_fold_returns_before_its_next_batch(monkeypatch):
     x_meta = feature_table_for(d).select(d.image_names, "features")
     y = np.zeros(len(d), dtype=np.int64)
     result = fusion._train_one_fold(0, x_meta, np.zeros((len(d), 0)), y, y,
-                                    f.folds_of(d.image_names), SMALL_CFG, 0, stop)
+                                    f.select(d.image_names, "f"), SMALL_CFG, 0, stop)
     assert result is None
     assert calls == [SMALL_CFG.batch_size]
 

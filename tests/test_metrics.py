@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from lesionbench.datamodel import PredictionSet
 from lesionbench.errors import CoverageError, DomainError, FormatError, RangeError
-from lesionbench.folds import FoldAssignment
 from lesionbench.metrics import (
     BootstrapResult,
     LabeledScores,
@@ -23,6 +22,7 @@ from lesionbench.metrics import (
 from util import (
     auc_pair_counting,
     make_dataset,
+    make_folds,
     make_record,
     reference_bootstrap_auc_std,
 )
@@ -115,7 +115,7 @@ def _cv_fixture():
         make_record("D", patient_id="PD", malignant=False, year=2019),
     ]
     d = make_dataset(records)
-    f = FoldAssignment(k=2, assignment={"A": 0, "B": 0, "C": 1, "D": 1})
+    f = make_folds({"A": 0, "B": 0, "C": 1, "D": 1}, k=2)
     preds = PredictionSet.from_scores(["A", "B", "C", "D"], [0.9, 0.1, 0.5, 0.5])
     return d, f, preds
 
@@ -135,7 +135,7 @@ def test_evaluate_cv_all_2020_equals_cv_all():
         make_record("B", patient_id="PB", malignant=False, year=2020),
     ]
     d = make_dataset(records)
-    f = FoldAssignment(k=2, assignment={"A": 0, "B": 1})
+    f = make_folds({"A": 0, "B": 1}, k=2)
     preds = PredictionSet.from_scores(["A", "B"], [0.7, 0.2])
     report = evaluate_cv(preds, d, f)
     assert report.cv_all == report.cv_2020 == 1.0
@@ -150,7 +150,7 @@ def test_evaluate_cv_degenerate_2020_subset():
         make_record("D", patient_id="PD", malignant=False, year=2019),
     ]
     d = make_dataset(records)
-    f = FoldAssignment(k=2, assignment={"A": 0, "C": 1, "D": 1})
+    f = make_folds({"A": 0, "C": 1, "D": 1}, k=2)
     preds = PredictionSet.from_scores(["A", "C", "D"], [0.1, 0.8, 0.3])
     report = evaluate_cv(preds, d, f)
     assert report.cv_2020 is None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from lesionbench.datamodel import (
     csv_rows,
 )
 from lesionbench.errors import CoverageError, DomainError, FormatError, RangeError, UniquenessError
+from lesionbench.folds import FoldAssignment
 from lesionbench.hashing import MASK64
 
 
@@ -49,6 +51,11 @@ def make_record(
 
 def make_dataset(records) -> Dataset:
     return Dataset.from_records(records)
+
+
+def make_folds(fold_of: Mapping[str, int], k: int) -> FoldAssignment:
+    """The split that puts each image of ``fold_of`` in its fold, rows in the mapping's order."""
+    return FoldAssignment(tuple(fold_of), list(fold_of.values()), k)
 
 
 def reference_parse_metadata(text: str) -> Dataset:
