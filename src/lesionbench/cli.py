@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .datamodel import (
     Dataset,
+    csv_blocks,
     csv_columns,
-    csv_rows,
     csv_text,
     parse_image_size,
     parse_metadata_csv,
@@ -164,10 +164,10 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _read_sizes_csv(text: str) -> dict[str, int]:
-    header, rows = csv_rows(text, "sizes")
+    header, blocks = csv_blocks(text, "sizes")
     if header != ["image_name", "image_size_bytes"]:
         raise FormatError("sizes CSV must have header image_name,image_size_bytes")
-    nums, (names, cells) = csv_columns(rows, 2)
+    nums, (names, cells) = csv_columns(blocks, 2)
     sizes = list(map(parse_image_size, cells, nums))
     require_unique(names, "image_name", nums)
     return dict(zip(names, sizes))

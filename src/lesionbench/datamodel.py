@@ -4,19 +4,25 @@ A :class:`Dataset` holds the metadata table column by column, one read-only arra
 field, filled straight from the CSV cells; a :class:`SampleRecord` is one row of it, built only
 on request. All types are immutable after construction and safe for concurrent readers. CSV
 streams are UTF-8; LF and CRLF are both accepted on read, LF is written. Every format is read
-through :func:`csv_rows`; the numeric ones (predictions, feature tables, score tables) then go
-through :func:`csv_floats`, which casts their cells block by block with Python ``float`` syntax.
-Every keyed table (:class:`PredictionSet`, ``features.FeatureTable``, ``metrics.ScoreTable``,
-``folds.FoldAssignment``) is a :class:`KeyedTable`: a tuple of keys checked by
-:func:`require_unique`, and a read-only float64 (int64 for folds) array with one row per key;
-[0, 1] values are checked by :func:`require_unit_interval`, each with one message form. One
-table's rows are found by another's names only through :func:`values_at` (over :func:`positions`
-for a name tuple, as ``KeyedTable.select`` does), whose misses raise one CoverageError form;
-:func:`aligned_rows` aligns a table to the metadata in both directions. The read-only
-dataclasses compare by :func:`equal_fields` and are copied by :func:`reduce_fields`. Every float
-cell is written by :func:`float_cells`, a numeric table's rows through :func:`float_rows`: the
-shortest round-trip ``repr``, or a plain integer if integral and below 1e16, so
-``parse(write(x)) == x`` holds exactly for datasets and every keyed table.
+through :func:`csv_blocks`, which hands its rows over in blocks of ``_BLOCK_ROWS`` as row numbers
+and row-major cells. A clean block of lines (no quote, CR or NUL, each line as wide as the header
+and keyed) is cut with one ``str.split``; from the first block that is not clean, the rest goes
+through :func:`csv_rows`, the per-row ``csv.reader`` path, so both give the same rows and the same
+errors. Columns are cast a column or block at a time: the numeric formats (predictions, feature
+tables, score tables) through :func:`csv_floats`, with Python ``float`` syntax, and ages, sizes
+and folds with ``float``/``int`` syntax; a cast that fails is redone cell by cell, for the
+message of the first bad cell. Every keyed table (:class:`PredictionSet`,
+``features.FeatureTable``, ``metrics.ScoreTable``, ``folds.FoldAssignment``) is a
+:class:`KeyedTable`: a tuple of keys checked by :func:`require_unique`, and a read-only float64
+(int64 for folds) array with one row per key; [0, 1] values are checked by
+:func:`require_unit_interval`, each with one message form. One table's rows are found by
+another's names only through :func:`values_at` (over :func:`positions` for a name tuple, as
+``KeyedTable.select`` does unless the names are the table's own, in order), whose misses raise
+one CoverageError form; :func:`aligned_rows` aligns a table to the metadata in both directions.
+The read-only dataclasses compare by :func:`equal_fields` and are copied by
+:func:`reduce_fields`. Every float cell is written by :func:`float_cells`, a numeric table's rows
+through :func:`float_rows`: the shortest round-trip ``repr``, or a plain integer if integral and
+below 1e16, so ``parse(write(x)) == x`` holds exactly for datasets and every keyed table.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import math
 from dataclasses import InitVar, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -291,9 +297,12 @@ class KeyedTable:
     __reduce__ = reduce_fields
 
     def select(self, keys: Sequence[str], what: str) -> np.ndarray:
-        """The rows of ``keys``, in that order. CoverageError names the table as ``what`` and
-        the first key it lacks."""
+        """A copy of the rows of ``keys``, in that order. CoverageError names the table as
+        ``what`` and the first key it lacks. When ``keys`` are the table's own keys in order, as
+        for every file the CLI writes, the copy is taken without a name lookup."""
         names, values = self._columns()
+        if tuple(keys) == names:
+            return values.copy()
         return values[values_at(positions(names), keys, np.intp, what)]
 
 
@@ -325,63 +334,83 @@ class ValidationReport:
 
 
 Rows = Iterator[tuple[int, list[str]]]
+Blocks = Iterator[tuple[Sequence[int], list[str]]]
 
 
 def csv_rows(text: str, noun: str) -> tuple[list[str], Rows]:
-    """The one CSV reader: the header, and ``(row_num, row)`` per non-blank row.
+    """The per-row CSV reader: the header, and ``(row_num, row)`` per non-blank row.
 
     Every row must be as wide as the header, and its first cell, the row's
     key, must not be empty. A missing header, a wrong width, an empty key, or
     anything the csv module rejects (e.g. a field over its size limit) raises
-    FormatError; callers check the header's names and parse the cells.
+    FormatError; callers check the header's names and parse the cells. It is
+    :func:`csv_blocks`' path past its first block that is not clean.
     """
     reader = csv.reader(_lines(text))
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise FormatError(f"{noun} header: {exc}") from None
-    if header is None:
-        raise FormatError(f"empty {noun} stream: no header row")
+    header = _header(reader, noun)
     return header, _checked_rows(reader, header, noun)
 
 
-def csv_columns(rows: Rows, width: int) -> tuple[list[int], list[list[str]]]:
-    """All of ``csv_rows``' rows as their row numbers and one list of cells per column. Rows are
-    transposed ``_BLOCK_ROWS`` at a time, as all row lists at once cost memory and GC passes,
-    and equal cells of a column share one string, so a repeated value is held once."""
+def csv_blocks(text: str, noun: str) -> tuple[list[str], Blocks]:
+    """The one CSV reader: the header, and ``csv_rows``' rows in blocks of ``_BLOCK_ROWS``,
+    each as its row numbers and one new list of its cells, row after row.
+
+    The body is cut into blocks of ``_BLOCK_ROWS`` lines. A block whose lines ``csv.reader``
+    would read as clean rows (see :func:`_clean_cells`) is split in one ``str.split``. From the
+    first block that is not clean, the rest of the text, from that block's first line and with its
+    row number, goes through ``csv_rows``' reader, so rows, row numbers and errors are the same
+    as ``csv_rows``' and a fault is raised once its block is reached. A header line with a
+    quote, which may run over several lines, sends the whole text that way.
+    """
+    lines = _lines(text)
+    head = list(islice(lines, 1))
+    if '"' in "".join(head):
+        header, rows = csv_rows(text, noun)
+        return header, _row_blocks(rows)
+    header = _header(csv.reader(head), noun)
+    return header, _blocks(lines, header, noun)
+
+
+def csv_columns(blocks: Blocks, width: int) -> tuple[list[int], list[list[str]]]:
+    """All of ``csv_blocks``' rows as their row numbers and one list of cells per column. Equal
+    cells of a column share one string, so a repeated value is held once."""
     row_nums: list[int] = []
     columns: list[list[str]] = [[] for _ in range(width)]
     shared: list[dict[str, str]] = [{} for _ in range(width)]
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        nums, table = zip(*block)
+    for nums, cells in blocks:
         row_nums.extend(nums)
-        for column, same, cells in zip(columns, shared, zip(*table)):
-            column.extend(map(same.setdefault, cells, cells))
+        for i, (column, same) in enumerate(zip(columns, shared)):
+            part = cells[i::width]
+            column.extend(map(same.setdefault, part, part))
     return row_nums, columns
 
 
-def csv_floats(header: list[str], rows: Rows, what: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """All of ``csv_rows``' rows as their keys and a float64 matrix of their other cells, cast
-    ``_BLOCK_ROWS`` rows at a time in one call that accepts exactly what Python ``float`` does.
-    A non-numeric cell raises FormatError naming its row and ``what``; a repeated key raises
-    UniquenessError naming both rows, once every row has parsed."""
+def csv_floats(header: list[str], blocks: Blocks, what: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """All of ``csv_blocks``' rows as their keys and a float64 matrix of their other cells, each
+    block cast in one call that accepts exactly what Python ``float`` does. A non-numeric cell
+    raises FormatError naming its row and ``what``; a repeated key raises UniquenessError naming
+    both rows, once every row has parsed."""
+    width = len(header)
     nums: list[int] = []
     names: list[str] = []
-    blocks = [np.empty(0)]
-    while block := list(islice(rows, _BLOCK_ROWS)):
+    parts = [np.empty(0)]
+    for block_nums, cells in blocks:
+        keys = cells[::width]
+        del cells[::width]
         try:
-            blocks.append(np.array([cell for _, row in block for cell in row[1:]], np.float64))
+            parts.append(np.array(cells, np.float64))
         except ValueError:
-            for num, row in block:  # the first row that ``float`` rejects
+            for i, num in enumerate(block_nums):  # the first row that ``float`` rejects
                 try:
-                    list(map(float, row[1:]))
+                    list(map(float, cells[i * (width - 1):(i + 1) * (width - 1)]))
                 except ValueError:
                     raise FormatError(f"row {num}: non-numeric {what}") from None
             raise
-        nums.extend(num for num, _ in block)
-        names.extend(row[0] for _, row in block)
+        del cells  # this block's strings go before the next block's are made
+        nums.extend(block_nums)
+        names.extend(keys)
     require_unique(names, header[0], nums)
-    return tuple(names), np.concatenate(blocks).reshape(-1, len(header) - 1)
+    return tuple(names), np.concatenate(parts).reshape(-1, width - 1)
 
 
 _BLOCK_ROWS = 4096
@@ -407,11 +436,63 @@ def _lines(text: str) -> Iterator[str]:
     return chain.from_iterable(map(io.StringIO, pieces()))
 
 
-def _checked_rows(reader: Iterator[list[str]], header: list[str], noun: str) -> Rows:
-    width = len(header)
-    row_num = 0
+def _header(reader: Iterator[list[str]], noun: str) -> list[str]:
     try:
-        for row_num, row in enumerate(reader, start=1):
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise FormatError(f"{noun} header: {exc}") from None
+    if header is None:
+        raise FormatError(f"empty {noun} stream: no header row")
+    return header
+
+
+def _blocks(lines: Iterator[str], header: list[str], noun: str) -> Blocks:
+    start = 1
+    while block := list(islice(lines, _BLOCK_ROWS)):
+        cells = _clean_cells(block, len(header))
+        if cells is None:
+            reader = csv.reader(chain(block, lines))
+            yield from _row_blocks(_checked_rows(reader, header, noun, start))
+            return
+        yield range(start, start + len(block)), cells
+        del cells  # a consumer done with the block frees it before the next one is cut
+        start += len(block)
+
+
+def _clean_cells(lines: list[str], width: int) -> list[str] | None:
+    """The cells of ``lines``, row after row, if the block is clean, else None.
+
+    It is clean when ``csv.reader`` would read each line as one row of ``width`` cells with a
+    non-empty key, exactly as splitting it on commas gives them: no line holds a quote or a CR,
+    nor a NUL, which ``csv`` rejects before Python 3.11; none is longer, its LF counted, than
+    ``csv.field_size_limit()``; every line has ``width - 1`` commas; and no key cell is empty,
+    which also rules out blank lines."""
+    text = "".join(lines)
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    if set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
+    text = text.replace("\n", ",")
+    cells = text.split(",")
+    del cells[len(lines) * width:]  # the empty cell after the last line's LF
+    return None if "" in cells[::width] else cells
+
+
+def _row_blocks(rows: Rows) -> Blocks:
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        nums, table = zip(*block)
+        yield nums, [cell for row in table for cell in row]
+
+
+def _checked_rows(reader: Iterator[list[str]], header: list[str], noun: str,
+                  start: int = 1) -> Rows:
+    """``(row_num, row)`` per non-blank row of ``reader``, numbered from ``start``."""
+    width = len(header)
+    row_num = start - 1
+    try:
+        for row_num, row in enumerate(reader, start=start):
             if not row:  # tolerate blank lines
                 continue
             if len(row) != width:
@@ -463,14 +544,14 @@ def parse_metadata_csv(text: str) -> Dataset:
     ``target`` is 0/1 and ``source`` is 2019/2020. Rows keep file order.
     Columns are checked in header order; an error names a column's first bad row.
     """
-    header, rows = csv_rows(text, "metadata")
+    header, blocks = csv_blocks(text, "metadata")
     expected = list(METADATA_COLUMNS)
     if header not in (expected, expected + [SIZE_COLUMN]):
         missing = [c for c in expected if c not in header]
         if missing:
             raise FormatError("metadata header is missing column(s): " + ", ".join(missing))
         raise FormatError(f"unrecognized metadata header: {','.join(header)!r}")
-    nums, columns = csv_columns(rows, len(header))
+    nums, columns = csv_columns(blocks, len(header))
     names, pids, sex, age, site, diagnosis, target, source = columns[:8]
     sizes = columns[8] if len(columns) > 8 else [""] * len(nums)
     if "" in pids:
@@ -480,13 +561,13 @@ def parse_metadata_csv(text: str) -> Dataset:
         names,
         pids,
         _coded(sex, nums, lambda c: code_of.get(c.strip().lower()), np.int8, "invalid sex {!r}"),
-        _present(age, nums, _parse_age, np.nan, np.float64),
+        _present(age, nums, _parse_age, np.nan, np.float64, (0.0, AGE_MAX)),
         site,
         diagnosis,
         _coded(target, nums, {"0": 0, "1": 1}.get, np.bool_, "target must be 0 or 1, got {!r}"),
         _coded(source, nums, {"2019": 0, "2020": 1}.get, np.bool_,
                "source must be 2019 or 2020, got {!r}"),
-        _present(sizes, nums, parse_image_size, 0, np.int64),
+        _present(sizes, nums, parse_image_size, 0, np.int64, (1, SIZE_MAX)),
         nums,
     )
 
@@ -503,11 +584,21 @@ def _coded(cells: Sequence[str], row_nums: Sequence[int], code: Callable[[str], 
 
 
 def _present(cells: Sequence[str], row_nums: Sequence[int], parse: Callable[[str, int], object],
-             missing: object, dtype) -> np.ndarray:
-    """``parse(cell, row_num)`` for each non-empty cell, ``missing`` for the empty ones."""
+             missing: object, dtype, bounds: tuple) -> np.ndarray:
+    """``parse(cell, row_num)`` for each non-empty cell, ``missing`` for the empty ones. The
+    non-empty cells are cast at once to ``dtype``, which reads a cell as Python ``float`` or
+    ``int`` does, and checked against the inclusive ``bounds``; ``parse`` runs cell by cell only
+    if that fails, to raise the first bad cell's message."""
     given = np.array(list(map(bool, cells)), dtype=bool)
     out = np.full(len(cells), missing, dtype=dtype)
-    out[given] = np.fromiter(map(parse, compress(cells, given), compress(row_nums, given)), dtype)
+    present = list(compress(cells, given))
+    try:
+        values = np.array(present, dtype)
+    except (ValueError, OverflowError):
+        values = None
+    if values is None or not ((values >= bounds[0]) & (values <= bounds[1])).all():
+        values = np.fromiter(map(parse, present, compress(row_nums, given)), dtype)
+    out[given] = values
     return out
 
 
@@ -628,7 +719,7 @@ def parse_predictions_csv(text: str) -> PredictionSet:
     must hold values in [0, 1] with each row summing to 1 within 1e-9; it
     is reduced to its MEL column. A file without data rows raises FormatError.
     """
-    header, rows = csv_rows(text, "prediction")
+    header, blocks = csv_blocks(text, "prediction")
     if header == _SCORE_HEADER:
         scheme = None
     elif header == _full_header(TargetScheme.NINE_CLASS):
@@ -638,7 +729,7 @@ def parse_predictions_csv(text: str) -> PredictionSet:
     else:
         raise FormatError(f"unrecognized prediction header: {','.join(header)!r}")
 
-    names, arr = csv_floats(header, rows, "score")
+    names, arr = csv_floats(header, blocks, "score")
     if not names:
         raise FormatError("prediction CSV contains no data rows")
     if scheme is None:

@@ -24,8 +24,8 @@ import numpy as np
 from .datamodel import (
     Dataset,
     KeyedTable,
+    csv_blocks,
     csv_floats,
-    csv_rows,
     csv_text,
     float_rows,
     values_at,
@@ -199,8 +199,8 @@ def write_feature_csv(table: FeatureTable, prefix: str = "f") -> str:
 
 def read_feature_csv(text: str, prefix: str = "f") -> FeatureTable:
     """Parse a feature CSV with header ``image_name,<prefix>0,...``."""
-    header, rows = csv_rows(text, "feature")
+    header, blocks = csv_blocks(text, "feature")
     n_cols = len(header) - 1
     if n_cols < 1 or header != ["image_name"] + [f"{prefix}{i}" for i in range(n_cols)]:
         raise FormatError(f"unrecognized feature header: {','.join(header)!r}")
-    return FeatureTable(*csv_floats(header, rows, "feature value"))
+    return FeatureTable(*csv_floats(header, blocks, "feature value"))

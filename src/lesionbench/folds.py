@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import Dataset, KeyedTable, aligned_rows, csv_rows, csv_text, require_unique
+from .datamodel import (Dataset, KeyedTable, aligned_rows, csv_blocks, csv_columns, csv_rows,
+                        csv_text, require_unique)
 from .errors import DomainError, FormatError, RangeError, ShapeError
 from .hashing import MASK64, fnv1a64, splitmix64
 from .targets import TargetScheme
@@ -147,12 +148,28 @@ def write_folds_csv(d: Dataset, f: FoldAssignment) -> str:
 
 
 def read_folds_csv(text: str) -> FoldAssignment:
-    """Parse a folds CSV; k is inferred as max fold index + 1."""
-    header, rows = csv_rows(text, "folds")
+    """Parse a folds CSV; k is inferred as max fold index + 1. The fold column is cast at once;
+    if any row or cell is faulty, the per-row reader reports the first faulty row."""
+    header, blocks = csv_blocks(text, "folds")
     if header != ["image_name", "fold"]:
         raise FormatError(f"unrecognized folds header: {','.join(header)!r}")
+    try:
+        nums, (names, cells) = csv_columns(blocks, 2)
+        folds = np.array(cells, np.int64)  # reads a cell as ``int`` does
+    except (FormatError, ValueError, OverflowError):
+        folds = None
+    if folds is None or (folds < 0).any():
+        nums, names, folds = _read_fold_rows(text)
+    if not names:
+        raise FormatError("folds CSV contains no data rows")
+    require_unique(names, "image_name", nums)
+    return FoldAssignment(names, folds, int(folds.max()) + 1)
+
+
+def _read_fold_rows(text: str) -> tuple[list[int], list[str], np.ndarray]:
+    """``read_folds_csv`` one row at a time: each row's shape, then its fold, in row order."""
     nums, names, folds = [], [], []
-    for row_num, (name, fold_cell) in rows:
+    for row_num, (name, fold_cell) in csv_rows(text, "folds")[1]:
         try:
             fold = int(fold_cell)
         except ValueError:
@@ -164,7 +181,4 @@ def read_folds_csv(text: str) -> FoldAssignment:
         nums.append(row_num)
         names.append(name)
         folds.append(fold)
-    if not names:
-        raise FormatError("folds CSV contains no data rows")
-    require_unique(names, "image_name", nums)
-    return FoldAssignment(names, folds, max(folds) + 1)
+    return nums, names, np.array(folds, np.int64)

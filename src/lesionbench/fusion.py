@@ -11,14 +11,17 @@ checks and rerun determinism are exact.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Sequence
+from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -479,13 +482,17 @@ def train(
     failing folds it is the lowest fold's, and the folds after it stop within
     one batch.
 
-    ``_MATRIX_BOUND`` was measured with one BLAS thread, and nothing here
-    sets the BLAS thread count. With OpenBLAS's default of one BLAS thread
-    per core, each fold thread's matrix products start their own BLAS
-    threads and the cores are oversubscribed: on 2 cores, paper-scale
-    hidden 512,128 training took 19.9-21.6 s with the default and
-    10.0-10.1 s with ``OPENBLAS_NUM_THREADS=1``, with the same output
-    bytes. Set that variable before a large run.
+    While the folds train, numpy's OpenBLAS runs on one thread (see
+    ``_openblas_threads``), and its old thread count is restored when
+    ``train`` returns or raises. ``_MATRIX_BOUND`` was measured with one BLAS
+    thread, and with OpenBLAS's default of one thread per core each fold
+    thread's matrix products would start their own BLAS threads and
+    oversubscribe the cores: on 2 cores, paper-scale hidden 512,128 training
+    took 19.9-21.6 s with the default and 10.0-10.1 s with one BLAS thread,
+    with the same output bytes. The count is process-wide, so BLAS calls
+    made on other threads while ``train`` runs also run on one thread. Where
+    no known BLAS library or symbol is found (another BLAS, another
+    platform), the count is left as it is.
     """
     if not len(d):
         raise DomainError("cannot train on an empty dataset")
@@ -530,7 +537,7 @@ def train(
                           "parameters, more than one array can hold")
     step_size = min(cfg.batch_size, len(names)) * n_params
     workers = min(f.k, _cpu_count()) if step_size >= _MATRIX_BOUND else 1
-    with ThreadPoolExecutor(workers) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
         # ``map`` yields in fold order, so the lowest failing fold's error comes first, and
         # leaving its iterator early cancels the folds that have not started.
         try:
@@ -560,6 +567,39 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the OpenBLAS that numpy wheels bundle as
+    ``numpy.libs/libscipy_openblas64_-*.so`` beside the numpy package, or None where there is no
+    such library or it lacks the symbols (a numpy built against another BLAS, another platform)."""
+    found = sorted(Path(np.__file__).parent.parent.joinpath("numpy.libs")
+                   .glob("libscipy_openblas64_-*.so"))
+    try:
+        lib = ctypes.CDLL(str(found[0]))  # numpy has loaded it: this is the same library
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """One OpenBLAS thread for the process inside the block, the old count again after it;
+    nothing where ``_openblas_threads`` finds no library."""
+    found = _openblas_threads()
+    if found is None:
+        yield
+        return
+    get, set_ = found
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
 
 
 def _val_blocks(n_val: int) -> list[slice]:

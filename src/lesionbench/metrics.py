@@ -20,8 +20,8 @@ from .datamodel import (
     PredictionSet,
     _frozen,
     aligned_rows,
+    csv_blocks,
     csv_floats,
-    csv_rows,
     csv_text,
     float_rows,
     reduce_fields,
@@ -279,10 +279,10 @@ def bootstrap_auc_std(s: LabeledScores, n_boot: int, seed: int) -> BootstrapResu
 
 def parse_score_table(text: str) -> ScoreTable:
     """Parse a score CSV with header ``model,cv_all,cv_2020,private_lb,public_lb``."""
-    header, rows = csv_rows(text, "score")
+    header, blocks = csv_blocks(text, "score")
     if header != ["model", *METRIC_NAMES]:
         raise FormatError(f"unrecognized score header: {','.join(header)!r}")
-    return ScoreTable(*csv_floats(header, rows, "score"))
+    return ScoreTable(*csv_floats(header, blocks, "score"))
 
 
 def write_score_table(t: ScoreTable) -> str:

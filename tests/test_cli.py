@@ -2,6 +2,8 @@ import argparse
 import io
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -88,6 +90,25 @@ def test_split_writes_folds_and_manifest(tmp_path, meta_csv):
     kept1 = [l for l in _strip_timestamp(manifest) if not l.startswith("arg.out=")]
     kept2 = [l for l in _strip_timestamp(manifest2) if not l.startswith("arg.out=")]
     assert kept1 == kept2
+
+
+def test_train_writes_the_same_oof_whatever_blas_thread_count_is_asked(tmp_path, meta_csv):
+    # hidden 512,128 makes a step matrix-bound, so the folds train on threads.
+    folds = tmp_path / "folds.csv"
+    assert main(["split", "--meta", str(meta_csv), "--folds", "2", "--out", str(folds)]) == 0
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    oofs = []
+    for value in (None, "1", "2"):
+        out_dir = tmp_path / f"run_{value}"
+        subprocess.run(
+            [sys.executable, "-m", "lesionbench.cli", "train", "--meta", str(meta_csv),
+             "--folds-csv", str(folds), "--epochs", "2", "--hidden", "512,128",
+             "--out-dir", str(out_dir)],
+            env=env if value is None else {**env, "OPENBLAS_NUM_THREADS": value},
+            check=True, capture_output=True, timeout=300)
+        oofs.append((out_dir / "oof.csv").read_bytes())
+    assert oofs[0] == oofs[1] == oofs[2]
 
 
 def test_split_single_fold_exits_2(tmp_path, meta_csv, capsys):

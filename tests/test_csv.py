@@ -1,8 +1,9 @@
-"""The shared CSV layer: one checked row reader and one writer behind all six
-formats (metadata, predictions, features, folds, score table, sizes), and one
-float formatter behind every numeric writer."""
+"""The shared CSV layer: one block-wise reader, its per-row path and one writer
+behind all six formats (metadata, predictions, features, folds, score table,
+sizes), and one float formatter behind every numeric writer."""
 
 import csv
+import dataclasses
 import io
 import re
 import sys
@@ -18,11 +19,14 @@ from lesionbench.datamodel import (
     METADATA_COLUMNS,
     Dataset,
     PredictionSet,
+    Sex,
     _lines,
+    csv_blocks,
     csv_floats,
     csv_rows,
     csv_text,
     float_cells,
+    float_rows,
     parse_metadata_csv,
     parse_predictions_csv,
     require_unique,
@@ -37,9 +41,11 @@ from lesionbench.errors import (
     UniquenessError,
 )
 from lesionbench.features import FeatureTable, read_feature_csv, write_feature_csv
-from lesionbench.folds import read_folds_csv
+from lesionbench.folds import assign_folds, read_folds_csv, write_folds_csv
 from lesionbench.metrics import ScoreTable, parse_score_table, write_score_table
 from util import (
+    make_dataset,
+    make_record,
     reference_float_rows,
     reference_format_float,
     reference_read_floats,
@@ -258,21 +264,23 @@ NUMBERS = st.floats(0, 1).map(repr) | st.sampled_from(["0", "1", "0.25"]) | st.f
 def _floats(parse, text):
     """``parse``'s keys and value bytes for ``text``, or its error."""
     try:
-        names, values = parse(*csv_rows(text, "test"), "value")
+        names, values = parse(*csv_blocks(text, "test"), "value")
     except LesionbenchError as exc:
         return type(exc), str(exc)
     return names, values.tobytes()
 
 
 def _read(reader, text):
-    """What ``reader`` makes of ``text``: its keys and value bytes, or its error."""
+    """What ``reader`` makes of ``text``: every field of its result, arrays as bytes, or its
+    error."""
     try:
         out = reader(text)
     except LesionbenchError as exc:
         return type(exc), str(exc)
-    if isinstance(out, ScoreTable):
-        return out.model_ids, out.values.tobytes()
-    return out.image_names, (out.values if isinstance(out, FeatureTable) else out.scores).tobytes()
+    if isinstance(out, dict):  # the sizes reader
+        return list(out.items())
+    return [v.tobytes() if isinstance(v, np.ndarray) else v
+            for v in (getattr(out, f.name) for f in dataclasses.fields(out))]
 
 
 def _faulty(row, width):
@@ -330,6 +338,106 @@ def test_block_wise_parse_matches_the_per_row_oracle(fmt, data):
         assert got == want
     else:  # which fault is reported first may differ
         assert all(isinstance(outcome[0], type) for outcome in got + want)
+
+
+FAULTS = ("quote", "quoted", "cr", "crlf", "nul", "drop", "add", "key", "blank", "long", "cell",
+          "repeat")
+
+
+def _faulty_body(data, row):
+    """Up to ten well-formed rows like ``row``, each with its own key, and several faults."""
+    key, rest = row.split(",", 1)
+    lines = [f"{key}{i},{rest}" for i in range(data.draw(st.integers(1, 10)))]
+    edits = st.tuples(st.sampled_from(FAULTS), st.integers(0, 99), st.integers(0, 99), ODD_CELLS)
+    for kind, i, j, odd in data.draw(st.lists(edits, max_size=4)):
+        at = i % len(lines)
+        line, cells = lines[at], lines[at].split(",")
+        pos = j % (len(line) + 1)
+        if kind == "quote":
+            line = line[:pos] + '"' + line[pos:]
+        elif kind == "quoted":  # csv.reader reads it as the bare key
+            line = ",".join([f'"{cells[0]}"'] + cells[1:])
+        elif kind == "cr":
+            line = line[:pos] + "\r" + line[pos:]
+        elif kind == "crlf":
+            line += "\r"
+        elif kind == "nul":
+            line = line[:pos] + "\0" + line[pos:]
+        elif kind == "drop":
+            line = ",".join(cells[:-1])
+        elif kind == "add":
+            line += ",0"
+        elif kind == "key":
+            line = ",".join([""] + cells[1:])
+        elif kind == "blank":
+            lines.insert(at, "")
+            continue
+        elif kind == "long":  # over the low field size limit below
+            line = ",".join(cells[:j % len(cells)] + ["9" * 50] + cells[j % len(cells) + 1:])
+        elif kind == "cell" and len(cells) > 1:
+            line = ",".join(cells[:1 + j % (len(cells) - 1)] + [odd]
+                            + cells[2 + j % (len(cells) - 1):])
+        elif kind == "repeat":
+            line = ",".join([lines[j % len(lines)].split(",")[0]] + cells[1:])
+        lines[at] = line
+    return "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_block_wise_split_gives_what_the_per_row_path_gives(fmt, data):
+    # Every reader's keys and value bytes, or its error's type and message, are
+    # the same with the clean-block test declining every block.
+    reader, header, row = FORMATS[fmt]
+    body = data.draw(LINEISH | CSVISH | st.builds(_faulty_body, st.data(), st.just(row)))
+    text = f"{header}\n{body}"
+    old_limit = csv.field_size_limit()
+    csv.field_size_limit(data.draw(st.sampled_from([40, old_limit])))
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datamodel, "_BLOCK_ROWS", data.draw(st.integers(1, 3)))
+            got = _read(reader, text)
+            mp.setattr(datamodel, "_clean_cells", lambda lines, width: None)
+            want = _read(reader, text)
+    finally:
+        csv.field_size_limit(old_limit)
+    assert got == want
+
+
+def test_every_writers_output_is_read_without_the_per_row_path(monkeypatch):
+    def per_row(*args):
+        raise AssertionError("a written file took the per-row path")
+
+    monkeypatch.setattr(datamodel, "_checked_rows", per_row)
+    monkeypatch.setattr(datamodel, "_BLOCK_ROWS", 3)  # several blocks and a short last one
+    rng = np.random.default_rng(0)
+    n = 10
+    names = tuple(f"ISIC_{i:07d}" for i in range(n))
+    d = make_dataset(
+        make_record(name, patient_id=f"P{i // 2}", sex=(Sex.MALE, Sex.FEMALE, Sex.MISSING)[i % 3],
+                    age=None if i % 4 == 0 else 2.5 * i, site=None if i % 5 == 0 else "torso",
+                    diagnosis=None if i % 3 == 0 else "nevus", size=None if i % 2 else 1000 + i)
+        for i, name in enumerate(names))
+    assert parse_metadata_csv(write_metadata_csv(d)) == d
+    sizes = {name: 100 + i for i, name in enumerate(names)}
+    assert _read_sizes_csv(csv_text(["image_name", "image_size_bytes"],
+                                    ((k, str(v)) for k, v in sizes.items()))) == sizes
+    f = assign_folds(d, 3, seed=0)
+    assert read_folds_csv(write_folds_csv(d, f)) == f
+    for prefix, width in (("f", 14), ("c", 4)):
+        feats = FeatureTable(names, rng.normal(size=(n, width)))
+        assert read_feature_csv(write_feature_csv(feats, prefix), prefix) == feats
+    preds = PredictionSet(names, rng.random(n))
+    assert parse_predictions_csv(write_predictions_csv(preds)) == preds
+    for fmt in ("9c predictions", "4c predictions"):
+        header = FORMATS[fmt][1].split(",")
+        probs = rng.dirichlet(np.ones(len(header) - 1), size=n)
+        mel = probs[:, header.index("prob_MEL") - 1]
+        text = csv_text(header, float_rows(names, probs))
+        assert parse_predictions_csv(text) == PredictionSet(names, mel)
+    scores = ScoreTable(tuple(f"m{i}" for i in range(n)), rng.random((n, 4)))
+    assert parse_score_table(write_score_table(scores)) == scores
 
 
 MAX = sys.float_info.max

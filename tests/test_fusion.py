@@ -456,6 +456,50 @@ def test_train_stops_a_diverging_run_with_its_context():
             train(d, feature_table_for(d), None, f, cfg)
 
 
+# --- BLAS threads -------------------------------------------------------------
+
+def _tiny_run(d, lr=1e-3):
+    return train(d, feature_table_for(d), None, assign_folds(d, k=2, seed=0),
+                 TrainConfig(epochs=2, batch_size=4, lr_peak=lr, seed=0, hidden=(8, 4)))
+
+
+def test_train_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    found = fusion._openblas_threads()
+    if found is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found here")
+    get, set_ = found
+    seen = []
+    original = fusion._backward
+
+    def wrapper(ws, cache, targets):
+        seen.append(get())
+        return original(ws, cache, targets)
+
+    monkeypatch.setattr(fusion, "_backward", wrapper)
+    d = separable_dataset(n_patients=10)
+    old = get()
+    set_(2)
+    try:
+        before = get()
+        _tiny_run(d)
+        assert seen and set(seen) == {1}
+        assert get() == before
+        seen.clear()
+        with pytest.raises(DomainError, match="diverged"):
+            _tiny_run(d, lr=1e200)
+        assert seen and set(seen) == {1}
+        assert get() == before
+    finally:
+        set_(old)
+
+
+def test_train_runs_where_no_blas_library_is_found(monkeypatch):
+    d = separable_dataset(n_patients=10)
+    want = _tiny_run(d).oof
+    monkeypatch.setattr(fusion, "_openblas_threads", lambda: None)
+    assert _tiny_run(d).oof.scores.tobytes() == want.scores.tobytes()
+
+
 # --- fold threads -------------------------------------------------------------
 
 def _cpus(monkeypatch, n):
@@ -514,6 +558,17 @@ def test_folds_take_threads_when_batch_rows_times_parameters_reach_the_bound(
     cfg = TrainConfig(epochs=2, batch_size=64, lr_peak=1e-3, seed=0, hidden=hidden)
     _cpus(monkeypatch, 2)
     threads = _record_threads(monkeypatch)
+    # A fold this small can end before a second pool thread is scheduled, and the first thread
+    # then takes the next fold too. Each fold waits until n_threads folds have started, so a
+    # pool of n_threads threads runs them on n_threads threads, and a smaller pool breaks the
+    # barrier.
+    barrier, one_fold = threading.Barrier(n_threads, timeout=10), fusion._train_one_fold
+
+    def fold(*args):
+        barrier.wait()
+        return one_fold(*args)
+
+    monkeypatch.setattr(fusion, "_train_one_fold", fold)
     train(d, feature_table_for(d), None, f, cfg)
     assert len(set(threads)) == n_threads
 

@@ -133,13 +133,16 @@ def _reference_metadata_row(row: list[str], row_num: int, has_size: bool) -> Sam
     )
 
 
-def reference_read_floats(header, rows, what):
-    """Numeric CSV rows parsed one at a time, each cell with ``float``, and the
-    keys checked for a repeat after the last row: the oracle for the
+def reference_read_floats(header, blocks, what):
+    """``csv_blocks``' rows parsed one at a time, each cell with ``float``, and
+    the keys checked for a repeat after the last row: the oracle for the
     block-wise ``datamodel.csv_floats``."""
     nums: list[int] = []
     names: list[str] = []
     values: list[list[float]] = []
+    width = len(header)
+    rows = ((num, cells[i * width:(i + 1) * width])
+            for block_nums, cells in blocks for i, num in enumerate(block_nums))
     for row_num, row in rows:
         try:
             values.append([float(cell) for cell in row[1:]])
