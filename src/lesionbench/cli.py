@@ -22,15 +22,15 @@ import numpy as np
 
 from . import __version__
 from .datamodel import (
+    SIZE_MAX,
     Dataset,
     csv_blocks,
-    csv_columns,
+    csv_keyed,
     csv_text,
     parse_image_size,
     parse_metadata_csv,
     parse_predictions_csv,
     positions,
-    require_unique,
     validate_consistency,
     values_at,
     write_predictions_csv,
@@ -163,20 +163,17 @@ def _cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_sizes_csv(text: str) -> dict[str, int]:
+def _read_sizes_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
     header, blocks = csv_blocks(text, "sizes")
     if header != ["image_name", "image_size_bytes"]:
         raise FormatError("sizes CSV must have header image_name,image_size_bytes")
-    nums, (names, cells) = csv_columns(blocks, 2)
-    sizes = list(map(parse_image_size, cells, nums))
-    require_unique(names, "image_name", nums)
-    return dict(zip(names, sizes))
+    names, sizes = csv_keyed(header, blocks, parse_image_size, np.int64, (1, SIZE_MAX))
+    return names, sizes[:, 0]
 
 
-def _apply_sizes(dataset: Dataset, sizes: dict[str, int]) -> Dataset:
-    rows = values_at(positions(dataset.image_names), sizes, np.intp, "metadata")
+def _apply_sizes(dataset: Dataset, names: tuple[str, ...], sizes: np.ndarray) -> Dataset:
     column = dataset.size.copy()
-    column[rows] = list(sizes.values())
+    column[values_at(positions(dataset.image_names), names, np.intp, "metadata")] = sizes
     return dataclasses.replace(dataset, size=column)
 
 
@@ -192,7 +189,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
     digests: dict[str, str] = {}
     dataset = parse_metadata_csv(_read_input(args.meta, digests, "meta"))
     if args.sizes:
-        dataset = _apply_sizes(dataset, _read_sizes_csv(_read_input(args.sizes, digests, "sizes")))
+        dataset = _apply_sizes(dataset, *_read_sizes_csv(_read_input(args.sizes, digests, "sizes")))
     if not dataset.size.all():
         print(
             "warning: image sizes missing for some records; their log-size "

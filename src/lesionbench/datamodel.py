@@ -7,11 +7,11 @@ streams are UTF-8; LF and CRLF are both accepted on read, LF is written. Every f
 through :func:`csv_blocks`, which hands its rows over in blocks of ``_BLOCK_ROWS`` as row numbers
 and row-major cells. A clean block of lines (no quote, CR or NUL, each line as wide as the header
 and keyed) is cut with one ``str.split``; from the first block that is not clean, the rest goes
-through :func:`csv_rows`, the per-row ``csv.reader`` path, so both give the same rows and the same
-errors. Columns are cast a column or block at a time: the numeric formats (predictions, feature
-tables, score tables) through :func:`csv_floats`, with Python ``float`` syntax, and ages, sizes
-and folds with ``float``/``int`` syntax; a cast that fails is redone cell by cell, for the
-message of the first bad cell. Every keyed table (:class:`PredictionSet`,
+through :func:`csv_rows`' per-row ``csv.reader`` path, so both give the same rows and errors.
+The keyed formats but the metadata (predictions, features, score tables, folds, sizes) are read
+by :func:`csv_keyed`, and every typed cell, theirs and the metadata's ages and sizes, is cast by
+:func:`cast_cells`: one ``float``/``int``-syntax cast and a bounds check, redone cell by cell
+only on a failure, for the first bad cell's message. Every keyed table (:class:`PredictionSet`,
 ``features.FeatureTable``, ``metrics.ScoreTable``, ``folds.FoldAssignment``) is a
 :class:`KeyedTable`: a tuple of keys checked by :func:`require_unique`, and a read-only float64
 (int64 for folds) array with one row per key; [0, 1] values are checked by
@@ -355,19 +355,15 @@ def csv_blocks(text: str, noun: str) -> tuple[list[str], Blocks]:
     """The one CSV reader: the header, and ``csv_rows``' rows in blocks of ``_BLOCK_ROWS``,
     each as its row numbers and one new list of its cells, row after row.
 
-    The body is cut into blocks of ``_BLOCK_ROWS`` lines. A block whose lines ``csv.reader``
+    ``csv.reader`` reads the header from the line iterator, taking only the header's own lines.
+    The rest is cut into blocks of ``_BLOCK_ROWS`` lines. A block whose lines ``csv.reader``
     would read as clean rows (see :func:`_clean_cells`) is split in one ``str.split``. From the
     first block that is not clean, the rest of the text, from that block's first line and with its
     row number, goes through ``csv_rows``' reader, so rows, row numbers and errors are the same
-    as ``csv_rows``' and a fault is raised once its block is reached. A header line with a
-    quote, which may run over several lines, sends the whole text that way.
+    as ``csv_rows``' and a fault is raised once its block is reached.
     """
     lines = _lines(text)
-    head = list(islice(lines, 1))
-    if '"' in "".join(head):
-        header, rows = csv_rows(text, noun)
-        return header, _row_blocks(rows)
-    header = _header(csv.reader(head), noun)
+    header = _header(csv.reader(lines), noun)
     return header, _blocks(lines, header, noun)
 
 
@@ -385,32 +381,54 @@ def csv_columns(blocks: Blocks, width: int) -> tuple[list[int], list[list[str]]]
     return row_nums, columns
 
 
-def csv_floats(header: list[str], blocks: Blocks, what: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """All of ``csv_blocks``' rows as their keys and a float64 matrix of their other cells, each
-    block cast in one call that accepts exactly what Python ``float`` does. A non-numeric cell
-    raises FormatError naming its row and ``what``; a repeated key raises UniquenessError naming
-    both rows, once every row has parsed."""
+def csv_keyed(header: list[str], blocks: Blocks, parse: Callable[[str, int], object],
+              dtype=np.float64, bounds: tuple | None = None) -> tuple[tuple[str, ...], np.ndarray]:
+    """All of ``csv_blocks``' rows as their keys and a ``dtype`` matrix of their other cells, each
+    block cast by :func:`cast_cells`, so a bad cell raises ``parse``'s message for the first one
+    in row order. A repeated key raises UniquenessError naming both rows, once every row has
+    parsed."""
     width = len(header)
     nums: list[int] = []
     names: list[str] = []
-    parts = [np.empty(0)]
+    parts = [np.empty(0, dtype)]
     for block_nums, cells in blocks:
         keys = cells[::width]
         del cells[::width]
-        try:
-            parts.append(np.array(cells, np.float64))
-        except ValueError:
-            for i, num in enumerate(block_nums):  # the first row that ``float`` rejects
-                try:
-                    list(map(float, cells[i * (width - 1):(i + 1) * (width - 1)]))
-                except ValueError:
-                    raise FormatError(f"row {num}: non-numeric {what}") from None
-            raise
+        row_nums = (num for num in block_nums for _ in range(width - 1))  # one per cell
+        parts.append(cast_cells(cells, row_nums, parse, dtype, bounds))
         del cells  # this block's strings go before the next block's are made
         nums.extend(block_nums)
         names.extend(keys)
     require_unique(names, header[0], nums)
     return tuple(names), np.concatenate(parts).reshape(-1, width - 1)
+
+
+def cast_cells(cells: list[str], row_nums: Iterable[int], parse: Callable[[str, int], object],
+               dtype, bounds: tuple | None) -> np.ndarray:
+    """The one checked cast of CSV cells: ``cells`` as a 1-D ``dtype`` array in one call, which
+    reads a cell as Python ``float`` or ``int`` does, checked against the inclusive ``bounds``.
+    Only if that fails does ``parse(cell, row_num)`` run cell by cell, with ``row_nums`` one per
+    cell, to raise the first bad cell's message."""
+    try:
+        values = np.array(cells, dtype)
+        if bounds is None or ((values >= bounds[0]) & (values <= bounds[1])).all():
+            return values
+    except (ValueError, OverflowError):
+        pass
+    return np.fromiter(map(parse, cells, row_nums), dtype, len(cells))
+
+
+def numeric(what: str) -> Callable[[str, int], float]:
+    """The per-cell parse of a float cell: ``float(cell)``, or FormatError
+    ``row N: non-numeric <what>``."""
+
+    def parse(cell: str, row_num: int) -> float:
+        try:
+            return float(cell)
+        except ValueError:
+            raise FormatError(f"row {row_num}: non-numeric {what}") from None
+
+    return parse
 
 
 _BLOCK_ROWS = 4096
@@ -585,20 +603,11 @@ def _coded(cells: Sequence[str], row_nums: Sequence[int], code: Callable[[str], 
 
 def _present(cells: Sequence[str], row_nums: Sequence[int], parse: Callable[[str, int], object],
              missing: object, dtype, bounds: tuple) -> np.ndarray:
-    """``parse(cell, row_num)`` for each non-empty cell, ``missing`` for the empty ones. The
-    non-empty cells are cast at once to ``dtype``, which reads a cell as Python ``float`` or
-    ``int`` does, and checked against the inclusive ``bounds``; ``parse`` runs cell by cell only
-    if that fails, to raise the first bad cell's message."""
+    """The non-empty cells through :func:`cast_cells`, ``missing`` for the empty ones."""
     given = np.array(list(map(bool, cells)), dtype=bool)
     out = np.full(len(cells), missing, dtype=dtype)
-    present = list(compress(cells, given))
-    try:
-        values = np.array(present, dtype)
-    except (ValueError, OverflowError):
-        values = None
-    if values is None or not ((values >= bounds[0]) & (values <= bounds[1])).all():
-        values = np.fromiter(map(parse, present, compress(row_nums, given)), dtype)
-    out[given] = values
+    out[given] = cast_cells(list(compress(cells, given)), compress(row_nums, given), parse, dtype,
+                            bounds)
     return out
 
 
@@ -729,7 +738,7 @@ def parse_predictions_csv(text: str) -> PredictionSet:
     else:
         raise FormatError(f"unrecognized prediction header: {','.join(header)!r}")
 
-    names, arr = csv_floats(header, blocks, "score")
+    names, arr = csv_keyed(header, blocks, numeric("score"))
     if not names:
         raise FormatError("prediction CSV contains no data rows")
     if scheme is None:

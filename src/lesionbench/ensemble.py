@@ -4,7 +4,7 @@ Each model's scores are replaced by their normalized ranks before averaging,
 which discards calibration differences between models: any strictly
 increasing rescaling of a member's scores leaves the ensemble output
 bit-identical. Members are aligned by image name, never by row: each member's
-names are looked up among the first member's through ``datamodel.values_at``.
+rows are taken in the first member's order through ``KeyedTable.select``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import PredictionSet, positions, values_at
+from .datamodel import PredictionSet
 from .errors import CoverageError, DomainError
 from .metrics import average_ranks
 
@@ -44,8 +44,8 @@ def rank_average(models: Sequence[PredictionSet]) -> PredictionSet:
 
     All models must cover the identical image set; the output follows the
     first model's image order. A member of another length raises CoverageError
-    ``model i has N image(s), model 0 has M``; one with an image that model 0
-    lacks, ``model 0 (against model i) missing N image(s), first: 'X'``. The
+    ``model i has N image(s), model 0 has M``; one that lacks an image of
+    model 0, ``model i missing N image(s), first: 'X'``. The
     reduction sorts each image's contributions before summing, so the result
     is bitwise independent of model order.
     """
@@ -53,14 +53,12 @@ def rank_average(models: Sequence[PredictionSet]) -> PredictionSet:
         raise DomainError("rank_average needs at least one model")
 
     base = models[0]
-    at = positions(base.image_names)
     aligned = np.empty((len(models), len(base)), dtype=np.float64)
     for i, m in enumerate(models):
         if len(m) != len(base):
             raise CoverageError(f"model {i} has {len(m)} image(s), model 0 has {len(base)}")
-        # Names are unique, so finding all n of them among model 0's n means the same set.
-        rows = values_at(at, m.image_names, np.intp, f"model 0 (against model {i})")
-        aligned[i, rows] = rank_transform(m.scores)
+        # Names are unique, so finding model 0's n names among model i's n means the same set.
+        aligned[i] = rank_transform(m.select(base.image_names, f"model {i}"))
 
     # Canonical summation order makes the mean symmetric in its arguments.
     aligned.sort(axis=0)

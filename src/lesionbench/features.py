@@ -11,7 +11,7 @@ metadata row, validation folds included, so one feature table serves all
 folds. Missing continuous values encode as 0, i.e. the mean. The
 anatomical site occupies ten one-hot slots against a data-derived
 vocabulary; a missing or out-of-vocabulary site leaves the whole block zero.
-A FeatureTable is written with ``datamodel.float_rows`` and read with ``csv_floats``.
+A FeatureTable is written with ``datamodel.float_rows`` and read with ``csv_keyed``.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from .datamodel import (
     Dataset,
     KeyedTable,
     csv_blocks,
-    csv_floats,
+    csv_keyed,
     csv_text,
     float_rows,
+    numeric,
     values_at,
 )
 from .errors import (
@@ -203,4 +204,4 @@ def read_feature_csv(text: str, prefix: str = "f") -> FeatureTable:
     n_cols = len(header) - 1
     if n_cols < 1 or header != ["image_name"] + [f"{prefix}{i}" for i in range(n_cols)]:
         raise FormatError(f"unrecognized feature header: {','.join(header)!r}")
-    return FeatureTable(*csv_floats(header, blocks, "feature value"))
+    return FeatureTable(*csv_keyed(header, blocks, numeric("feature value")))

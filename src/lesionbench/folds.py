@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import (Dataset, KeyedTable, aligned_rows, csv_blocks, csv_columns, csv_rows,
-                        csv_text, require_unique)
+from .datamodel import Dataset, KeyedTable, aligned_rows, csv_blocks, csv_keyed, csv_text
 from .errors import DomainError, FormatError, RangeError, ShapeError
 from .hashing import MASK64, fnv1a64, splitmix64
 from .targets import TargetScheme
@@ -25,6 +24,7 @@ N_STRATA = TargetScheme.NINE_CLASS.class_count
 
 DEFAULT_FOLDS = 5
 DEFAULT_SEED = 42
+FOLD_MAX = 2**63 - 1  # folds are held as int64
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,37 +148,24 @@ def write_folds_csv(d: Dataset, f: FoldAssignment) -> str:
 
 
 def read_folds_csv(text: str) -> FoldAssignment:
-    """Parse a folds CSV; k is inferred as max fold index + 1. The fold column is cast at once;
-    if any row or cell is faulty, the per-row reader reports the first faulty row."""
+    """Parse a folds CSV through ``datamodel.csv_keyed``; k is inferred as max fold index + 1.
+    A row-shape fault in a block of rows is reported before a bad fold in an earlier row of it."""
     header, blocks = csv_blocks(text, "folds")
     if header != ["image_name", "fold"]:
         raise FormatError(f"unrecognized folds header: {','.join(header)!r}")
-    try:
-        nums, (names, cells) = csv_columns(blocks, 2)
-        folds = np.array(cells, np.int64)  # reads a cell as ``int`` does
-    except (FormatError, ValueError, OverflowError):
-        folds = None
-    if folds is None or (folds < 0).any():
-        nums, names, folds = _read_fold_rows(text)
+    names, folds = csv_keyed(header, blocks, _parse_fold, np.int64, (0, FOLD_MAX))
     if not names:
         raise FormatError("folds CSV contains no data rows")
-    require_unique(names, "image_name", nums)
-    return FoldAssignment(names, folds, int(folds.max()) + 1)
+    return FoldAssignment(names, folds[:, 0], int(folds.max()) + 1)
 
 
-def _read_fold_rows(text: str) -> tuple[list[int], list[str], np.ndarray]:
-    """``read_folds_csv`` one row at a time: each row's shape, then its fold, in row order."""
-    nums, names, folds = [], [], []
-    for row_num, (name, fold_cell) in csv_rows(text, "folds")[1]:
-        try:
-            fold = int(fold_cell)
-        except ValueError:
-            raise FormatError(f"row {row_num}: non-integer fold {fold_cell!r}") from None
-        if fold < 0:
-            raise FormatError(f"row {row_num}: negative fold {fold}")
-        if fold >= 2**63:  # folds are held as int64
-            raise RangeError(f"row {row_num}: fold {fold} outside [0, {2**63 - 1}]")
-        nums.append(row_num)
-        names.append(name)
-        folds.append(fold)
-    return nums, names, np.array(folds, np.int64)
+def _parse_fold(cell: str, row_num: int) -> int:
+    try:
+        fold = int(cell)
+    except ValueError:
+        raise FormatError(f"row {row_num}: non-integer fold {cell!r}") from None
+    if fold < 0:
+        raise FormatError(f"row {row_num}: negative fold {fold}")
+    if fold > FOLD_MAX:
+        raise RangeError(f"row {row_num}: fold {fold} outside [0, {FOLD_MAX}]")
+    return fold

@@ -585,21 +585,26 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
     return get, set_
 
 
+_BLAS_LOCK = threading.Lock()
+_blas_saved: list[int] = []  # per caller inside ``_one_blas_thread``: the count the first found
+
+
 @contextmanager
 def _one_blas_thread() -> Iterator[None]:
-    """One OpenBLAS thread for the process inside the block, the old count again after it;
-    nothing where ``_openblas_threads`` finds no library."""
-    found = _openblas_threads()
-    if found is None:
-        yield
-        return
-    get, set_ = found
-    old = get()
-    set_(1)
+    """One OpenBLAS thread for the process while any caller is inside the block: the first to
+    enter saves the count and sets 1, the last to leave restores it. Nothing where
+    ``_openblas_threads`` finds no library."""
+    get, set_ = _openblas_threads() or (lambda: 1, lambda n: None)
+    with _BLAS_LOCK:
+        _blas_saved.append(_blas_saved[0] if _blas_saved else get())
+        set_(1)
     try:
         yield
     finally:
-        set_(old)
+        with _BLAS_LOCK:
+            old = _blas_saved.pop()
+            if not _blas_saved:
+                set_(old)
 
 
 def _val_blocks(n_val: int) -> list[slice]:

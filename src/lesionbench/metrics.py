@@ -21,9 +21,10 @@ from .datamodel import (
     _frozen,
     aligned_rows,
     csv_blocks,
-    csv_floats,
+    csv_keyed,
     csv_text,
     float_rows,
+    numeric,
     reduce_fields,
     require_unit_interval,
 )
@@ -282,7 +283,7 @@ def parse_score_table(text: str) -> ScoreTable:
     header, blocks = csv_blocks(text, "score")
     if header != ["model", *METRIC_NAMES]:
         raise FormatError(f"unrecognized score header: {','.join(header)!r}")
-    return ScoreTable(*csv_floats(header, blocks, "score"))
+    return ScoreTable(*csv_keyed(header, blocks, numeric("score")))
 
 
 def write_score_table(t: ScoreTable) -> str:

@@ -626,7 +626,7 @@ def test_sizes_duplicate_and_foreign_names_rejected(tmp_path, capsys):
     with pytest.raises(UniquenessError, match="P0_I0"):
         _read_sizes_csv("image_name,image_size_bytes\nP0_I0,10\nP0_I0,11\n")
     with pytest.raises(CoverageError, match="ghost"):
-        _apply_sizes(d, {"P0_I0": 10, "ghost": 11})
+        _apply_sizes(d, ("P0_I0", "ghost"), np.array([10, 11]))
     sizes = tmp_path / "sizes.csv"
     for body, message in (("P0_I0,10\nP0_I0,11\n", "duplicate image_name 'P0_I0'"),
                           ("P0_I0,10\nghost,11\n", "'ghost'"),

@@ -13,20 +13,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lesionbench import datamodel, features, metrics
+from lesionbench import cli, datamodel, features, folds, metrics
 from lesionbench.cli import _read_sizes_csv
 from lesionbench.datamodel import (
     METADATA_COLUMNS,
+    SIZE_MAX,
     Dataset,
     PredictionSet,
     Sex,
     _lines,
     csv_blocks,
-    csv_floats,
+    csv_keyed,
     csv_rows,
     csv_text,
     float_cells,
     float_rows,
+    numeric,
+    parse_image_size,
     parse_metadata_csv,
     parse_predictions_csv,
     require_unique,
@@ -48,7 +51,7 @@ from util import (
     make_record,
     reference_float_rows,
     reference_format_float,
-    reference_read_floats,
+    reference_read_keyed,
     reference_require_unique,
 )
 
@@ -161,6 +164,22 @@ def test_a_bad_cell_is_reported_before_an_earlier_repeated_key(fmt, bad_row, mes
         reader(f"{header}\n{row}\n{row}\n{bad_row}\n")
 
 
+@pytest.mark.parametrize("fmt, message", [
+    ("folds", "row 1: non-integer fold 'x'"),
+    ("sizes", "row 1: non-integer image_size_bytes 'x'"),
+])
+def test_a_row_shape_fault_is_reported_before_a_bad_cell_earlier_in_its_block(fmt, message):
+    reader, header, row = FORMATS[fmt]
+    key, cell = row.split(",")
+    bad, wide = f"{key},x", f"{row},0"
+    with pytest.raises(FormatError, match=r"^row 3: expected 2 fields, got 3$"):
+        reader(f"{header}\n{bad}\nJ,{cell}\n{wide}\n")
+    # In a later block, the shape fault comes after the bad cell: blocks keep row order.
+    filler = "".join(f"J{i},{cell}\n" for i in range(datamodel._BLOCK_ROWS))
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        reader(f"{header}\n{bad}\n{filler}{wide}\n")
+
+
 @settings(max_examples=300, deadline=None)
 @given(names=st.lists(st.text(alphabet="abc", min_size=1, max_size=2), max_size=12),
        gaps=st.lists(st.integers(1, 3), min_size=12, max_size=12), numbered=st.booleans())
@@ -241,6 +260,28 @@ def test_arbitrary_text_gives_a_value_or_a_toolkit_error(name, text):
 CSVISH = st.text(alphabet=',\n\r"0123456789.-+eEinfaI_PmlMNV xé', max_size=120)
 
 
+def _rows_or_error(read, text):
+    """``read``'s header and ``(row_num, row)`` pairs for ``text``, or its error message."""
+    try:
+        header, body = read(text, "test")
+        if read is csv_rows:
+            return header, list(body)
+        width = len(header)
+        return header, [(num, cells[i * width:(i + 1) * width])
+                        for nums, cells in body for i, num in enumerate(nums)]
+    except FormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=LINEISH | CSVISH, block_rows=st.integers(1, 3))
+@example(text='"a\nb",c\n1,2\n', block_rows=1)  # a quoted header over two lines
+def test_csv_blocks_gives_the_rows_and_errors_of_csv_rows(text, block_rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datamodel, "_BLOCK_ROWS", block_rows)
+        assert _rows_or_error(csv_blocks, text) == _rows_or_error(csv_rows, text)
+
+
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 @settings(max_examples=60, deadline=None)
 @given(body=CSVISH)
@@ -259,12 +300,23 @@ def test_valid_header_with_arbitrary_body_gives_a_value_or_a_toolkit_error(fmt, 
 ODD_CELLS = st.text(alphabet="0123456789+-_.eE \t\x0c\u2003\x00nafityNAFIY\u0663\u0665",
                     max_size=6)
 NUMBERS = st.floats(0, 1).map(repr) | st.sampled_from(["0", "1", "0.25"]) | st.floats().map(repr)
+# Integer cells, with the edges of the int64 fold and size bounds and cells that ``int`` reads
+# in unusual ways.
+INTEGERS = st.integers(0, 2**63 - 1).map(str) | st.sampled_from(
+    ["-1", "0", "1", str(2**63 - 1), str(2**63), " 7", "1_0", "\u0663"])
+
+# The parse, dtype and bounds that each format's reader hands ``csv_keyed``, and its cells.
+KEYED = dict.fromkeys(["features", "scalar predictions", "9c predictions", "4c predictions",
+                       "score table"], (numeric("value"), np.float64, None, NUMBERS)) | {
+    "folds": (folds._parse_fold, np.int64, (0, folds.FOLD_MAX), INTEGERS),
+    "sizes": (parse_image_size, np.int64, (1, SIZE_MAX), INTEGERS),
+}
 
 
-def _floats(parse, text):
-    """``parse``'s keys and value bytes for ``text``, or its error."""
+def _keyed(read, text, parse, dtype, bounds):
+    """``read``'s keys and value bytes for ``text``, or its error."""
     try:
-        names, values = parse(*csv_blocks(text, "test"), "value")
+        names, values = read(*csv_blocks(text, "test"), parse, dtype, bounds)
     except LesionbenchError as exc:
         return type(exc), str(exc)
     return names, values.tobytes()
@@ -277,34 +329,25 @@ def _read(reader, text):
         out = reader(text)
     except LesionbenchError as exc:
         return type(exc), str(exc)
-    if isinstance(out, dict):  # the sizes reader
-        return list(out.items())
-    return [v.tobytes() if isinstance(v, np.ndarray) else v
-            for v in (getattr(out, f.name) for f in dataclasses.fields(out))]
+    # The sizes reader gives a tuple of names and sizes; the others, a dataclass.
+    values = out if isinstance(out, tuple) else [getattr(out, f.name)
+                                                 for f in dataclasses.fields(out)]
+    return [v.tobytes() if isinstance(v, np.ndarray) else v for v in values]
 
 
-def _faulty(row, width):
-    """Whether ``csv_rows`` or the float parse rejects ``row`` on its own."""
-    if len(row) != width or not row[0]:
-        return True
-    try:
-        list(map(float, row[1:]))
-    except ValueError:
-        return True
-    return False
-
-
-@pytest.mark.parametrize("fmt", ["features", "scalar predictions", "9c predictions",
-                                 "4c predictions", "score table"])
+@pytest.mark.parametrize("fmt", sorted(KEYED))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_block_wise_parse_matches_the_per_row_oracle(fmt, data):
+    # Faults are reported in one order by both: a row-shape fault anywhere in a block before a
+    # bad cell in an earlier row of that block, blocks in row order, and a repeat last.
     reader, header, _ = FORMATS[fmt]
+    parse, dtype, bounds, values = KEYED[fmt]
     header = header.split(",")
     if fmt == "features":
         header = header[:1] + [f"f{i}" for i in range(data.draw(st.integers(1, 16)))]
     width = len(header)
-    cells = data.draw(st.lists(st.lists(NUMBERS, min_size=width - 1, max_size=width - 1),
+    cells = data.draw(st.lists(st.lists(values, min_size=width - 1, max_size=width - 1),
                                max_size=10))
     prefix = data.draw(st.text(max_size=3))
     rows = [[f"{prefix}{i}"] + r for i, r in enumerate(cells)]
@@ -330,14 +373,11 @@ def test_block_wise_parse_matches_the_per_row_oracle(fmt, data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(datamodel, "_BLOCK_ROWS", 3)  # faults fall on block edges
-        got = _floats(csv_floats, text), _read(reader, text)
-        for module in (datamodel, features, metrics):
-            mp.setattr(module, "csv_floats", reference_read_floats)
-        want = _floats(reference_read_floats, text), _read(reader, text)
-    if sum(_faulty(row, width) for row in rows if row) <= 1:
-        assert got == want
-    else:  # which fault is reported first may differ
-        assert all(isinstance(outcome[0], type) for outcome in got + want)
+        got = _keyed(csv_keyed, text, parse, dtype, bounds), _read(reader, text)
+        for module in (datamodel, features, metrics, folds, cli):
+            mp.setattr(module, "csv_keyed", reference_read_keyed)
+        want = _keyed(reference_read_keyed, text, parse, dtype, bounds), _read(reader, text)
+    assert got == want
 
 
 FAULTS = ("quote", "quoted", "cr", "crlf", "nul", "drop", "add", "key", "blank", "long", "cell",
@@ -420,9 +460,10 @@ def test_every_writers_output_is_read_without_the_per_row_path(monkeypatch):
                     diagnosis=None if i % 3 == 0 else "nevus", size=None if i % 2 else 1000 + i)
         for i, name in enumerate(names))
     assert parse_metadata_csv(write_metadata_csv(d)) == d
-    sizes = {name: 100 + i for i, name in enumerate(names)}
-    assert _read_sizes_csv(csv_text(["image_name", "image_size_bytes"],
-                                    ((k, str(v)) for k, v in sizes.items()))) == sizes
+    sizes = np.arange(100, 100 + n)
+    got = _read_sizes_csv(csv_text(["image_name", "image_size_bytes"],
+                                   zip(names, map(str, sizes.tolist()))))
+    assert got[0] == names and np.array_equal(got[1], sizes)
     f = assign_folds(d, 3, seed=0)
     assert read_folds_csv(write_folds_csv(d, f)) == f
     for prefix, width in (("f", 14), ("c", 4)):

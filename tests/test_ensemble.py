@@ -134,7 +134,7 @@ def test_rank_average_output_in_unit_interval():
 def test_rank_average_image_set_mismatch():
     a = PredictionSet.from_scores(["x", "y"], [0.1, 0.2])
     b = PredictionSet.from_scores(["x", "q"], [0.1, 0.2])
-    with pytest.raises(CoverageError, match="q"):
+    with pytest.raises(CoverageError, match=r"^model 1 missing 1 image\(s\), first: 'y'$"):
         rank_average([a, b])
 
 
@@ -145,7 +145,7 @@ def test_rank_average_mismatch_messages_name_the_member():
     with pytest.raises(CoverageError, match=r"^model 2 has 2 image\(s\), model 0 has 3$"):
         rank_average([a, a, short])
     with pytest.raises(CoverageError, match=re.escape(
-            "model 0 (against model 1) missing 2 image(s), first: 'q'")):
+            "model 1 missing 2 image(s), first: 'x'")):
         rank_average([a, foreign])
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -491,6 +492,65 @@ def test_train_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
         assert get() == before
     finally:
         set_(old)
+
+
+def test_overlapping_blas_blocks_restore_the_count_when_the_last_leaves(monkeypatch):
+    count = [2]
+    monkeypatch.setattr(fusion, "_openblas_threads",
+                        lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def a():  # enters first, leaves first
+        with fusion._one_blas_thread():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def b():
+        a_in.wait(10)
+        with fusion._one_blas_thread():
+            b_in.set()
+            a_out.wait(10)
+            seen.append(count[0])
+
+    threads = [threading.Thread(target=f) for f in (a, b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [1]  # A's leaving does not restore the count under B
+    assert count == [2]
+
+
+def test_many_overlapping_blas_blocks_see_one_thread_and_restore_the_count(monkeypatch):
+    count = [3]
+    monkeypatch.setattr(fusion, "_openblas_threads",
+                        lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
+    seen = []
+    start = threading.Barrier(8)
+
+    def enter_and_leave():
+        start.wait(10)
+        for _ in range(500):
+            with fusion._one_blas_thread():
+                time.sleep(0)  # as training's native code does, let other threads run
+                seen.append(count[0])
+
+    threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8 * 500 and set(seen) == {1}
+    assert count == [3]
 
 
 def test_train_runs_where_no_blas_library_is_found(monkeypatch):

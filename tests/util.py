@@ -133,25 +133,22 @@ def _reference_metadata_row(row: list[str], row_num: int, has_size: bool) -> Sam
     )
 
 
-def reference_read_floats(header, blocks, what):
-    """``csv_blocks``' rows parsed one at a time, each cell with ``float``, and
-    the keys checked for a repeat after the last row: the oracle for the
-    block-wise ``datamodel.csv_floats``."""
+def reference_read_keyed(header, blocks, parse, dtype=np.float64, bounds=None):
+    """``csv_blocks``' rows parsed one at a time, each cell with ``parse`` (which checks its
+    own bounds), and the keys checked for a repeat after the last row: the oracle for the
+    block-wise ``datamodel.csv_keyed``."""
     nums: list[int] = []
     names: list[str] = []
-    values: list[list[float]] = []
+    values: list[list] = []
     width = len(header)
     rows = ((num, cells[i * width:(i + 1) * width])
             for block_nums, cells in blocks for i, num in enumerate(block_nums))
     for row_num, row in rows:
-        try:
-            values.append([float(cell) for cell in row[1:]])
-        except ValueError:
-            raise FormatError(f"row {row_num}: non-numeric {what}") from None
+        values.append([parse(cell, row_num) for cell in row[1:]])
         nums.append(row_num)
         names.append(row[0])
     reference_require_unique(names, header[0], nums)
-    return tuple(names), np.asarray(values, dtype=np.float64).reshape(-1, len(header) - 1)
+    return tuple(names), np.asarray(values, dtype=dtype).reshape(-1, width - 1)
 
 
 def reference_format_float(v: float) -> str:
