@@ -27,7 +27,6 @@ from .datamodel import (
     csv_blocks,
     csv_keyed,
     csv_text,
-    parse_image_size,
     parse_metadata_csv,
     parse_predictions_csv,
     positions,
@@ -91,8 +90,10 @@ def _write_output(path: Path, data: str | bytes) -> None:
         with open(tmp, "wb") as fh:
             fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # name the path given, not the temporary file
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -167,7 +168,7 @@ def _read_sizes_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
     header, blocks = csv_blocks(text, "sizes")
     if header != ["image_name", "image_size_bytes"]:
         raise FormatError("sizes CSV must have header image_name,image_size_bytes")
-    names, sizes = csv_keyed(header, blocks, parse_image_size, np.int64, (1, SIZE_MAX))
+    names, sizes = csv_keyed(header, blocks, np.int64, (1, SIZE_MAX))
     return names, sizes[:, 0]
 
 

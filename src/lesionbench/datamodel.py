@@ -11,7 +11,7 @@ through :func:`csv_rows`' per-row ``csv.reader`` path, so both give the same row
 The keyed formats but the metadata (predictions, features, score tables, folds, sizes) are read
 by :func:`csv_keyed`, and every typed cell, theirs and the metadata's ages and sizes, is cast by
 :func:`cast_cells`: one ``float``/``int``-syntax cast and a bounds check, redone cell by cell
-only on a failure, for the first bad cell's message. Every keyed table (:class:`PredictionSet`,
+only on a failure, to name a bad cell by its column. Every keyed table (:class:`PredictionSet`,
 ``features.FeatureTable``, ``metrics.ScoreTable``, ``folds.FoldAssignment``) is a
 :class:`KeyedTable`: a tuple of keys checked by :func:`require_unique`, and a read-only float64
 (int64 for folds) array with one row per key; [0, 1] values are checked by
@@ -328,10 +328,6 @@ class ValidationReport:
     errors: tuple[ValidationIssue, ...]
     warnings: tuple[ValidationIssue, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
 
 Rows = Iterator[tuple[int, list[str]]]
 Blocks = Iterator[tuple[Sequence[int], list[str]]]
@@ -381,10 +377,10 @@ def csv_columns(blocks: Blocks, width: int) -> tuple[list[int], list[list[str]]]
     return row_nums, columns
 
 
-def csv_keyed(header: list[str], blocks: Blocks, parse: Callable[[str, int], object],
-              dtype=np.float64, bounds: tuple | None = None) -> tuple[tuple[str, ...], np.ndarray]:
+def csv_keyed(header: list[str], blocks: Blocks, dtype=np.float64,
+              bounds: tuple | None = None) -> tuple[tuple[str, ...], np.ndarray]:
     """All of ``csv_blocks``' rows as their keys and a ``dtype`` matrix of their other cells, each
-    block cast by :func:`cast_cells`, so a bad cell raises ``parse``'s message for the first one
+    block cast by :func:`cast_cells` under ``header[1:]``, so a bad cell raises for the first one
     in row order. A repeated key raises UniquenessError naming both rows, once every row has
     parsed."""
     width = len(header)
@@ -394,8 +390,7 @@ def csv_keyed(header: list[str], blocks: Blocks, parse: Callable[[str, int], obj
     for block_nums, cells in blocks:
         keys = cells[::width]
         del cells[::width]
-        row_nums = (num for num in block_nums for _ in range(width - 1))  # one per cell
-        parts.append(cast_cells(cells, row_nums, parse, dtype, bounds))
+        parts.append(cast_cells(cells, block_nums, header[1:], dtype, bounds))
         del cells  # this block's strings go before the next block's are made
         nums.extend(block_nums)
         names.extend(keys)
@@ -403,32 +398,34 @@ def csv_keyed(header: list[str], blocks: Blocks, parse: Callable[[str, int], obj
     return tuple(names), np.concatenate(parts).reshape(-1, width - 1)
 
 
-def cast_cells(cells: list[str], row_nums: Iterable[int], parse: Callable[[str, int], object],
-               dtype, bounds: tuple | None) -> np.ndarray:
-    """The one checked cast of CSV cells: ``cells`` as a 1-D ``dtype`` array in one call, which
-    reads a cell as Python ``float`` or ``int`` does, checked against the inclusive ``bounds``.
-    Only if that fails does ``parse(cell, row_num)`` run cell by cell, with ``row_nums`` one per
-    cell, to raise the first bad cell's message."""
+def cast_cells(cells: list[str], row_nums: Sequence[int], columns: Sequence[str],
+               dtype=np.float64, bounds: tuple | None = None) -> np.ndarray:
+    """The one checked cast of CSV cells: the row-major ``cells`` of rows ``row_nums`` and
+    ``columns`` as a 1-D ``dtype`` array in one call, which reads a cell as Python ``float`` or
+    ``int`` does, checked against the inclusive ``bounds``. Only if that fails is each cell read
+    in turn with ``float`` (``int`` for an integer dtype), and the first bad cell in row order
+    raises FormatError ``row N: non-numeric <column> 'x'`` (``non-integer``) or RangeError
+    ``row N: <column> v outside [lo, hi]``, numbers formatted ``g`` (``d``)."""
     try:
         values = np.array(cells, dtype)
         if bounds is None or ((values >= bounds[0]) & (values <= bounds[1])).all():
             return values
     except (ValueError, OverflowError):
         pass
-    return np.fromiter(map(parse, cells, row_nums), dtype, len(cells))
-
-
-def numeric(what: str) -> Callable[[str, int], float]:
-    """The per-cell parse of a float cell: ``float(cell)``, or FormatError
-    ``row N: non-numeric <what>``."""
-
-    def parse(cell: str, row_num: int) -> float:
+    integer = np.dtype(dtype).kind == "i"
+    read, kind, spec = (int, "integer", "d") if integer else (float, "numeric", "g")
+    out = []
+    for i, cell in enumerate(cells):
+        row, column = row_nums[i // len(columns)], columns[i % len(columns)]
         try:
-            return float(cell)
+            value = read(cell)
         except ValueError:
-            raise FormatError(f"row {row_num}: non-numeric {what}") from None
-
-    return parse
+            raise FormatError(f"row {row}: non-{kind} {column} {cell!r}") from None
+        if bounds is not None and not bounds[0] <= value <= bounds[1]:
+            lo, hi = (format(b, spec) for b in bounds)
+            raise RangeError(f"row {row}: {column} {value:{spec}} outside [{lo}, {hi}]")
+        out.append(value)
+    return np.array(out, dtype)
 
 
 _BLOCK_ROWS = 4096
@@ -579,13 +576,13 @@ def parse_metadata_csv(text: str) -> Dataset:
         names,
         pids,
         _coded(sex, nums, lambda c: code_of.get(c.strip().lower()), np.int8, "invalid sex {!r}"),
-        _present(age, nums, _parse_age, np.nan, np.float64, (0.0, AGE_MAX)),
+        _present(age, nums, "age_approx", np.nan, np.float64, (0, AGE_MAX)),
         site,
         diagnosis,
         _coded(target, nums, {"0": 0, "1": 1}.get, np.bool_, "target must be 0 or 1, got {!r}"),
         _coded(source, nums, {"2019": 0, "2020": 1}.get, np.bool_,
                "source must be 2019 or 2020, got {!r}"),
-        _present(sizes, nums, parse_image_size, 0, np.int64, (1, SIZE_MAX)),
+        _present(sizes, nums, SIZE_COLUMN, 0, np.int64, (1, SIZE_MAX)),
         nums,
     )
 
@@ -601,35 +598,15 @@ def _coded(cells: Sequence[str], row_nums: Sequence[int], code: Callable[[str], 
     return values_at(codes, cells, dtype, "codes")
 
 
-def _present(cells: Sequence[str], row_nums: Sequence[int], parse: Callable[[str, int], object],
-             missing: object, dtype, bounds: tuple) -> np.ndarray:
-    """The non-empty cells through :func:`cast_cells`, ``missing`` for the empty ones."""
+def _present(cells: Sequence[str], row_nums: Sequence[int], column: str, missing: object,
+             dtype, bounds: tuple) -> np.ndarray:
+    """The non-empty cells of ``column`` through :func:`cast_cells`, ``missing`` for the empty
+    ones."""
     given = np.array(list(map(bool, cells)), dtype=bool)
     out = np.full(len(cells), missing, dtype=dtype)
-    out[given] = cast_cells(list(compress(cells, given)), compress(row_nums, given), parse, dtype,
-                            bounds)
+    out[given] = cast_cells(list(compress(cells, given)), list(compress(row_nums, given)),
+                            (column,), dtype, bounds)
     return out
-
-
-def _parse_age(cell: str, row_num: int) -> float:
-    try:
-        age = float(cell)
-    except ValueError:
-        raise FormatError(f"row {row_num}: non-numeric age_approx {cell!r}") from None
-    if not 0.0 <= age <= AGE_MAX:
-        raise RangeError(f"row {row_num}: age_approx {age:g} outside [0, {AGE_MAX:g}]")
-    return age
-
-
-def parse_image_size(cell: str, row_num: int) -> int:
-    """One ``image_size_bytes`` cell: an integer in [1, SIZE_MAX]. Errors name ``row_num``."""
-    try:
-        size = int(cell)
-    except ValueError:
-        raise FormatError(f"row {row_num}: non-integer image_size_bytes {cell!r}") from None
-    if not 0 < size <= SIZE_MAX:
-        raise RangeError(f"row {row_num}: image_size_bytes {size} outside [1, {SIZE_MAX}]")
-    return size
 
 
 def write_metadata_csv(d: Dataset) -> str:
@@ -738,7 +715,7 @@ def parse_predictions_csv(text: str) -> PredictionSet:
     else:
         raise FormatError(f"unrecognized prediction header: {','.join(header)!r}")
 
-    names, arr = csv_keyed(header, blocks, numeric("score"))
+    names, arr = csv_keyed(header, blocks)
     if not names:
         raise FormatError("prediction CSV contains no data rows")
     if scheme is None:

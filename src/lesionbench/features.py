@@ -28,7 +28,6 @@ from .datamodel import (
     csv_keyed,
     csv_text,
     float_rows,
-    numeric,
     values_at,
 )
 from .errors import (
@@ -204,4 +203,4 @@ def read_feature_csv(text: str, prefix: str = "f") -> FeatureTable:
     n_cols = len(header) - 1
     if n_cols < 1 or header != ["image_name"] + [f"{prefix}{i}" for i in range(n_cols)]:
         raise FormatError(f"unrecognized feature header: {','.join(header)!r}")
-    return FeatureTable(*csv_keyed(header, blocks, numeric("feature value")))
+    return FeatureTable(*csv_keyed(header, blocks))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import Dataset, KeyedTable, aligned_rows, csv_blocks, csv_keyed, csv_text
-from .errors import DomainError, FormatError, RangeError, ShapeError
+from .errors import DomainError, FormatError, ShapeError
 from .hashing import MASK64, fnv1a64, splitmix64
 from .targets import TargetScheme
 from .targets import map_diagnosis  # noqa: F401 -- unused; perfbench/layers.py counts its calls
@@ -148,24 +148,13 @@ def write_folds_csv(d: Dataset, f: FoldAssignment) -> str:
 
 
 def read_folds_csv(text: str) -> FoldAssignment:
-    """Parse a folds CSV through ``datamodel.csv_keyed``; k is inferred as max fold index + 1.
-    A row-shape fault in a block of rows is reported before a bad fold in an earlier row of it."""
+    """Parse a folds CSV through ``datamodel.csv_keyed``, each fold an integer in [0, FOLD_MAX],
+    a bad one named by ``datamodel.cast_cells``; k is inferred as max fold index + 1. A row-shape
+    fault in a block of rows is reported before a bad fold in an earlier row of it."""
     header, blocks = csv_blocks(text, "folds")
     if header != ["image_name", "fold"]:
         raise FormatError(f"unrecognized folds header: {','.join(header)!r}")
-    names, folds = csv_keyed(header, blocks, _parse_fold, np.int64, (0, FOLD_MAX))
+    names, folds = csv_keyed(header, blocks, np.int64, (0, FOLD_MAX))
     if not names:
         raise FormatError("folds CSV contains no data rows")
     return FoldAssignment(names, folds[:, 0], int(folds.max()) + 1)
-
-
-def _parse_fold(cell: str, row_num: int) -> int:
-    try:
-        fold = int(cell)
-    except ValueError:
-        raise FormatError(f"row {row_num}: non-integer fold {cell!r}") from None
-    if fold < 0:
-        raise FormatError(f"row {row_num}: negative fold {fold}")
-    if fold > FOLD_MAX:
-        raise RangeError(f"row {row_num}: fold {fold} outside [0, {FOLD_MAX}]")
-    return fold

@@ -24,7 +24,6 @@ from .datamodel import (
     csv_keyed,
     csv_text,
     float_rows,
-    numeric,
     reduce_fields,
     require_unit_interval,
 )
@@ -283,7 +282,7 @@ def parse_score_table(text: str) -> ScoreTable:
     header, blocks = csv_blocks(text, "score")
     if header != ["model", *METRIC_NAMES]:
         raise FormatError(f"unrecognized score header: {','.join(header)!r}")
-    return ScoreTable(*csv_keyed(header, blocks, numeric("score")))
+    return ScoreTable(*csv_keyed(header, blocks))
 
 
 def write_score_table(t: ScoreTable) -> str:

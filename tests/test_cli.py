@@ -125,6 +125,31 @@ def test_missing_input_exits_1(tmp_path, capsys):
     assert "io error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out, problem", [
+    ("missing/dir/folds.csv", "[Errno 2] No such file or directory"),
+    ("d", "[Errno 21] Is a directory"),
+])
+def test_an_unwritable_output_is_named_by_the_path_given(tmp_path, meta_csv, capsys, out, problem):
+    # The error names the --out path, not the temporary file written beside it, and the
+    # temporary file is gone.
+    (tmp_path / "d").mkdir()
+    path = tmp_path / out
+    assert main(["split", "--meta", str(meta_csv), "--out", str(path)]) == 1
+    assert capsys.readouterr().err == f"io error: {problem}: {str(path)!r}\n"
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+def test_evaluate_names_a_non_numeric_prediction_cell(tmp_path, meta_csv, capsys):
+    folds, preds = tmp_path / "folds.csv", tmp_path / "preds.csv"
+    assert main(["split", "--meta", str(meta_csv), "--out", str(folds)]) == 0
+    preds.write_text("image_name,target\nP0_I0,x\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["evaluate", "--meta", str(meta_csv), "--folds-csv", str(folds),
+               "--preds", str(preds)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: row 1: non-numeric target 'x'\n"
+
+
 def test_features_command_output_width(tmp_path, meta_csv):
     out = tmp_path / "features.csv"
     rc = main(["features", "--meta", str(meta_csv), "--out", str(out)])

@@ -22,14 +22,13 @@ from lesionbench.datamodel import (
     PredictionSet,
     Sex,
     _lines,
+    cast_cells,
     csv_blocks,
     csv_keyed,
     csv_rows,
     csv_text,
     float_cells,
     float_rows,
-    numeric,
-    parse_image_size,
     parse_metadata_csv,
     parse_predictions_csv,
     require_unique,
@@ -143,6 +142,43 @@ NINE = FORMATS["9c predictions"][1]
 def test_range_errors_name_the_key_and_column_of_the_first_bad_cell(reader, text, message):
     with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
         reader(text)
+
+
+TYPED_CELL_ERRORS = {  # reader, text, error, message
+    "scalar predictions": (parse_predictions_csv, "image_name,target\nI1,x\n", FormatError,
+                           "row 1: non-numeric target 'x'"),
+    "9c predictions": (parse_predictions_csv, f"{NINE}\nI1,0.5,x,0.5,0,0,0,0,0,0\n",
+                       FormatError, "row 1: non-numeric prob_MEL 'x'"),
+    "features": (read_feature_csv, "image_name,f0,f1,f2,f3\nI1,0,0,0,0\nI2,0,0,0,x\n",
+                 FormatError, "row 2: non-numeric f3 'x'"),
+    "cnn": (lambda t: read_feature_csv(t, prefix="c"), "image_name,c0,c1,c2,c3\nI1,0,0,0,x\n",
+            FormatError, "row 1: non-numeric c3 'x'"),
+    "score table": (parse_score_table, "model,cv_all,cv_2020,private_lb,public_lb\n"
+                    "m1,0.9,x,0.9,0.9\n", FormatError, "row 1: non-numeric cv_2020 'x'"),
+    "negative fold": (read_folds_csv, "image_name,fold\nI1,0\nI2,-1\n", RangeError,
+                      f"row 2: fold -1 outside [0, {2**63 - 1}]"),
+    "fold 2**63": (read_folds_csv, f"image_name,fold\nI1,{2**63}\n", RangeError,
+                   f"row 1: fold {2**63} outside [0, {2**63 - 1}]"),
+    "age 130": (parse_metadata_csv, f"{META}\nI1,P1,male,130,torso,nevus,0,2020\n", RangeError,
+                "row 1: age_approx 130 outside [0, 120]"),
+    "size 0": (_read_sizes_csv, "image_name,image_size_bytes\nI1,0\n", RangeError,
+               f"row 1: image_size_bytes 0 outside [1, {SIZE_MAX}]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_CELL_ERRORS))
+def test_a_bad_typed_cell_is_named_by_its_row_and_header_column(case):
+    reader, text, error, message = TYPED_CELL_ERRORS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        reader(text)
+
+
+def test_cast_cells_checks_the_bounds_of_every_cell_it_reads():
+    # A cell that casts but lies outside the bounds is reported, named by its own row and column.
+    with pytest.raises(RangeError, match=r"^row 7: b 2 outside \[0, 1\]$"):
+        cast_cells(["0", "1", "0.5", "2"], [4, 7], ["a", "b"], np.float64, (0, 1))
+    with pytest.raises(FormatError, match=r"^row 4: non-integer a '1\.5'$"):
+        cast_cells(["1.5", "x"], [4], ["a", "b"], np.int64, (0, 9))
 
 
 def test_value_errors_name_the_first_offending_image():
@@ -305,18 +341,18 @@ NUMBERS = st.floats(0, 1).map(repr) | st.sampled_from(["0", "1", "0.25"]) | st.f
 INTEGERS = st.integers(0, 2**63 - 1).map(str) | st.sampled_from(
     ["-1", "0", "1", str(2**63 - 1), str(2**63), " 7", "1_0", "\u0663"])
 
-# The parse, dtype and bounds that each format's reader hands ``csv_keyed``, and its cells.
+# The dtype and bounds that each format's reader hands ``csv_keyed``, and its cells.
 KEYED = dict.fromkeys(["features", "scalar predictions", "9c predictions", "4c predictions",
-                       "score table"], (numeric("value"), np.float64, None, NUMBERS)) | {
-    "folds": (folds._parse_fold, np.int64, (0, folds.FOLD_MAX), INTEGERS),
-    "sizes": (parse_image_size, np.int64, (1, SIZE_MAX), INTEGERS),
+                       "score table"], (np.float64, None, NUMBERS)) | {
+    "folds": (np.int64, (0, folds.FOLD_MAX), INTEGERS),
+    "sizes": (np.int64, (1, SIZE_MAX), INTEGERS),
 }
 
 
-def _keyed(read, text, parse, dtype, bounds):
+def _keyed(read, text, dtype, bounds):
     """``read``'s keys and value bytes for ``text``, or its error."""
     try:
-        names, values = read(*csv_blocks(text, "test"), parse, dtype, bounds)
+        names, values = read(*csv_blocks(text, "test"), dtype, bounds)
     except LesionbenchError as exc:
         return type(exc), str(exc)
     return names, values.tobytes()
@@ -342,7 +378,7 @@ def test_block_wise_parse_matches_the_per_row_oracle(fmt, data):
     # Faults are reported in one order by both: a row-shape fault anywhere in a block before a
     # bad cell in an earlier row of that block, blocks in row order, and a repeat last.
     reader, header, _ = FORMATS[fmt]
-    parse, dtype, bounds, values = KEYED[fmt]
+    dtype, bounds, values = KEYED[fmt]
     header = header.split(",")
     if fmt == "features":
         header = header[:1] + [f"f{i}" for i in range(data.draw(st.integers(1, 16)))]
@@ -373,10 +409,10 @@ def test_block_wise_parse_matches_the_per_row_oracle(fmt, data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(datamodel, "_BLOCK_ROWS", 3)  # faults fall on block edges
-        got = _keyed(csv_keyed, text, parse, dtype, bounds), _read(reader, text)
+        got = _keyed(csv_keyed, text, dtype, bounds), _read(reader, text)
         for module in (datamodel, features, metrics, folds, cli):
             mp.setattr(module, "csv_keyed", reference_read_keyed)
-        want = _keyed(reference_read_keyed, text, parse, dtype, bounds), _read(reader, text)
+        want = _keyed(reference_read_keyed, text, dtype, bounds), _read(reader, text)
     assert got == want
 
 

@@ -195,7 +195,7 @@ def test_read_folds_csv_errors():
         read_folds_csv("image_name,fold\nI1,0\nI1,1\n")
     with pytest.raises(FormatError):
         read_folds_csv("image_name,fold\nI1,x\n")
-    with pytest.raises(FormatError, match="^row 2: negative fold -1$"):
+    with pytest.raises(RangeError, match=rf"^row 2: fold -1 outside \[0, {2**63 - 1}\]$"):
         read_folds_csv("image_name,fold\nI1,0\nD,-1\n")
     # Folds are held as int64: a larger cell is named by its row, not an OverflowError.
     with pytest.raises(RangeError, match=rf"^row 2: fold {2**63} outside \[0, {2**63 - 1}\]$"):

@@ -133,10 +133,23 @@ def _reference_metadata_row(row: list[str], row_num: int, has_size: bool) -> Sam
     )
 
 
-def reference_read_keyed(header, blocks, parse, dtype=np.float64, bounds=None):
-    """``csv_blocks``' rows parsed one at a time, each cell with ``parse`` (which checks its
-    own bounds), and the keys checked for a repeat after the last row: the oracle for the
-    block-wise ``datamodel.csv_keyed``."""
+def _reference_cell(cell, row_num, column, dtype, bounds):
+    """One typed cell read on its own with ``int`` (int64) or ``float``, then bounded."""
+    read, kind, spec = (int, "integer", "d") if dtype == np.int64 else (float, "numeric", "g")
+    try:
+        value = read(cell)
+    except ValueError:
+        raise FormatError(f"row {row_num}: non-{kind} {column} {cell!r}") from None
+    if bounds is not None and not bounds[0] <= value <= bounds[1]:
+        lo, hi = format(bounds[0], spec), format(bounds[1], spec)
+        raise RangeError(f"row {row_num}: {column} {value:{spec}} outside [{lo}, {hi}]")
+    return value
+
+
+def reference_read_keyed(header, blocks, dtype=np.float64, bounds=None):
+    """``csv_blocks``' rows parsed one at a time, each cell read and bounded on its own and named
+    by its header column, and the keys checked for a repeat after the last row: the oracle for
+    the block-wise ``datamodel.csv_keyed``."""
     nums: list[int] = []
     names: list[str] = []
     values: list[list] = []
@@ -144,7 +157,8 @@ def reference_read_keyed(header, blocks, parse, dtype=np.float64, bounds=None):
     rows = ((num, cells[i * width:(i + 1) * width])
             for block_nums, cells in blocks for i, num in enumerate(block_nums))
     for row_num, row in rows:
-        values.append([parse(cell, row_num) for cell in row[1:]])
+        values.append([_reference_cell(cell, row_num, column, dtype, bounds)
+                       for cell, column in zip(row[1:], header[1:])])
         nums.append(row_num)
         names.append(row[0])
     reference_require_unique(names, header[0], nums)
