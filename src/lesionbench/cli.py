@@ -17,6 +17,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .folds import (
     read_folds_csv,
     write_folds_csv,
 )
-from .fusion import TrainConfig, read_cnn_csv, save_model, train
+from .fusion import EpochStats, TrainConfig, read_cnn_csv, save_model, train
 from .hashing import fnv1a64
 from .metrics import (
     METRIC_NAMES,
@@ -253,20 +254,25 @@ def _cmd_train(args: argparse.Namespace) -> int:
     _write_output(out_dir / "oof.csv", write_predictions_csv(result.oof))
     for k, model in enumerate(result.models):
         _write_output(out_dir / f"model_fold{k}.lsnb", save_model(model))
-    history = csv_text(
-        ["fold", "epoch", "lr", "train_loss", "val_auc"],
-        (
-            [str(row.fold), str(row.epoch), repr(row.lr), repr(row.train_loss),
-             "" if row.val_auc is None else repr(row.val_auc)]
-            for row in result.history
-        ),
-    )
-    _write_output(out_dir / "history.csv", history)
+    _write_output(out_dir / "history.csv", write_history_csv(result.history))
     _write_manifest(out_dir / "train", args, digests)
     report = evaluate_cv(result.oof, dataset, assignment)
     print(_format_cv(report))
     _print_warnings(label_warnings)
     return 0
+
+
+def write_history_csv(history: Sequence[EpochStats]) -> str:
+    """Serialize training history, one row per fold and epoch (header
+    ``fold,epoch,lr,train_loss,val_auc``; an undefined AUC is an empty cell)."""
+    return csv_text(
+        ["fold", "epoch", "lr", "train_loss", "val_auc"],
+        (
+            [str(row.fold), str(row.epoch), repr(row.lr), repr(row.train_loss),
+             "" if row.val_auc is None else repr(row.val_auc)]
+            for row in history
+        ),
+    )
 
 
 def _format_auc(value: float | None) -> str:

@@ -6,7 +6,8 @@ cohort and pins the sha256 of every artifact and of every manifest with its
 (shipped table and a ``--scores`` file) and of ``evaluate`` on a scalar, a
 nine-class and a four-class prediction file, and the bytes of the shipped
 score table as ``write_score_table`` writes it, and of the metadata, feature and
-prediction writers on 10,000-row tables, which cross their 4,096-row write blocks.
+prediction writers on 10,000-row tables, which cross their 4,096-row write blocks, of the folds
+writer and of a feature table shaped like the ``features`` command's, and of a training history.
 A change that moves any of these pins changes the toolkit's output and must say so.
 """
 
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lesionbench.cli import main
+from lesionbench.cli import main, write_history_csv
 from lesionbench.datamodel import (
     Dataset,
     PredictionSet,
@@ -25,6 +26,8 @@ from lesionbench.datamodel import (
     write_predictions_csv,
 )
 from lesionbench.features import FeatureTable, write_feature_csv
+from lesionbench.folds import assign_folds, write_folds_csv
+from lesionbench.fusion import EpochStats
 from lesionbench.metrics import ScoreTable, load_reference_scores, write_score_table
 from lesionbench.targets import TargetScheme
 from util import make_dataset, make_record
@@ -234,4 +237,37 @@ def test_multi_block_writes_are_pinned():
             "2e08198a687d3b7bdabbd684cc336c0d1906554e291332c1d4d585fb1ed82d1d",
         "predictions":
             "a7b38c4b93435a8403a2c9cb67d22a96716c0078763d32f649f8b14fb1db5b57",
+    }
+
+
+def _features_shaped_table(n=10_000):
+    """A seeded table shaped like the ``features`` command's output over three write blocks: 0/1
+    one-hot columns, a z-score column with few distinct values, a column whose values are all
+    distinct, and 0.0 beside -0.0 in the first block."""
+    rng = np.random.default_rng(14)
+    site = rng.integers(0, 4, n)
+    age = rng.integers(0, 19, n) * 5.0
+    values = np.column_stack([
+        *(site == s for s in range(4)),
+        (age - age.mean()) / age.std(),
+        rng.normal(size=n),
+        np.zeros(n),
+    ]).astype(np.float64)
+    values[1:4000:3, 6] = -0.0
+    return FeatureTable(tuple(f"ISIC_{i:07d}" for i in range(n)), values)
+
+
+def test_folds_features_and_history_writes_are_pinned():
+    d, _, _ = _block_crossing_tables()
+    history = [EpochStats(k, e, 1e-3 / (e + 1), 0.7 - 0.1 * e, None if k == 1 else 0.5 + e / 7)
+               for k in range(3) for e in range(2)]
+    texts = {
+        "folds": write_folds_csv(d, assign_folds(d, 5, seed=3)),
+        "features": write_feature_csv(_features_shaped_table()),
+        "history": write_history_csv(history),
+    }
+    assert {k: hashlib.sha256(t.encode("utf-8")).hexdigest() for k, t in texts.items()} == {
+        "folds": "5fab6eefa5e6faefeb05f191bea19b27d2feb9d0acb775caade8829bcc7faf18",
+        "features": "88579ca15a431da5125b0774bc31590ced1917b4d8ad3a3855962095f66b7198",
+        "history": "581c6b36a3923ebbf6d32943254bf4902f01bde11dc26ffb19652da56d0b5c2d",
     }
