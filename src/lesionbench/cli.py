@@ -265,14 +265,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def write_history_csv(history: Sequence[EpochStats]) -> str:
     """Serialize training history, one row per fold and epoch (header
     ``fold,epoch,lr,train_loss,val_auc``; an undefined AUC is an empty cell)."""
-    return csv_text(
-        ["fold", "epoch", "lr", "train_loss", "val_auc"],
-        (
-            [str(row.fold), str(row.epoch), repr(row.lr), repr(row.train_loss),
-             "" if row.val_auc is None else repr(row.val_auc)]
-            for row in history
-        ),
-    )
+    rows = [(str(row.fold), str(row.epoch), repr(row.lr), repr(row.train_loss),
+             "" if row.val_auc is None else repr(row.val_auc)) for row in history]
+    return csv_text(["fold", "epoch", "lr", "train_loss", "val_auc"], [list(zip(*rows))])
 
 
 def _format_auc(value: float | None) -> str:

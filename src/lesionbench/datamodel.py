@@ -20,9 +20,13 @@ another's names only through :func:`values_at` (over :func:`positions` for a nam
 ``KeyedTable.select`` does unless the names are the table's own, in order), whose misses raise
 one CoverageError form; :func:`aligned_rows` aligns a table to the metadata in both directions.
 The read-only dataclasses compare by :func:`equal_fields` and are copied by
-:func:`reduce_fields`. Every float cell is written by :func:`float_cells`, a numeric table's rows
-through :func:`float_rows`: the shortest round-trip ``repr``, or a plain integer if integral and
-below 1e16, so ``parse(write(x)) == x`` holds exactly for datasets and every keyed table.
+:func:`reduce_fields`. Every format is written by :func:`csv_text` from blocks of equal-length
+``str`` columns, ``_BLOCK_ROWS`` rows at a time: a piece of at least two columns with no comma,
+quote, CR, LF or NUL in a cell is one ``str.join``, any other goes through ``csv.writer``, so
+both give ``csv.writer``'s bytes. Every float cell is written by :func:`float_cells`, each distinct
+value of a block formatted once, a numeric table's blocks through :func:`float_rows`: the shortest
+round-trip ``repr``, or a plain integer if integral and below 1e16, so ``parse(write(x)) == x``
+holds exactly for datasets and every keyed table.
 """
 
 from __future__ import annotations
@@ -521,33 +525,69 @@ def _checked_rows(reader: Iterator[list[str]], header: list[str], noun: str,
         raise FormatError(f"{noun} row {row_num + 1}: {exc}") from None
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    """The one CSV writer: a header and its rows, LF-terminated."""
+def csv_text(header: Sequence[str], blocks: Iterable[Sequence[Sequence[str]]]) -> str:
+    """The one CSV writer: the header row and the rows of ``blocks``, LF-terminated, exactly as
+    ``csv.writer`` writes them. Each block is a list of equal-length columns of ``str`` cells,
+    written ``_BLOCK_ROWS`` rows at a time through :func:`_rows_text`."""
+    parts = [_rows_text([[cell] for cell in header])]
+    for block in blocks:
+        rows = min(map(len, block), default=0)
+        if max(map(len, block), default=0) != rows:
+            raise ShapeError(f"block columns of {sorted(set(map(len, block)))} rows")
+        for start in range(0, rows, _BLOCK_ROWS):
+            parts.append(_rows_text(
+                block if rows <= _BLOCK_ROWS else [c[start:start + _BLOCK_ROWS] for c in block]))
+    return "".join(parts)
+
+
+def _rows_text(columns: Sequence[Sequence[str]]) -> str:
+    """The rows of the equal-length ``columns`` as ``csv.writer`` writes them, LF-terminated.
+
+    With at least two columns and no cell holding a comma, quote, CR, LF or NUL, the writer quotes
+    nothing, so the rows are one ``str.join`` of the cells by commas and LFs; the joined text is
+    checked to hold only the joins' commas and LFs, and no quote, CR or NUL (``csv.writer`` quotes
+    a CR from Python 3.13 on and rejects a NUL before 3.11). Any other rows go through
+    :func:`_csv_writer_text`, which quotes what needs it and writes ``""`` for a row whose one
+    field is empty."""
+    width = len(columns)
+    if width >= 2:
+        text = "\n".join(map(",".join, zip(*columns))) + "\n"
+        rows = len(columns[0])
+        if (text.count(",") == rows * (width - 1) and text.count("\n") == rows
+                and '"' not in text and "\r" not in text and "\0" not in text):
+            return text
+    return _csv_writer_text(zip(*columns))
+
+
+def _csv_writer_text(rows: Iterable[Sequence[str]]) -> str:
+    """``rows`` written by ``csv.writer``, LF-terminated: :func:`_rows_text`'s path for rows that
+    the join cannot write."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
 
 
 def float_cells(a: np.ndarray) -> list[str]:
     """The one float formatter: each value of the 1-D float64 array ``a`` as its shortest
-    round-trip ``repr``, or as a plain integer if integral and below 1e16 (-0.0 as ``0``)."""
-    cells = list(map(repr, a.tolist()))
-    whole = np.flatnonzero((np.trunc(a) == a) & (np.abs(a) < 1e16))
-    for i, v in zip(whole.tolist(), a[whole].astype(np.int64).tolist()):
+    round-trip ``repr``, or as a plain integer if integral and below 1e16 (-0.0 as ``0``). Each
+    distinct value is formatted once; ``np.unique`` merges 0.0 with -0.0 and NaN with NaN, whose
+    cells are the same."""
+    distinct, at = np.unique(a, return_inverse=True)
+    cells = list(map(repr, distinct.tolist()))
+    whole = np.flatnonzero((np.trunc(distinct) == distinct) & (np.abs(distinct) < 1e16))
+    for i, v in zip(whole.tolist(), distinct[whole].astype(np.int64).tolist()):
         cells[i] = str(v)
-    return cells
+    return np.array(cells, object)[at].tolist()
 
 
-def float_rows(names: Sequence[str], values: np.ndarray) -> Iterator[list[str]]:
-    """``[name, *cells]`` per name and row of the float64 matrix ``values``, its cells formatted
-    ``_BLOCK_ROWS`` rows at a time: a whole feature table's strings at once double its memory."""
+def float_rows(names: Sequence[str], values: np.ndarray) -> Iterator[list[Sequence[str]]]:
+    """``csv_text`` blocks of ``_BLOCK_ROWS`` rows: the names, then one column of cells per column
+    of the float64 matrix ``values``, formatted a block at a time, since a whole feature table's
+    strings at once double its memory."""
     width = values.shape[1]
     for start in range(0, len(names), _BLOCK_ROWS):
         cells = float_cells(values[start:start + _BLOCK_ROWS].ravel())
-        for i, name in enumerate(names[start:start + _BLOCK_ROWS]):
-            yield [name, *cells[i * width:(i + 1) * width]]
+        yield [names[start:start + _BLOCK_ROWS], *(cells[j::width] for j in range(width))]
 
 
 def parse_metadata_csv(text: str) -> Dataset:
@@ -613,13 +653,13 @@ def write_metadata_csv(d: Dataset) -> str:
     """Serialize a Dataset back to metadata-CSV text (inverse of parsing)."""
     distinct, at = np.unique(d.age, return_inverse=True)  # each distinct age is formatted once
     ages = np.where(np.isnan(distinct), "", np.array(float_cells(distinct), object))
-    columns = [d.image_names, d.patient_ids, map(_SEX_CELL.__getitem__, d.sex.tolist()),
+    columns = [d.image_names, d.patient_ids, list(map(_SEX_CELL.__getitem__, d.sex.tolist())),
                ages[at].tolist(), d.site, d.diagnosis, np.where(d.positive, "1", "0").tolist(),
                np.where(d.is_2020, "2020", "2019").tolist()]
     if d.size.any():
         columns.append(np.where(d.size > 0, d.size.astype(str), "").tolist())
     header = list(METADATA_COLUMNS) + [SIZE_COLUMN] * (len(columns) - len(METADATA_COLUMNS))
-    return csv_text(header, zip(*columns))
+    return csv_text(header, [columns])
 
 
 def validate_consistency(d: Dataset) -> ValidationReport:

@@ -141,10 +141,8 @@ def check_folds(d: Dataset, f: FoldAssignment) -> None:
 def write_folds_csv(d: Dataset, f: FoldAssignment) -> str:
     """Serialize an assignment in dataset row order (header
     ``image_name,fold``)."""
-    return csv_text(
-        ["image_name", "fold"],
-        zip(d.image_names, map(str, f.select(d.image_names, "fold assignment").tolist())),
-    )
+    folds = f.select(d.image_names, "fold assignment").tolist()
+    return csv_text(["image_name", "fold"], [[d.image_names, list(map(str, folds))]])
 
 
 def read_folds_csv(text: str) -> FoldAssignment:

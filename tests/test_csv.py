@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lesionbench import cli, datamodel, features, folds, metrics
-from lesionbench.cli import _read_sizes_csv
+from lesionbench.cli import _read_sizes_csv, write_history_csv
 from lesionbench.datamodel import (
     METADATA_COLUMNS,
     SIZE_MAX,
@@ -44,10 +44,12 @@ from lesionbench.errors import (
 )
 from lesionbench.features import FeatureTable, read_feature_csv, write_feature_csv
 from lesionbench.folds import assign_folds, read_folds_csv, write_folds_csv
+from lesionbench.fusion import EpochStats
 from lesionbench.metrics import ScoreTable, parse_score_table, write_score_table
 from util import (
     make_dataset,
     make_record,
+    reference_csv_text,
     reference_float_rows,
     reference_format_float,
     reference_read_keyed,
@@ -257,10 +259,38 @@ def test_csv_rows_yields_row_numbers_of_non_blank_rows():
 
 
 def test_csv_text_is_lf_terminated_and_quotes_minimally():
-    text = csv_text(["a", "b", "c"], [["1", "x,y", ""], ["2", 'q"', "z"]])
+    text = csv_text(["a", "b", "c"], [[["1", "2"], ["x,y", 'q"'], ["", "z"]]])
     assert text == 'a,b,c\n1,"x,y",\n2,"q""",z\n'
     header, rows = csv_rows(text, "test")
     assert [row for _, row in rows] == [["1", "x,y", ""], ["2", 'q"', "z"]]
+
+
+# Cells that csv.writer quotes or writes as they are: its delimiter, quote and line ends, NUL,
+# line and record separators other than LF, spaces and empty cells.
+WRITTEN_CELLS = st.sampled_from(["", " "]) | st.text(
+    alphabet=',"\r\n\x00\x0b\x1c\x85\u2028 a', max_size=4)
+
+
+def _written(write, header, rows):
+    try:
+        return write(header, rows)
+    except csv.Error as exc:
+        return csv.Error, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_csv_text_writes_what_csv_writer_writes(data):
+    # Joined and csv.writer pieces alternate: blocks of any size are cut into pieces of 1-3 rows.
+    width, block_rows = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    row = st.lists(WRITTEN_CELLS, min_size=width, max_size=width)
+    header, rows = data.draw(row), data.draw(st.lists(row, max_size=10))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    blocks = [[[r[j] for r in rows[i:k]] for j in range(width)]
+              for i, k in zip([0, *cuts], [*cuts, len(rows)])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datamodel, "_BLOCK_ROWS", block_rows)
+        assert _written(csv_text, header, blocks) == _written(reference_csv_text, header, rows)
 
 
 def _reader_rows(lines):
@@ -405,7 +435,7 @@ def test_block_wise_parse_matches_the_per_row_oracle(fmt, data):
             rows.insert(i % len(rows), [])
         elif kind == "repeat" and row and rows[j % len(rows)]:
             row[0] = rows[j % len(rows)][0]
-    text = csv_text(header, rows)
+    text = reference_csv_text(header, rows)  # rows of any width
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(datamodel, "_BLOCK_ROWS", 3)  # faults fall on block edges
@@ -481,12 +511,8 @@ def test_block_wise_split_gives_what_the_per_row_path_gives(fmt, data):
     assert got == want
 
 
-def test_every_writers_output_is_read_without_the_per_row_path(monkeypatch):
-    def per_row(*args):
-        raise AssertionError("a written file took the per-row path")
-
-    monkeypatch.setattr(datamodel, "_checked_rows", per_row)
-    monkeypatch.setattr(datamodel, "_BLOCK_ROWS", 3)  # several blocks and a short last one
+def _write_and_read_every_format():
+    """Write a seeded table of each format across several blocks and check that it reads back."""
     rng = np.random.default_rng(0)
     n = 10
     names = tuple(f"ISIC_{i:07d}" for i in range(n))
@@ -498,7 +524,7 @@ def test_every_writers_output_is_read_without_the_per_row_path(monkeypatch):
     assert parse_metadata_csv(write_metadata_csv(d)) == d
     sizes = np.arange(100, 100 + n)
     got = _read_sizes_csv(csv_text(["image_name", "image_size_bytes"],
-                                   zip(names, map(str, sizes.tolist()))))
+                                   [[names, list(map(str, sizes.tolist()))]]))
     assert got[0] == names and np.array_equal(got[1], sizes)
     f = assign_folds(d, 3, seed=0)
     assert read_folds_csv(write_folds_csv(d, f)) == f
@@ -517,6 +543,38 @@ def test_every_writers_output_is_read_without_the_per_row_path(monkeypatch):
     assert parse_score_table(write_score_table(scores)) == scores
 
 
+def test_every_writers_output_is_read_without_the_per_row_path(monkeypatch):
+    def per_row(*args):
+        raise AssertionError("a written file took the per-row path")
+
+    monkeypatch.setattr(datamodel, "_checked_rows", per_row)
+    monkeypatch.setattr(datamodel, "_BLOCK_ROWS", 3)  # several blocks and a short last one
+    _write_and_read_every_format()
+
+
+def test_every_writer_writes_without_the_csv_writer_path(monkeypatch):
+    def csv_writer(rows):
+        raise AssertionError("rows took the csv.writer path")
+
+    monkeypatch.setattr(datamodel, "_csv_writer_text", csv_writer)
+    monkeypatch.setattr(datamodel, "_BLOCK_ROWS", 3)  # several blocks and a short last one
+    _write_and_read_every_format()
+    history = [EpochStats(k, e, 0.5 / (e + 1), 0.25 * e, None if e else 0.75)
+               for k in range(2) for e in range(3)]
+    assert write_history_csv(history) == reference_csv_text(
+        ["fold", "epoch", "lr", "train_loss", "val_auc"],
+        [[str(h.fold), str(h.epoch), repr(h.lr), repr(h.train_loss),
+          "" if h.val_auc is None else repr(h.val_auc)] for h in history])
+    # A block holding a name with a comma is left to csv.writer, and gets its bytes.
+    table = FeatureTable(("I0", "a,b", "I2", "I3"), np.arange(8.0).reshape(4, 2) / 4)
+    with pytest.raises(AssertionError, match="csv.writer"):
+        write_feature_csv(table)
+    monkeypatch.undo()
+    monkeypatch.setattr(datamodel, "_BLOCK_ROWS", 3)
+    (block,) = reference_float_rows(table.image_names, table.values)
+    assert write_feature_csv(table) == reference_csv_text(["image_name", "f0", "f1"], zip(*block))
+
+
 MAX = sys.float_info.max
 EDGE_FLOATS = [-0.0, 1e16, -1e16, 1e16 - 2, 9999999999999998.0, 5e-324, -5e-324, MAX, -MAX,
                1e15 + 0.5]
@@ -526,6 +584,22 @@ EDGE_FLOATS = [-0.0, 1e16, -1e16, 1e16 - 2, 9999999999999998.0, 5e-324, -5e-324,
 @given(st.lists(st.floats() | st.sampled_from(EDGE_FLOATS), max_size=40))
 def test_float_cells_match_the_per_cell_oracle(values):
     assert float_cells(np.array(values, np.float64)) == list(map(reference_format_float, values))
+
+
+# A small pool, so that ``np.unique`` merges repeats: 0.0 with -0.0, NaNs of other payloads and
+# signs, the infinities, and the edges of the integer and float formats.
+POOL = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 1e16 - 2, 1e16, 5e-324, 0.1, -3.0],
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+              0xFFFFFFFFFFFFFFFF], np.uint64).view(np.float64),
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, len(POOL) - 1), max_size=40))
+def test_float_cells_of_repeated_values_match_the_per_cell_oracle(at):
+    values = POOL[at]
+    assert float_cells(values) == list(map(reference_format_float, values.tolist()))
 
 
 def _metadata_with_ages(names, ages):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from typing import Mapping
 
@@ -175,9 +177,20 @@ def reference_format_float(v: float) -> str:
 
 
 def reference_float_rows(names, values):
-    """``[name, *cells]`` per row, one cell at a time: the oracle for the
-    block-wise ``datamodel.float_rows``."""
-    return [[name, *map(reference_format_float, row)] for name, row in zip(names, values.tolist())]
+    """One block of the names and a column per column of ``values``, formatted one cell at a
+    time: the oracle for the block-wise ``datamodel.float_rows``."""
+    return [[list(names), *([reference_format_float(v) for v in column]
+                            for column in values.T.tolist())]]
+
+
+def reference_csv_text(header, rows) -> str:
+    """``header`` and ``rows`` written by one ``csv.writer``, LF-terminated: the oracle for the
+    block-wise ``datamodel.csv_text``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def reference_require_unique(names, key, rows=None) -> None:
