@@ -651,10 +651,9 @@ def _present(cells: Sequence[str], row_nums: Sequence[int], column: str, missing
 
 def write_metadata_csv(d: Dataset) -> str:
     """Serialize a Dataset back to metadata-CSV text (inverse of parsing)."""
-    distinct, at = np.unique(d.age, return_inverse=True)  # each distinct age is formatted once
-    ages = np.where(np.isnan(distinct), "", np.array(float_cells(distinct), object))
+    ages = np.where(np.isnan(d.age), "", np.array(float_cells(d.age), object)).tolist()
     columns = [d.image_names, d.patient_ids, list(map(_SEX_CELL.__getitem__, d.sex.tolist())),
-               ages[at].tolist(), d.site, d.diagnosis, np.where(d.positive, "1", "0").tolist(),
+               ages, d.site, d.diagnosis, np.where(d.positive, "1", "0").tolist(),
                np.where(d.is_2020, "2020", "2019").tolist()]
     if d.size.any():
         columns.append(np.where(d.size > 0, d.size.astype(str), "").tolist())
