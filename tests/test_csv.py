@@ -40,6 +40,7 @@ from lesionbench.errors import (
     FormatError,
     LesionbenchError,
     RangeError,
+    ShapeError,
     UniquenessError,
 )
 from lesionbench.features import FeatureTable, read_feature_csv, write_feature_csv
@@ -263,6 +264,8 @@ def test_csv_text_is_lf_terminated_and_quotes_minimally():
     assert text == 'a,b,c\n1,"x,y",\n2,"q""",z\n'
     header, rows = csv_rows(text, "test")
     assert [row for _, row in rows] == [["1", "x,y", ""], ["2", 'q"', "z"]]
+    with pytest.raises(ShapeError, match=r"^block columns of \[1, 2\] rows$"):
+        csv_text(["a", "b"], [[["1", "2"], ["x"]]])  # zip would drop the second row
 
 
 # Cells that csv.writer quotes or writes as they are: its delimiter, quote and line ends, NUL,
