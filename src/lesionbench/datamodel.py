@@ -7,7 +7,7 @@ streams are UTF-8; LF and CRLF are both accepted on read, LF is written. Every f
 through :func:`csv_blocks`, which hands its rows over in blocks of ``_BLOCK_ROWS`` as row numbers
 and row-major cells. A clean block of lines (no quote, CR or NUL, each line as wide as the header
 and keyed) is cut with one ``str.split``; from the first block that is not clean, the rest goes
-through :func:`csv_rows`' per-row ``csv.reader`` path, so both give the same rows and errors.
+through ``csv.reader``, its rows checked by ``_checked_rows``, with the same rows and errors.
 The keyed formats but the metadata (predictions, features, score tables, folds, sizes) are read
 by :func:`csv_keyed`, and every typed cell, theirs and the metadata's ages and sizes, is cast by
 :func:`cast_cells`: one ``float``/``int``-syntax cast and a bounds check, redone cell by cell
@@ -143,6 +143,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 # The columns given to Dataset, in order: None marks a tuple of str, else the array dtype.
 _COLUMNS = dict(image_names=None, patient_ids=None, sex=np.int8, age=np.float64, site=None,
                 diagnosis=None, positive=np.bool_, is_2020=np.bool_, size=np.int64)
+# The range of each numeric Dataset column that the metadata CSV holds; a NaN age is missing.
+_BOUNDS = dict(sex=(-1, 1), age=(0, AGE_MAX), size=(0, SIZE_MAX))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +154,11 @@ class Dataset:
     ``sex`` is the feature code 1 (male) / 0 (female) / -1 (missing); ``age`` is NaN and
     ``size`` 0 where missing; ``site`` and ``diagnosis`` are the raw cells, "" where missing.
     Derived on construction: ``patient``, each row's index among patients in order of first
-    appearance, and ``diagnosis_class``, each diagnosis's nine-class code. Image names must be
-    unique; a repeat is reported by its ``row_nums`` (default 1, 2, ...). ``records`` and
-    ``by_patient`` are per-row views built on first use.
+    appearance, and ``diagnosis_class``, each diagnosis's nine-class code. A sex code, age or size
+    outside those ranges (age in [0, ``AGE_MAX``], size at least 0) raises RangeError naming the
+    first bad image and its column. Image names must be unique; a repeat is reported by its
+    ``row_nums`` (default 1, 2, ...). ``records`` and ``by_patient`` are per-row views built on
+    first use.
     """
 
     image_names: tuple[str, ...]
@@ -178,6 +182,15 @@ class Dataset:
             if len(value) != n:
                 raise ShapeError(f"column {name} has {len(value)} rows, not {n}")
             object.__setattr__(self, name, value)
+        bad = np.array([(getattr(self, name) < lo) | (getattr(self, name) > hi)
+                        for name, (lo, hi) in _BOUNDS.items()])
+        if bad.any():  # the first bad row, at its first bad column
+            i = int(np.argmax(bad.any(axis=0)))
+            name, bounds = list(_BOUNDS.items())[int(np.argmax(bad[:, i]))]
+            column = getattr(self, name)
+            spec = "g" if column.dtype.kind == "f" else "d"
+            v, lo, hi = (format(x, spec) for x in (column[i].item(), *bounds))
+            raise RangeError(f"image_name {self.image_names[i]!r}: {name} {v} outside [{lo}, {hi}]")
         require_unique(self.image_names, "image_name", row_nums)
         patient_of = dict(zip(dict.fromkeys(self.patient_ids), range(n)))
         class_of = {s: map_diagnosis(s).value for s in dict.fromkeys(self.diagnosis)}
@@ -333,37 +346,29 @@ class ValidationReport:
     warnings: tuple[ValidationIssue, ...]
 
 
-Rows = Iterator[tuple[int, list[str]]]
 Blocks = Iterator[tuple[Sequence[int], list[str]]]
 
 
-def csv_rows(text: str, noun: str) -> tuple[list[str], Rows]:
-    """The per-row CSV reader: the header, and ``(row_num, row)`` per non-blank row.
-
-    Every row must be as wide as the header, and its first cell, the row's
-    key, must not be empty. A missing header, a wrong width, an empty key, or
-    anything the csv module rejects (e.g. a field over its size limit) raises
-    FormatError; callers check the header's names and parse the cells. It is
-    :func:`csv_blocks`' path past its first block that is not clean.
-    """
-    reader = csv.reader(_lines(text))
-    header = _header(reader, noun)
-    return header, _checked_rows(reader, header, noun)
-
-
 def csv_blocks(text: str, noun: str) -> tuple[list[str], Blocks]:
-    """The one CSV reader: the header, and ``csv_rows``' rows in blocks of ``_BLOCK_ROWS``,
-    each as its row numbers and one new list of its cells, row after row.
+    """The one CSV reader: the header, and the non-blank rows, numbered from 1 after the header,
+    in blocks of ``_BLOCK_ROWS``, each as its row numbers and one new list of its cells, row after
+    row. A missing header, a row not as wide as the header or with an empty first cell (its key),
+    or anything the csv module rejects (e.g. a field over its size limit) raises FormatError.
 
     ``csv.reader`` reads the header from the line iterator, taking only the header's own lines.
     The rest is cut into blocks of ``_BLOCK_ROWS`` lines. A block whose lines ``csv.reader``
     would read as clean rows (see :func:`_clean_cells`) is split in one ``str.split``. From the
-    first block that is not clean, the rest of the text, from that block's first line and with its
-    row number, goes through ``csv_rows``' reader, so rows, row numbers and errors are the same
-    as ``csv_rows``' and a fault is raised once its block is reached.
+    first block that is not clean, the rest of the text, from its first line and row number, goes
+    through ``csv.reader``, its rows checked by :func:`_checked_rows`, so a fault is raised once
+    its block is reached.
     """
     lines = _lines(text)
-    header = _header(csv.reader(lines), noun)
+    try:
+        header = next(csv.reader(lines), None)
+    except csv.Error as exc:
+        raise FormatError(f"{noun} header: {exc}") from None
+    if header is None:
+        raise FormatError(f"empty {noun} stream: no header row")
     return header, _blocks(lines, header, noun)
 
 
@@ -455,23 +460,15 @@ def _lines(text: str) -> Iterator[str]:
     return chain.from_iterable(map(io.StringIO, pieces()))
 
 
-def _header(reader: Iterator[list[str]], noun: str) -> list[str]:
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise FormatError(f"{noun} header: {exc}") from None
-    if header is None:
-        raise FormatError(f"empty {noun} stream: no header row")
-    return header
-
-
 def _blocks(lines: Iterator[str], header: list[str], noun: str) -> Blocks:
     start = 1
     while block := list(islice(lines, _BLOCK_ROWS)):
         cells = _clean_cells(block, len(header))
         if cells is None:
-            reader = csv.reader(chain(block, lines))
-            yield from _row_blocks(_checked_rows(reader, header, noun, start))
+            rows = _checked_rows(csv.reader(chain(block, lines)), header, noun, start)
+            while part := list(islice(rows, _BLOCK_ROWS)):
+                nums, table = zip(*part)
+                yield nums, [cell for row in table for cell in row]
             return
         yield range(start, start + len(block)), cells
         del cells  # a consumer done with the block frees it before the next one is cut
@@ -499,14 +496,8 @@ def _clean_cells(lines: list[str], width: int) -> list[str] | None:
     return None if "" in cells[::width] else cells
 
 
-def _row_blocks(rows: Rows) -> Blocks:
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        nums, table = zip(*block)
-        yield nums, [cell for row in table for cell in row]
-
-
 def _checked_rows(reader: Iterator[list[str]], header: list[str], noun: str,
-                  start: int = 1) -> Rows:
+                  start: int) -> Iterator[tuple[int, list[str]]]:
     """``(row_num, row)`` per non-blank row of ``reader``, numbered from ``start``."""
     width = len(header)
     row_num = start - 1
@@ -574,7 +565,8 @@ def float_cells(a: np.ndarray) -> list[str]:
     cells are the same."""
     distinct, at = np.unique(a, return_inverse=True)
     cells = list(map(repr, distinct.tolist()))
-    whole = np.flatnonzero((np.trunc(distinct) == distinct) & (np.abs(distinct) < 1e16))
+    small = np.flatnonzero(np.abs(distinct) < 1e16)  # np.trunc of a NaN can warn
+    whole = small[np.trunc(distinct[small]) == distinct[small]]
     for i, v in zip(whole.tolist(), distinct[whole].astype(np.int64).tolist()):
         cells[i] = str(v)
     return np.array(cells, object)[at].tolist()

@@ -25,7 +25,6 @@ from lesionbench.datamodel import (
     cast_cells,
     csv_blocks,
     csv_keyed,
-    csv_rows,
     csv_text,
     float_cells,
     float_rows,
@@ -48,6 +47,7 @@ from lesionbench.folds import assign_folds, read_folds_csv, write_folds_csv
 from lesionbench.fusion import EpochStats
 from lesionbench.metrics import ScoreTable, parse_score_table, write_score_table
 from util import (
+    csv_rows,
     make_dataset,
     make_record,
     reference_csv_text,
@@ -345,6 +345,9 @@ def _rows_or_error(read, text):
 @settings(max_examples=300, deadline=None)
 @given(text=LINEISH | CSVISH, block_rows=st.integers(1, 3))
 @example(text='"a\nb",c\n1,2\n', block_rows=1)  # a quoted header over two lines
+# A bad row after a quoted cell, so that it is read by the per-row path.
+@example(text='a,b\n"x",1\n,2\n', block_rows=1)  # an empty key
+@example(text='a,b\n"x",1\n1,2,3\n', block_rows=1)  # a wrong width
 def test_csv_blocks_gives_the_rows_and_errors_of_csv_rows(text, block_rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(datamodel, "_BLOCK_ROWS", block_rows)

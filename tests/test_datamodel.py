@@ -12,6 +12,7 @@ from lesionbench.datamodel import (
     METADATA_COLUMNS,
     SIZE_MAX,
     BinaryTarget,
+    Dataset,
     PredictionSet,
     Sex,
     SourceYear,
@@ -253,6 +254,31 @@ def test_metadata_round_trip():
         )
     d = make_dataset(records)
     assert parse_metadata_csv(write_metadata_csv(d)) == d
+
+
+# A dataset built from columns, each numeric column at its writable limits and missing values.
+COLUMNS = dict(image_names=("I0", "I1", "I2"), patient_ids=("P1", "P1", "P2"), sex=[1, 0, -1],
+               age=[0.0, np.nan, 120.0], site=("torso", "", ""), diagnosis=("", "nevus", ""),
+               positive=[0, 0, 0], is_2020=[1, 0, 1], size=[0, 1, SIZE_MAX])
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(sex=[1, 5, -1]), "sex 5 outside [-1, 1]"),
+    (dict(sex=[1, -2, -1]), "sex -2 outside [-1, 1]"),
+    (dict(age=[0.0, 500.0, 120.0]), "age 500 outside [0, 120]"),
+    (dict(age=[0.0, -1.0, 120.0]), "age -1 outside [0, 120]"),
+    (dict(age=[0.0, np.inf, 120.0]), "age inf outside [0, 120]"),
+    (dict(size=[0, -7, SIZE_MAX]), f"size -7 outside [0, {SIZE_MAX}]"),
+    # the first bad image, at its first bad column
+    (dict(sex=[1, 0, 5], age=[0.0, -1.0, 0.0], size=[0, -1, 0]), "age -1 outside [0, 120]"),
+])
+def test_dataset_rejects_a_value_its_writer_cannot_write(bad, message):
+    # The writer would raise on such a sex code, write an age that the reader rejects, or write
+    # a negative size as an empty cell that reads back as missing.
+    d = Dataset(**COLUMNS)
+    assert parse_metadata_csv(write_metadata_csv(d)) == d
+    with pytest.raises(RangeError, match="^" + re.escape(f"image_name 'I1': {message}") + "$"):
+        Dataset(**{**COLUMNS, **bad})
 
 
 def test_consistency_truth_table():

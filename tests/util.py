@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from lesionbench.datamodel import (
     SampleRecord,
     Sex,
     SourceYear,
-    csv_rows,
 )
 from lesionbench.errors import CoverageError, DomainError, FormatError, RangeError, UniquenessError
 from lesionbench.folds import FoldAssignment
@@ -58,6 +58,39 @@ def make_dataset(records) -> Dataset:
 def make_folds(fold_of: Mapping[str, int], k: int) -> FoldAssignment:
     """The split that puts each image of ``fold_of`` in its fold, rows in the mapping's order."""
     return FoldAssignment(tuple(fold_of), list(fold_of.values()), k)
+
+
+def csv_rows(text: str, noun: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The CSV text read by one ``csv.reader`` over ``io.StringIO(text)``: the header, and
+    ``(row_num, row)`` per non-blank row, numbered from 1 after the header with blank lines
+    counted. The oracle for the block-wise ``datamodel.csv_blocks``, with its own rules and the
+    library's FormatError messages: no header, a row not as wide as the header, an empty first
+    cell (the row's key), or a ``csv.Error`` raised as the row is read."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise FormatError(f"{noun} header: {exc}") from None
+    if header is None:
+        raise FormatError(f"empty {noun} stream: no header row")
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        for row_num in itertools.count(1):
+            try:
+                row = next(reader, None)
+            except csv.Error as exc:
+                raise FormatError(f"{noun} row {row_num}: {exc}") from None
+            if row is None:
+                return
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise FormatError(f"row {row_num}: expected {len(header)} fields, got {len(row)}")
+            if row[0] == "":
+                raise FormatError(f"row {row_num}: empty {header[0]}")
+            yield row_num, row
+
+    return header, rows()
 
 
 def reference_parse_metadata(text: str) -> Dataset:
