@@ -156,9 +156,10 @@ class Dataset:
     Derived on construction: ``patient``, each row's index among patients in order of first
     appearance, and ``diagnosis_class``, each diagnosis's nine-class code. A sex code, age or size
     outside those ranges (age in [0, ``AGE_MAX``], size at least 0) raises RangeError naming the
-    first bad image and its column. Image names must be unique; a repeat is reported by its
-    ``row_nums`` (default 1, 2, ...). ``records`` and ``by_patient`` are per-row views built on
-    first use.
+    first bad image and its column. An empty image name or patient id raises FormatError ``row N:
+    empty image_name`` (or ``patient_id``), as the metadata reader does. Image names must be
+    unique. A row is reported by its ``row_nums`` (default 1, 2, ...). ``records`` and
+    ``by_patient`` are per-row views built on first use.
     """
 
     image_names: tuple[str, ...]
@@ -182,6 +183,10 @@ class Dataset:
             if len(value) != n:
                 raise ShapeError(f"column {name} has {len(value)} rows, not {n}")
             object.__setattr__(self, name, value)
+        rows = range(1, n + 1) if row_nums is None else row_nums
+        for name, column in (("image_name", self.image_names), ("patient_id", self.patient_ids)):
+            if "" in column:
+                raise FormatError(f"row {rows[column.index('')]}: empty {name}")
         bad = np.array([(getattr(self, name) < lo) | (getattr(self, name) > hi)
                         for name, (lo, hi) in _BOUNDS.items()])
         if bad.any():  # the first bad row, at its first bad column
@@ -191,7 +196,7 @@ class Dataset:
             spec = "g" if column.dtype.kind == "f" else "d"
             v, lo, hi = (format(x, spec) for x in (column[i].item(), *bounds))
             raise RangeError(f"image_name {self.image_names[i]!r}: {name} {v} outside [{lo}, {hi}]")
-        require_unique(self.image_names, "image_name", row_nums)
+        require_unique(self.image_names, "image_name", rows)
         patient_of = dict(zip(dict.fromkeys(self.patient_ids), range(n)))
         class_of = {s: map_diagnosis(s).value for s in dict.fromkeys(self.diagnosis)}
         for name, table, keys, dtype in (("patient", patient_of, self.patient_ids, np.int64),
@@ -314,13 +319,16 @@ class KeyedTable:
     __reduce__ = reduce_fields
 
     def select(self, keys: Sequence[str], what: str) -> np.ndarray:
-        """A copy of the rows of ``keys``, in that order. CoverageError names the table as
-        ``what`` and the first key it lacks. When ``keys`` are the table's own keys in order, as
-        for every file the CLI writes, the copy is taken without a name lookup."""
+        """The rows of ``keys``, in that order, as a read-only array. CoverageError names the
+        table as ``what`` and the first key it lacks. When ``keys`` are the table's own keys in
+        order, as for every file the CLI writes, the result is the table's own array, with no
+        name lookup and no copy; any other keys give a new array."""
         names, values = self._columns()
         if tuple(keys) == names:
-            return values.copy()
-        return values[values_at(positions(names), keys, np.intp, what)]
+            return values
+        rows = values[values_at(positions(names), keys, np.intp, what)]
+        rows.flags.writeable = False
+        return rows
 
 
 def aligned_rows(table: KeyedTable, d: Dataset, what: str) -> np.ndarray:

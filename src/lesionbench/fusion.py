@@ -47,11 +47,14 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# The validation pass runs in blocks of VAL_BLOCK to 2 * VAL_BLOCK - 1 rows,
-# so a fold's forward buffers stay small whatever its size. With numpy's
-# OpenBLAS, blocks of 256 rows or more give the bytes of one full product;
-# 64 and 128 rows did not.
-VAL_BLOCK = 1024
+# The validation pass gathers and scores its rows in blocks of VAL_BLOCK to
+# 2 * VAL_BLOCK - 1 rows (see ``_val_blocks``), so a fold's forward buffers
+# stay small whatever its size. With numpy's OpenBLAS on one BLAS thread, as
+# ``train`` runs, such blocks gave the bytes of one full product on the
+# SkylakeX, Haswell and Sandybridge kernels, for 256 to 23,382 rows. Blocks
+# must start at multiples of VAL_BLOCK: near-equal blocks (265 rows each for
+# 1,061 rows) gave other bytes on Haswell.
+VAL_BLOCK = 256
 
 # Folds train on one thread per core when a step is matrix-bound: rows of one
 # training batch x parameter count >= _MATRIX_BOUND. Below it every numpy
@@ -493,6 +496,10 @@ def train(
     made on other threads while ``train`` runs also run on one thread. Where
     no known BLAS library or symbol is found (another BLAS, another
     platform), the count is left as it is.
+
+    The inputs are not copied: the metadata features, ``cnn`` and the folds
+    are read in place (see ``KeyedTable.select``), and each fold gathers the
+    rows of one training batch or validation block at a time.
     """
     if not len(d):
         raise DomainError("cannot train on an empty dataset")
@@ -569,16 +576,25 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The thread-count getter and setter of the OpenBLAS that numpy wheels bundle as
-    ``numpy.libs/libscipy_openblas64_-*.so`` beside the numpy package, or None where there is no
-    such library or it lacks the symbols (a numpy built against another BLAS, another platform)."""
+def _openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS that numpy wheels bundle as ``numpy.libs/libscipy_openblas64_-*.so`` beside
+    the numpy package, or None where there is no such library (a numpy built against another
+    BLAS, another platform)."""
     found = sorted(Path(np.__file__).parent.parent.joinpath("numpy.libs")
                    .glob("libscipy_openblas64_-*.so"))
     try:
-        lib = ctypes.CDLL(str(found[0]))  # numpy has loaded it: this is the same library
+        return ctypes.CDLL(str(found[0]))  # numpy has loaded it: this is the same library
+    except (IndexError, OSError):
+        return None
+
+
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of :func:`_openblas`, or None where there is no such
+    library or it lacks the symbols."""
+    lib = _openblas()
+    try:
         get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (IndexError, OSError, AttributeError):
+    except AttributeError:  # no library (None) or no such symbol
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
@@ -608,10 +624,12 @@ def _one_blas_thread() -> Iterator[None]:
 
 
 def _val_blocks(n_val: int) -> list[slice]:
-    """``max(1, n_val // VAL_BLOCK)`` near-equal row blocks covering the
-    validation rows, so none is a short tail."""
+    """``max(1, n_val // VAL_BLOCK)`` row blocks covering the validation rows,
+    each starting at a multiple of ``VAL_BLOCK``, the last taking the rest, so
+    none is a short tail."""
     blocks = max(1, n_val // VAL_BLOCK)
-    return [slice(n_val * i // blocks, n_val * (i + 1) // blocks) for i in range(blocks)]
+    return [slice(i * VAL_BLOCK, (i + 1) * VAL_BLOCK if i < blocks - 1 else n_val)
+            for i in range(blocks)]
 
 
 def _train_one_fold(
@@ -639,7 +657,6 @@ def _train_one_fold(
     bs = min(cfg.batch_size, train_idx.size)
     blocks = _val_blocks(val_idx.size)
     ws = _Workspace(params, max(bs, *(s.stop - s.start for s in blocks)), bs)
-    val_meta, val_cnn = x_meta[val_idx], x_cnn[val_idx]
     stats: list[EpochStats] = []
     # Scores are copied out of ``ws``, whose rows the next pass overwrites.
     val_scores = np.zeros(val_idx.size, dtype=np.float64)
@@ -670,7 +687,8 @@ def _train_one_fold(
 
         if val_idx.size:
             for s in blocks:
-                probs = _forward_cached(ws, val_meta[s], val_cnn[s])["probs"]
+                rows = val_idx[s]
+                probs = _forward_cached(ws, x_meta[rows], x_cnn[rows])["probs"]
                 np.copyto(val_scores[s], probs[:, mel_col])
             if not np.isfinite(val_scores).all():
                 raise diverged(epoch, b, "a validation score is not finite")

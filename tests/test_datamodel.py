@@ -436,6 +436,27 @@ def test_values_at_equals_the_two_pass_oracle(table, keys):
     assert positions(names) == {name: names.index(name) for name in names}
 
 
+@pytest.mark.parametrize("column, row_nums, row", [
+    ("image_names", None, 2), ("patient_ids", None, 2),
+    ("image_names", [5, 9, 12], 9), ("patient_ids", [5, 9, 12], 9),
+])
+def test_dataset_rejects_an_empty_name_as_its_reader_does(column, row_nums, row):
+    # The writer would write the empty cell, and the reader reject the file.
+    d = Dataset(**COLUMNS)
+    text = write_metadata_csv(d)
+    assert parse_metadata_csv(text) == d
+    message = f"row {row}: empty {column[:-1]}"
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        Dataset(**{**COLUMNS, column: ("I0", "", "I2")}, row_nums=row_nums)
+    if row_nums is None:  # the reader numbers data rows 1, 2, ...
+        lines = text.split("\n")
+        cells = lines[row].split(",")
+        cells[list(COLUMNS).index(column)] = ""
+        lines[row] = ",".join(cells)
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            parse_metadata_csv("\n".join(lines))
+
+
 # Each keyed table type, its key column, and a valid 3-row array for it.
 KEYED_TABLES = [
     (PredictionSet, "image_name", np.array([0.1, 0.7, 0.4])),
@@ -469,7 +490,12 @@ def test_keyed_table_contract(cls, key, values):
         assert t != u and u != t
     assert t != (keys, values)
 
-    assert np.array_equal(t.select(["c", "a", "b", "a"], "t"), values[[2, 0, 1, 0]])
+    own = t.select(["a", "b", "c"], "t")  # the table's own keys in order: its own array
+    assert np.shares_memory(own, held) and not own.flags.writeable
+    for picked, rows in ((["c", "a", "b", "a"], [2, 0, 1, 0]), (["b", "c"], [1, 2])):
+        got = t.select(picked, "t")  # any other keys: a new array
+        assert np.array_equal(got, values[rows])
+        assert not np.shares_memory(got, held) and not got.flags.writeable
     with pytest.raises(CoverageError, match=r"^some table missing 2 image\(s\), first: 'x'$"):
         t.select(["b", "x", "a", "y"], "some table")
     with pytest.raises(UniquenessError, match=rf"^duplicate {key} 'a' \(rows 1 and 3\)$"):

@@ -1,10 +1,12 @@
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -734,17 +736,71 @@ def test_blocked_validation_scores_equal_one_full_pass_bit_for_bit(
         return original(ws, meta, cnn)
 
     monkeypatch.setattr(fusion, "_forward_cached", wrapper)
-    model, scores, _ = fusion._train_one_fold(
-        0, x_meta, x_cnn, y, (y == mel).astype(np.int64), fold_of, cfg, mel,
-        threading.Event(),
-    )
-    full = original(fusion._Workspace(model.params(), n_val, 0), x_meta[:n_val],
-                    x_cnn[:n_val])["probs"][:, mel]
+    with fusion._one_blas_thread():  # as ``train`` runs both
+        model, scores, _ = fusion._train_one_fold(
+            0, x_meta, x_cnn, y, (y == mel).astype(np.int64), fold_of, cfg, mel,
+            threading.Event(),
+        )
+        full = original(fusion._Workspace(model.params(), n_val, 0), x_meta[:n_val],
+                        x_cnn[:n_val])["probs"][:, mel]
     assert scores.tobytes() == full.tobytes()
     val_blocks = [rows for _, rows in calls if rows != bs]
     assert sum(val_blocks) == cfg.epochs * n_val
     assert min(val_blocks) >= min(n_val, block)
     assert max(capacity for capacity, _ in calls) <= max(bs, 2 * block - 1)
+
+
+# Scores blocked validation rows as training does and as one full pass, on one BLAS thread, under
+# the kernel that OPENBLAS_CORETYPE names; prints the kernel's name, then one line per mismatch.
+BLOCKS_ON_A_KERNEL = """
+import ctypes
+import numpy as np
+from lesionbench import fusion
+corename = getattr(fusion._openblas(), "scipy_openblas_get_corename64_", None)
+if corename is None:
+    raise SystemExit("no bundled OpenBLAS with scipy_openblas_get_corename64_")
+corename.argtypes, corename.restype = [], ctypes.c_char_p
+print(corename().decode())
+with fusion._one_blas_thread():
+    for hidden, d in (((512, 128), 0), ((128, 32), 16)):
+        for n in (255, 549, 1061, 11691):
+            rng = np.random.default_rng(n)
+            shapes = fusion._shapes(*hidden, d, 9)
+            params = fusion._views(fusion._init_params(shapes, rng), shapes)
+            meta, cnn = rng.normal(size=(n, 14)), rng.normal(size=(n, d))
+            blocks = fusion._val_blocks(n)
+            ws = fusion._Workspace(params, max(s.stop - s.start for s in blocks), 0)
+            blocked = np.concatenate(  # copied out of ``ws``, which the next block overwrites
+                [fusion._forward_cached(ws, meta[s], cnn[s])["probs"].copy() for s in blocks])
+            full = fusion._forward_cached(fusion._Workspace(params, n, 0), meta, cnn)["probs"]
+            if blocked.tobytes() != full.tobytes():
+                print(f"hidden {hidden}, D={d}, n={n}: blocks {blocks} differ from one pass")
+"""
+
+# The instructions each kernel needs: forcing it on a CPU without them could fault.
+KERNEL_FLAGS = {"Haswell": {"avx2", "fma"}, "Sandybridge": {"avx"}}
+
+
+@pytest.mark.parametrize("core", sorted(KERNEL_FLAGS))
+def test_blocked_validation_gives_one_pass_bytes_on_other_blas_kernels(core):
+    try:
+        with open("/proc/cpuinfo") as cpuinfo:
+            flags = {f for line in cpuinfo if line.startswith("flags") for f in line.split()}
+    except OSError:
+        pytest.skip("no /proc/cpuinfo to check the CPU's instructions")
+    if not KERNEL_FLAGS[core] <= flags:
+        pytest.skip(f"this CPU lacks {sorted(KERNEL_FLAGS[core] - flags)} for {core}")
+    env = {**os.environ, "OPENBLAS_CORETYPE": core,
+           "PYTHONPATH": str(Path(fusion.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", BLOCKS_ON_A_KERNEL], env=env,
+                         capture_output=True, text=True, timeout=300)
+    if run.returncode and run.stderr.startswith("no bundled OpenBLAS"):
+        pytest.skip(run.stderr.strip())
+    assert run.returncode == 0, run.stderr
+    name, *mismatches = run.stdout.splitlines()
+    if name != core:
+        pytest.skip(f"OPENBLAS_CORETYPE={core} loaded the {name} kernel")
+    assert mismatches == []
 
 
 # --- flat parameter vector and Adam ----------------------------------------
@@ -868,6 +924,22 @@ def test_training_step_allocates_less_than_one_batch_activation():
     finally:
         tracemalloc.stop()
     assert peak < bs * hidden[0] * 8, peak
+
+
+def test_train_allocates_less_than_half_its_external_table():
+    # Training reads its tables in place and gathers validation rows a block at a time.
+    d = separable_dataset(n_patients=2000)
+    feats = feature_table_for(d)
+    cnn = FeatureTable(d.image_names, np.random.default_rng(0).normal(size=(len(d), 512)))
+    f = assign_folds(d, k=2, seed=0)
+    cfg = TrainConfig(epochs=2, batch_size=16, lr_peak=1e-3, seed=0, hidden=(8, 4))
+    tracemalloc.start()
+    try:
+        train(d, feats, cnn, f, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cnn.values.nbytes / 2, peak / cnn.values.nbytes
 
 
 # --- serialization ----------------------------------------------------------
