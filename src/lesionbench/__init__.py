@@ -27,7 +27,7 @@ from .features import FeatureTable, NormStats, SiteVocabulary
 from .folds import FoldAssignment, assign_folds, fold_ratio_report
 from .fusion import FusionHeadModel, TrainConfig, load_model, save_model, train
 from .metrics import LabeledScores, ScoreTable, auc, bootstrap_auc_std, evaluate_cv, stability
-from .targets import DiagnosisClass, TargetScheme, class_index, map_diagnosis, mel_probability
+from .targets import DiagnosisClass, TargetScheme, class_index, map_diagnosis
 
 __all__ = [
     "__version__",
@@ -56,7 +56,6 @@ __all__ = [
     "fold_ratio_report",
     "load_model",
     "map_diagnosis",
-    "mel_probability",
     "parse_metadata_csv",
     "parse_predictions_csv",
     "rank_average",

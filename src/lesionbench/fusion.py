@@ -16,7 +16,7 @@ import math
 import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
@@ -56,18 +56,18 @@ ADAM_EPS = 1e-8
 # 1,061 rows) gave other bytes on Haswell.
 VAL_BLOCK = 256
 
-# Folds train on one thread per core when a step is matrix-bound: rows of one
-# training batch x parameter count >= _MATRIX_BOUND. Below it every numpy
-# call in a step takes a few microseconds, and two threads pass the GIL back
-# and forth on each call. ``train`` on a 58,457-image paper cohort, 2 epochs,
-# batch 64, 1 BLAS thread, 2 cores (median of 4-6 runs each):
+# Fold-epochs train on one worker thread per core when a step is matrix-bound:
+# rows of one training batch x parameter count >= _MATRIX_BOUND. Below it
+# every numpy call in a step takes a few microseconds, and two threads pass
+# the GIL back and forth on each call. ``train`` on a 58,457-image paper
+# cohort, 2 epochs, batch 64, 1 BLAS thread, 2 cores (median of 5 runs each):
 #
 #   hidden, D       batch x params   serial   2 threads
-#   128,32, D=16        415k         2.32 s    3.09 s
-#   128,32, D=0         388k         2.09 s    2.87 s
-#   192,48, D=0         805k         2.96 s    3.12 s
-#   256,64, D=0         1.34M        4.27 s    3.85 s
-#   512,128, D=0        4.77M       11.72 s    7.82 s
+#   128,32, D=16        415k         1.83 s    3.14 s
+#   128,32, D=0         388k         1.73 s    3.01 s
+#   192,48, D=0         805k         2.48 s    2.95 s
+#   256,64, D=0         1.34M        3.79 s    3.31 s
+#   512,128, D=0        4.77M       11.77 s    6.42 s
 _MATRIX_BOUND = 2**20
 
 
@@ -227,13 +227,14 @@ def _stack_inputs(
 
 
 class _Workspace:
-    """Every buffer one fold's forward and backward passes write, allocated
-    once and reused by each step and each validation pass.
+    """Every buffer the forward and backward passes write, allocated once and
+    reused by each step and each validation pass; in ``train``, one per
+    worker thread, shared by the folds it trains.
 
     Forward buffers hold ``rows`` rows and backward buffers ``batch_rows``;
     a pass over n rows writes into the first n rows of each. ``params`` are
     live views: updating the flat vector behind them in place is seen by the
-    next pass.
+    next pass, and each fold-epoch points them at its fold's parameters.
     """
 
     def __init__(self, params: dict[str, np.ndarray], rows: int, batch_rows: int) -> None:
@@ -428,22 +429,25 @@ def _init_params(shapes: tuple[tuple[int, ...], ...], rng: np.random.Generator) 
 
 
 class _AdamState:
-    """Adam (Kingma & Ba 2014) over one flat parameter vector, with two
-    scratch vectors so that a step allocates nothing."""
+    """Adam (Kingma & Ba 2014) over one flat parameter vector: one fold's
+    moments and step count. A step writes two scratch vectors that the caller
+    owns, so the folds one thread trains share them and a step allocates
+    nothing."""
 
     def __init__(self, size: int) -> None:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._a = np.empty(size)
-        self._b = np.empty(size)
         self.t = 0
 
-    def step(self, flat: np.ndarray, g: np.ndarray, lr: float) -> None:
-        """Update ``flat`` in place, so per-layer views of it stay live."""
+    def step(
+        self, flat: np.ndarray, g: np.ndarray, lr: float, scratch: tuple[np.ndarray, np.ndarray]
+    ) -> None:
+        """Update ``flat`` in place, so per-layer views of it stay live;
+        ``scratch`` is two vectors of its size, which the step overwrites."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        m, v, a, b = self.m, self.v, self._a, self._b
+        m, v, (a, b) = self.m, self.v, scratch
         # m = m*b1 + g*(1-b1)
         m *= ADAM_BETA1
         np.multiply(g, 1.0 - ADAM_BETA1, out=a)
@@ -476,19 +480,24 @@ def train(
     scores fold k; the union of those melanoma probabilities is the OOF
     prediction set, in dataset order. ``cnn``, if given, must name exactly the
     images of ``d`` (see ``datamodel.aligned_rows``). Each fold is seeded with
-    ``cfg.seed + k`` and owns its buffers, so folds are independent: when a
-    step is matrix-bound (see ``_MATRIX_BOUND``) they train on one thread per
-    core of the CPU affinity mask, and otherwise one after another on one
-    worker thread. The result is the same bytes either way, and for any
-    number of cores. A non-finite loss, parameter or validation score stops
-    training with a DomainError naming fold, epoch and batch; with several
-    failing folds it is the lowest fold's, and the folds after it stop within
-    one batch.
+    ``cfg.seed + k`` and keeps its own parameters and Adam state, so folds are
+    independent. They train one epoch at a time: worker threads take
+    fold-epochs from a queue, and a fold that finishes an epoch goes to the
+    back. Each worker has one workspace, sized for every fold, and points it
+    at the fold it trains. When a step is matrix-bound (see
+    ``_MATRIX_BOUND``) there is one worker per core of the CPU affinity mask,
+    at most one per fold, and otherwise one. The result is the same bytes
+    either way, and for any number of cores. A non-finite loss, parameter or
+    validation score stops training with a DomainError naming fold, epoch
+    and batch; with several failing folds it is the lowest fold's, the folds
+    after it stop within one batch and the folds before it run on. An
+    exception in the calling thread, such as KeyboardInterrupt, stops every
+    fold; no worker is left running when ``train`` returns or raises.
 
     While the folds train, numpy's OpenBLAS runs on one thread (see
     ``_openblas_threads``), and its old thread count is restored when
     ``train`` returns or raises. ``_MATRIX_BOUND`` was measured with one BLAS
-    thread, and with OpenBLAS's default of one thread per core each fold
+    thread, and with OpenBLAS's default of one thread per core each worker
     thread's matrix products would start their own BLAS threads and
     oversubscribe the cores: on 2 cores, paper-scale hidden 512,128 training
     took 19.9-21.6 s with the default and 10.0-10.1 s with one BLAS thread,
@@ -519,24 +528,6 @@ def train(
     fold_of = f.select(names, "fold assignment")
     mel_col = class_index(DiagnosisClass.MEL, cfg.scheme)
 
-    # Setting stops[k] makes fold k return None before its next batch.
-    stops = [threading.Event() for _ in range(f.k)]
-
-    def run_fold(k: int) -> tuple[FusionHeadModel, np.ndarray, list[EpochStats]] | None:
-        try:
-            # Overflow shows up as a non-finite loss, parameter or score,
-            # which _train_one_fold reports with its context; numpy's
-            # warnings would not. Threads do not inherit the error state.
-            with np.errstate(all="ignore"):
-                return _train_one_fold(
-                    k, x_meta, x_cnn, y, y_bin, fold_of, cfg, mel_col, stops[k]
-                )
-        except BaseException:
-            # The folds before k run on: in fold order their errors come first.
-            for stop in stops[k + 1 :]:
-                stop.set()
-            raise
-
     shapes = _shapes(*cfg.hidden, x_cnn.shape[1], cfg.scheme.class_count)
     n_params = sum(map(math.prod, shapes))
     if n_params * 8 > np.iinfo(np.intp).max:  # float64 bytes numpy cannot address
@@ -544,23 +535,57 @@ def train(
                           "parameters, more than one array can hold")
     step_size = min(cfg.batch_size, len(names)) * n_params
     workers = min(f.k, _cpu_count()) if step_size >= _MATRIX_BOUND else 1
-    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
-        # ``map`` yields in fold order, so the lowest failing fold's error comes first, and
-        # leaving its iterator early cancels the folds that have not started.
+    runs = [_FoldRun(k, x_meta, x_cnn, y, y_bin, fold_of, cfg, mel_col) for k in range(f.k)]
+    # Fold-epochs in round-robin order: a worker takes the fold at the front, trains one epoch
+    # and puts the fold back at the end, so the last wave is one epoch of a fold, not a fold.
+    todo = deque(runs)
+    errors: dict[int, BaseException] = {}
+
+    def work(ws: _Workspace, scratch: tuple[np.ndarray, np.ndarray]) -> None:
+        # Overflow shows up as a non-finite loss, parameter or score, which
+        # the fold reports with its context; numpy's warnings would not.
+        # Threads do not inherit the error state.
+        with np.errstate(all="ignore"):
+            while True:
+                try:
+                    run = todo.popleft()
+                except IndexError:  # the folds left are on other workers
+                    return
+                try:
+                    if run.epoch(ws, scratch) and len(run.stats) < cfg.epochs:
+                        todo.append(run)
+                except BaseException as e:  # raised by the calling thread
+                    errors[run.k] = e
+                    # The folds before k run on: in fold order their errors come first.
+                    for later in runs[run.k + 1 :]:
+                        later.stop.set()
+
+    threads = [threading.Thread(target=work, args=_worker_buffers(runs)) for _ in range(workers)]
+    with _one_blas_thread():
         try:
-            results = list(pool.map(run_fold, range(f.k)))
-        except BaseException:  # a fold's error, or KeyboardInterrupt
-            for stop in stops:
-                stop.set()
-            raise
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            # Every fold has ended unless this thread was interrupted (KeyboardInterrupt, say):
+            # then the workers stop before their next batch, and are waited for.
+            for run in runs:
+                run.stop.set()
+            for t in threads:
+                if t.ident is not None:
+                    t.join()
+    if errors:
+        raise errors[min(errors)]
 
     oof = np.empty(len(names), dtype=np.float64)
     models: list[FusionHeadModel] = []
     history: list[EpochStats] = []
-    for k, (model, val_scores, stats) in enumerate(results):
-        oof[fold_of == k] = val_scores
-        models.append(model)
-        history.extend(stats)
+    for run in runs:
+        oof[fold_of == run.k] = run.val_scores
+        # The last epoch's validation scores come from the final parameters.
+        models.append(FusionHeadModel(scheme=cfg.scheme, **run.params))
+        history.extend(run.stats)
     return TrainResult(
         models=tuple(models),
         oof=PredictionSet.from_scores(names, oof),
@@ -632,70 +657,87 @@ def _val_blocks(n_val: int) -> list[slice]:
             for i in range(blocks)]
 
 
-def _train_one_fold(
-    k: int,
-    x_meta: np.ndarray,
-    x_cnn: np.ndarray,
-    y: np.ndarray,
-    y_bin: np.ndarray,
-    fold_of: np.ndarray,
-    cfg: TrainConfig,
-    mel_col: int,
-    stop: threading.Event,
-) -> tuple[FusionHeadModel, np.ndarray, list[EpochStats]] | None:
-    """Train and score fold k; None if ``stop`` is set before a batch."""
-    train_idx = np.flatnonzero(fold_of != k)
-    val_idx = np.flatnonzero(fold_of == k)
-    if train_idx.size == 0:
-        raise DomainError(f"fold {k} leaves an empty training set")
+class _FoldRun:
+    """Fold k's training, one epoch per call of :meth:`epoch`. Between epochs
+    it holds only the fold's own state: its generator, flat parameters, Adam
+    moments, validation scores and epoch stats. The buffers a pass writes
+    belong to the caller (see ``_worker_buffers``), and the row indices are
+    rebuilt each epoch. Setting ``stop`` makes ``epoch`` return False before
+    its next batch or validation pass."""
 
-    rng = np.random.default_rng((cfg.seed & MASK64) + k)
-    shapes = _shapes(cfg.hidden[0], cfg.hidden[1], x_cnn.shape[1], cfg.scheme.class_count)
-    flat = _init_params(shapes, rng)
-    params = _views(flat, shapes)
-    adam = _AdamState(flat.size)
-    bs = min(cfg.batch_size, train_idx.size)
-    blocks = _val_blocks(val_idx.size)
-    ws = _Workspace(params, max(bs, *(s.stop - s.start for s in blocks)), bs)
-    stats: list[EpochStats] = []
-    # Scores are copied out of ``ws``, whose rows the next pass overwrites.
-    val_scores = np.zeros(val_idx.size, dtype=np.float64)
+    def __init__(
+        self,
+        k: int,
+        x_meta: np.ndarray,
+        x_cnn: np.ndarray,
+        y: np.ndarray,
+        y_bin: np.ndarray,
+        fold_of: np.ndarray,
+        cfg: TrainConfig,
+        mel_col: int,
+    ) -> None:
+        self.k, self.cfg, self.mel_col = k, cfg, mel_col
+        self.x_meta, self.x_cnn, self.y, self.y_bin, self.fold_of = x_meta, x_cnn, y, y_bin, fold_of
+        self.stop = threading.Event()
+        n_val = int(np.count_nonzero(fold_of == k))
+        self.rng = np.random.default_rng((cfg.seed & MASK64) + k)
+        shapes = _shapes(cfg.hidden[0], cfg.hidden[1], x_cnn.shape[1], cfg.scheme.class_count)
+        self.flat = _init_params(shapes, self.rng)
+        self.params = _views(self.flat, shapes)
+        self.adam = _AdamState(self.flat.size)
+        self.bs = min(cfg.batch_size, fold_of.size - n_val)
+        self.blocks = _val_blocks(n_val)
+        self.rows = max(self.bs, *(s.stop - s.start for s in self.blocks))
+        # Scores are copied out of the workspace, whose rows the next pass overwrites.
+        self.val_scores = np.zeros(n_val, dtype=np.float64)
+        self.stats: list[EpochStats] = []
 
-    def diverged(epoch: int, batch: int, what: str) -> DomainError:
+    def _diverged(self, epoch: int, batch: int, what: str) -> DomainError:
         return DomainError(
-            f"training diverged in fold {k}, epoch {epoch}, batch {batch}: "
+            f"training diverged in fold {self.k}, epoch {epoch}, batch {batch}: "
             f"{what} (is the learning rate too high?)"
         )
 
-    for epoch in range(cfg.epochs):
+    def epoch(self, ws: _Workspace, scratch: tuple[np.ndarray, np.ndarray]) -> bool:
+        """Train and score the next epoch in ``ws`` and ``scratch``; False if
+        ``stop`` was set before a batch or the validation pass."""
+        k, cfg, epoch = self.k, self.cfg, len(self.stats)
+        train_idx = np.flatnonzero(self.fold_of != k)
+        val_idx = np.flatnonzero(self.fold_of == k)
+        if train_idx.size == 0:
+            raise DomainError(f"fold {k} leaves an empty training set")
+        x_meta, x_cnn, y = self.x_meta, self.x_cnn, self.y
+        ws.params = self.params
         lr = lr_schedule(epoch, cfg.epochs, cfg.lr_peak)
-        perm = rng.permutation(train_idx.size)
+        perm = self.rng.permutation(train_idx.size)
         loss_sum = 0.0
-        for b, start in enumerate(range(0, train_idx.size, bs)):
-            if stop.is_set():
-                return None
-            batch = train_idx[perm[start : start + bs]]
+        for b, start in enumerate(range(0, train_idx.size, self.bs)):
+            if self.stop.is_set():
+                return False
+            batch = train_idx[perm[start : start + self.bs]]
             targets = y[batch]
             cache = _forward_cached(ws, x_meta[batch], x_cnn[batch])
             loss = mean_cross_entropy(cache["probs"], targets)
             if not math.isfinite(loss):
-                raise diverged(epoch, b, f"loss is {loss}")
+                raise self._diverged(epoch, b, f"loss is {loss}")
             loss_sum += loss * batch.size
-            adam.step(flat, _backward(ws, cache, targets), lr)
-        if not np.isfinite(flat).all():
-            raise diverged(epoch, b, "a parameter is not finite")
+            self.adam.step(self.flat, _backward(ws, cache, targets), lr, scratch)
+        if not np.isfinite(self.flat).all():
+            raise self._diverged(epoch, b, "a parameter is not finite")
+        if self.stop.is_set():
+            return False
 
         if val_idx.size:
-            for s in blocks:
+            for s in self.blocks:
                 rows = val_idx[s]
                 probs = _forward_cached(ws, x_meta[rows], x_cnn[rows])["probs"]
-                np.copyto(val_scores[s], probs[:, mel_col])
-            if not np.isfinite(val_scores).all():
-                raise diverged(epoch, b, "a validation score is not finite")
-            val_auc = auc_or_none(val_scores, y_bin[val_idx])
+                np.copyto(self.val_scores[s], probs[:, self.mel_col])
+            if not np.isfinite(self.val_scores).all():
+                raise self._diverged(epoch, b, "a validation score is not finite")
+            val_auc = auc_or_none(self.val_scores, self.y_bin[val_idx])
         else:
             val_auc = None
-        stats.append(
+        self.stats.append(
             EpochStats(
                 fold=k,
                 epoch=epoch,
@@ -704,9 +746,17 @@ def _train_one_fold(
                 val_auc=val_auc,
             )
         )
+        return True
 
-    # The last epoch's validation scores come from the final parameters.
-    return FusionHeadModel(scheme=cfg.scheme, **params), val_scores, stats
+
+def _worker_buffers(runs: Sequence[_FoldRun]) -> tuple[_Workspace, tuple[np.ndarray, np.ndarray]]:
+    """The buffers one worker thread trains any of ``runs`` in: a workspace
+    with forward rows for the largest batch or validation block and backward
+    rows for the largest batch, and Adam's two scratch vectors. Each epoch
+    points the workspace at its fold's parameters."""
+    size = runs[0].flat.size
+    ws = _Workspace(runs[0].params, max(r.rows for r in runs), max(r.bs for r in runs))
+    return ws, (np.empty(size), np.empty(size))
 
 
 def save_model(m: FusionHeadModel) -> bytes:

@@ -10,11 +10,8 @@ keeps NV, MEL, BKL and folds everything else into Unknown.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
 
-import numpy as np
-
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 
 
 class DiagnosisClass(Enum):
@@ -128,14 +125,3 @@ def class_index(c: DiagnosisClass, scheme: TargetScheme) -> int:
             f"{c.name} has no index in the four-class scheme; collapse it first"
         )
     return FOUR_CLASS_ORDER.index(c)
-
-
-def mel_probability(probs: Sequence[float] | np.ndarray, scheme: TargetScheme) -> float:
-    """Extract the MEL-class probability from a class-probability vector."""
-    vec = np.asarray(probs, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != scheme.class_count:
-        raise ShapeError(
-            f"expected a probability vector of length {scheme.class_count}, "
-            f"got shape {vec.shape}"
-        )
-    return float(vec[class_index(DiagnosisClass.MEL, scheme)])

@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -581,6 +582,20 @@ def _record_threads(monkeypatch):
     return threads
 
 
+def _record_runs(monkeypatch):
+    """Every fold run ``train`` builds from now on, keyed by the identity of its parameter
+    views, which each epoch gives its workspace."""
+    runs = {}
+    init = fusion._FoldRun.__init__
+
+    def recording_init(run, *args):
+        init(run, *args)
+        runs[id(run.params)] = run
+
+    monkeypatch.setattr(fusion._FoldRun, "__init__", recording_init)
+    return runs
+
+
 @pytest.mark.parametrize("scheme", list(TargetScheme))
 @pytest.mark.parametrize("cnn_dim", [0, 5])
 def test_serial_and_threaded_training_give_the_same_bytes(monkeypatch, scheme, cnn_dim):
@@ -610,6 +625,42 @@ def test_serial_and_threaded_training_give_the_same_bytes(monkeypatch, scheme, c
     assert runs[2] == runs[1] and runs[5] == runs[1]
 
 
+def test_one_worker_starts_fold_epochs_in_round_robin_order(monkeypatch):
+    d = separable_dataset(n_patients=30)
+    f = assign_folds(d, k=5, seed=0)
+    cfg = TrainConfig(epochs=3, batch_size=8, lr_peak=1e-2, seed=0, hidden=(8, 4))
+    _cpus(monkeypatch, 2)  # 8 rows x 201 parameters is below the bound: one worker
+    runs = _record_runs(monkeypatch)
+    passes, forward = [], fusion._forward_cached
+
+    def wrapper(ws, meta, cnn):
+        run = runs[id(ws.params)]
+        passes.append((run.k, len(run.stats)))  # (fold, epoch)
+        return forward(ws, meta, cnn)
+
+    monkeypatch.setattr(fusion, "_forward_cached", wrapper)
+    train(d, feature_table_for(d), None, f, cfg)
+    starts = [p for i, p in enumerate(passes) if i == 0 or passes[i - 1] != p]
+    assert starts == [(k, epoch) for epoch in range(3) for k in range(5)]
+
+
+def test_train_builds_one_workspace_per_worker_not_per_fold(monkeypatch):
+    built = []
+
+    class CountedWorkspace(fusion._Workspace):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    d = separable_dataset(n_patients=30)
+    f = assign_folds(d, k=5, seed=0)
+    monkeypatch.setattr(fusion, "_Workspace", CountedWorkspace)
+    monkeypatch.setattr(fusion, "_MATRIX_BOUND", 0)
+    _cpus(monkeypatch, 2)
+    train(d, feature_table_for(d), None, f, TrainConfig(epochs=2, batch_size=8, hidden=(8, 4)))
+    assert len(built) == 2
+
+
 @pytest.mark.parametrize("hidden, n_threads", [((128, 32), 1), ((256, 64), 2)])
 def test_folds_take_threads_when_batch_rows_times_parameters_reach_the_bound(
     monkeypatch, hidden, n_threads
@@ -620,17 +671,18 @@ def test_folds_take_threads_when_batch_rows_times_parameters_reach_the_bound(
     cfg = TrainConfig(epochs=2, batch_size=64, lr_peak=1e-3, seed=0, hidden=hidden)
     _cpus(monkeypatch, 2)
     threads = _record_threads(monkeypatch)
-    # A fold this small can end before a second pool thread is scheduled, and the first thread
-    # then takes the next fold too. Each fold waits until n_threads folds have started, so a
-    # pool of n_threads threads runs them on n_threads threads, and a smaller pool breaks the
-    # barrier.
-    barrier, one_fold = threading.Barrier(n_threads, timeout=10), fusion._train_one_fold
+    # A fold this small can end its epoch before a second worker is scheduled, and the first
+    # worker then takes the next fold too. Each fold's first epoch waits until n_threads folds
+    # have started, so n_threads workers run them on n_threads threads, and fewer workers break
+    # the barrier.
+    barrier, epoch = threading.Barrier(n_threads, timeout=10), fusion._FoldRun.epoch
 
-    def fold(*args):
-        barrier.wait()
-        return one_fold(*args)
+    def first_epoch_waits(run, ws, scratch):
+        if not run.stats:
+            barrier.wait()
+        return epoch(run, ws, scratch)
 
-    monkeypatch.setattr(fusion, "_train_one_fold", fold)
+    monkeypatch.setattr(fusion._FoldRun, "epoch", first_epoch_waits)
     train(d, feature_table_for(d), None, f, cfg)
     assert len(set(threads)) == n_threads
 
@@ -648,19 +700,18 @@ def test_cpu_count_is_the_affinity_mask_or_else_the_cpu_count(monkeypatch):
 def test_a_failing_fold_stops_the_folds_after_it(monkeypatch):
     started, outcome = threading.Event(), {}
 
-    def fake_fold(k, *args):
-        stop = args[-1]
-        if k == 0:
+    def fake_epoch(run, ws, scratch):
+        if run.k == 0:
             assert started.wait(10)
             raise DomainError("fold 0 failed")
         started.set()
-        outcome[k] = stop.wait(10)  # a real fold checks it before each batch
-        return None
+        outcome[run.k] = run.stop.wait(10)  # a real fold checks it before each batch
+        return False
 
     d = separable_dataset(n_patients=10)
     f = assign_folds(d, k=5, seed=0)
     monkeypatch.setattr(fusion, "_MATRIX_BOUND", 0)
-    monkeypatch.setattr(fusion, "_train_one_fold", fake_fold)
+    monkeypatch.setattr(fusion._FoldRun, "epoch", fake_epoch)
     _cpus(monkeypatch, 2)
     with pytest.raises(DomainError, match="fold 0 failed"):
         train(d, feature_table_for(d), None, f, SMALL_CFG)
@@ -671,22 +722,21 @@ def test_a_failing_fold_stops_the_folds_after_it(monkeypatch):
 def test_a_fold_before_a_failing_one_runs_on_and_the_lowest_error_is_raised(monkeypatch):
     failed, outcome = threading.Event(), {}
 
-    def fake_fold(k, *args):
-        stop = args[-1]
-        if k == 1:
+    def fake_epoch(run, ws, scratch):
+        if run.k == 1:
             failed.set()
             raise DomainError("fold 1 failed")
-        if k == 0:
+        if run.k == 0:
             assert failed.wait(10)
-            outcome[0] = stop.wait(0.2)  # fold 1's failure must not stop fold 0
+            outcome[0] = run.stop.wait(0.2)  # fold 1's failure must not stop fold 0
             raise DomainError("fold 0 failed")
-        outcome[k] = stop.wait(10)
-        return None
+        outcome[run.k] = run.stop.wait(10)
+        return False
 
     d = separable_dataset(n_patients=10)
     f = assign_folds(d, k=3, seed=0)
     monkeypatch.setattr(fusion, "_MATRIX_BOUND", 0)
-    monkeypatch.setattr(fusion, "_train_one_fold", fake_fold)
+    monkeypatch.setattr(fusion._FoldRun, "epoch", fake_epoch)
     _cpus(monkeypatch, 2)
     with pytest.raises(DomainError, match="fold 0 failed"):
         train(d, feature_table_for(d), None, f, SMALL_CFG)
@@ -697,21 +747,94 @@ def test_a_fold_before_a_failing_one_runs_on_and_the_lowest_error_is_raised(monk
 def test_a_stopped_fold_returns_before_its_next_batch(monkeypatch):
     d = separable_dataset(n_patients=20)
     f = assign_folds(d, k=2, seed=0)
-    stop, calls = threading.Event(), []
+    calls = []
     original = fusion._forward_cached
 
     def wrapper(ws, meta, cnn):
         calls.append(len(meta))
-        stop.set()  # as another fold's failure would, during this batch
+        run.stop.set()  # as another fold's failure would, during this batch
         return original(ws, meta, cnn)
 
     monkeypatch.setattr(fusion, "_forward_cached", wrapper)
     x_meta = feature_table_for(d).select(d.image_names, "features")
     y = np.zeros(len(d), dtype=np.int64)
-    result = fusion._train_one_fold(0, x_meta, np.zeros((len(d), 0)), y, y,
-                                    f.select(d.image_names, "f"), SMALL_CFG, 0, stop)
-    assert result is None
+    run = fusion._FoldRun(0, x_meta, np.zeros((len(d), 0)), y, y,
+                          f.select(d.image_names, "f"), SMALL_CFG, 0)
+    result = run.epoch(*fusion._worker_buffers([run]))
+    assert result is False
     assert calls == [SMALL_CFG.batch_size]
+
+
+def test_a_fold_failing_in_its_second_epoch_stops_the_folds_after_it_within_one_batch(
+    monkeypatch
+):
+    d = separable_dataset(n_patients=40)
+    f = assign_folds(d, k=5, seed=0)
+    cfg = TrainConfig(epochs=4, batch_size=4, lr_peak=1e-3, seed=0, hidden=(8, 4))
+    monkeypatch.setattr(fusion, "_MATRIX_BOUND", 0)
+    _cpus(monkeypatch, 2)
+    runs = _record_runs(monkeypatch)
+    first_epochs_done, after_stop = threading.Event(), {k: 0 for k in range(1, 5)}
+    epoch, forward = fusion._FoldRun.epoch, fusion._forward_cached
+
+    def failing_epoch(run, ws, scratch):
+        if run.k == 0 and len(run.stats) == 1:
+            assert first_epochs_done.wait(10)
+            raise DomainError("fold 0 failed in epoch 1")
+        going = epoch(run, ws, scratch)
+        if all(len(r.stats) >= 1 for r in runs.values() if r.k):
+            first_epochs_done.set()
+        return going
+
+    def counting_forward(ws, meta, cnn):
+        run = runs[id(ws.params)]
+        if run.stop.is_set():  # a pass begun after the fold was told to stop
+            after_stop[run.k] += 1
+        return forward(ws, meta, cnn)
+
+    monkeypatch.setattr(fusion._FoldRun, "epoch", failing_epoch)
+    monkeypatch.setattr(fusion, "_forward_cached", counting_forward)
+    with pytest.raises(DomainError, match="fold 0 failed in epoch 1"):
+        train(d, feature_table_for(d), None, f, cfg)
+    later = [r for r in runs.values() if r.k]
+    assert len(later) == 4 and all(r.stop.is_set() for r in later)
+    assert all(1 <= len(r.stats) < cfg.epochs for r in later)
+    # A fold checks its stop before each batch, so at most the batch under way runs on.
+    assert all(n <= 1 for n in after_stop.values()), after_stop
+
+
+@pytest.mark.parametrize("where", ["fold", "caller"])
+def test_a_keyboard_interrupt_leaves_no_worker_running_and_restores_the_blas_count(
+    monkeypatch, where
+):
+    count, seen = [3], set()
+    monkeypatch.setattr(fusion, "_openblas_threads",
+                        lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
+    d = separable_dataset(n_patients=40)
+    f = assign_folds(d, k=5, seed=0)
+    cfg = TrainConfig(epochs=4, batch_size=4, lr_peak=1e-3, seed=0, hidden=(8, 4))
+    monkeypatch.setattr(fusion, "_MATRIX_BOUND", 0)
+    _cpus(monkeypatch, 2)
+    runs = _record_runs(monkeypatch)
+    forward, calls = fusion._forward_cached, []
+
+    def interrupting_forward(ws, meta, cnn):
+        seen.add(count[0])
+        calls.append(None)
+        if len(calls) == 30:  # inside some fold's first or second epoch
+            if where == "fold":
+                raise KeyboardInterrupt
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)  # as Ctrl-C would
+        return forward(ws, meta, cnn)
+
+    monkeypatch.setattr(fusion, "_forward_cached", interrupting_forward)
+    before = set(threading.enumerate())
+    with pytest.raises(KeyboardInterrupt):
+        train(d, feature_table_for(d), None, f, cfg)
+    assert set(threading.enumerate()) <= before
+    assert seen == {1} and count == [3]
+    if where == "caller":  # every fold was told to stop, and none finished
+        assert all(r.stop.is_set() and len(r.stats) < cfg.epochs for r in runs.values())
 
 
 @pytest.mark.parametrize("hidden, cnn_dim", [((512, 128), 0), ((128, 32), 16)])
@@ -737,13 +860,13 @@ def test_blocked_validation_scores_equal_one_full_pass_bit_for_bit(
 
     monkeypatch.setattr(fusion, "_forward_cached", wrapper)
     with fusion._one_blas_thread():  # as ``train`` runs both
-        model, scores, _ = fusion._train_one_fold(
-            0, x_meta, x_cnn, y, (y == mel).astype(np.int64), fold_of, cfg, mel,
-            threading.Event(),
-        )
-        full = original(fusion._Workspace(model.params(), n_val, 0), x_meta[:n_val],
+        run = fusion._FoldRun(0, x_meta, x_cnn, y, (y == mel).astype(np.int64), fold_of, cfg, mel)
+        buffers = fusion._worker_buffers([run])
+        while len(run.stats) < cfg.epochs:
+            assert run.epoch(*buffers)
+        full = original(fusion._Workspace(run.params, n_val, 0), x_meta[:n_val],
                         x_cnn[:n_val])["probs"][:, mel]
-    assert scores.tobytes() == full.tobytes()
+    assert run.val_scores.tobytes() == full.tobytes()
     val_blocks = [rows for _, rows in calls if rows != bs]
     assert sum(val_blocks) == cfg.epochs * n_val
     assert min(val_blocks) >= min(n_val, block)
@@ -825,7 +948,7 @@ def test_flat_adam_steps_match_per_array_reference_bit_for_bit(scheme, cnn_dim, 
     flat = fusion._flatten(model.params())
     params = fusion._views(flat, shapes)
     ws = fusion._Workspace(params, 8, 8)
-    adam = fusion._AdamState(flat.size)
+    adam, scratch = fusion._AdamState(flat.size), (np.empty(flat.size), np.empty(flat.size))
     ref = {k: v.copy() for k, v in model.params().items()}
     m = {k: np.zeros_like(v) for k, v in ref.items()}
     v = {k: np.zeros_like(a) for k, a in ref.items()}
@@ -836,7 +959,7 @@ def test_flat_adam_steps_match_per_array_reference_bit_for_bit(scheme, cnn_dim, 
         )
         g = fusion._backward(ws, cache, rng.integers(0, scheme.class_count, n))
         lr = float(10.0 ** rng.uniform(-4, -1))
-        adam.step(flat, g, lr)
+        adam.step(flat, g, lr, scratch)
         reference_adam_step(ref, m, v, t, fusion._views(g, shapes), lr)
         for name in fusion.PARAM_NAMES:
             assert params[name].tobytes() == ref[name].tobytes(), (t, name)
@@ -877,7 +1000,7 @@ def test_reused_workspace_matches_the_allocating_oracle_bit_for_bit(
     flat = fusion._init_params(shapes, rng)
     params = fusion._views(flat, shapes)
     ws = fusion._Workspace(params, max(capacity, n_val), capacity)
-    adam = fusion._AdamState(flat.size)
+    adam, scratch = fusion._AdamState(flat.size), (np.empty(flat.size), np.empty(flat.size))
     for n in sizes:
         meta, cnn = rng.normal(size=(n, 14)), rng.normal(size=(n, cnn_dim))
         targets = rng.integers(0, scheme.class_count, n)
@@ -889,7 +1012,7 @@ def test_reused_workspace_matches_the_allocating_oracle_bit_for_bit(
         loss = fusion.mean_cross_entropy(cache["probs"], targets)
         assert loss.hex() == fusion.mean_cross_entropy(ref["probs"], targets).hex()
         assert fusion._backward(ws, cache, targets).tobytes() == ref_grad.tobytes()
-        adam.step(flat, ws.grad, 1e-2)  # the next batch sees new parameters
+        adam.step(flat, ws.grad, 1e-2, scratch)  # the next batch sees new parameters
     # A validation-sized pass after the steps: a stale row would show here.
     meta, cnn = rng.normal(size=(n_val, 14)), rng.normal(size=(n_val, cnn_dim))
     ref = reference_forward(params, meta, cnn)
@@ -904,7 +1027,7 @@ def test_training_step_allocates_less_than_one_batch_activation():
     shapes = fusion._shapes(*hidden, 0, TargetScheme.NINE_CLASS.class_count)
     flat = fusion._init_params(shapes, rng)
     ws = fusion._Workspace(fusion._views(flat, shapes), bs, bs)
-    adam = fusion._AdamState(flat.size)
+    adam, scratch = fusion._AdamState(flat.size), (np.empty(flat.size), np.empty(flat.size))
     batches = [
         (rng.normal(size=(bs, 14)), np.zeros((bs, 0)), rng.integers(0, 9, bs))
         for _ in range(20)
@@ -913,7 +1036,7 @@ def test_training_step_allocates_less_than_one_batch_activation():
     def step(meta, cnn, targets):
         cache = fusion._forward_cached(ws, meta, cnn)
         fusion.mean_cross_entropy(cache["probs"], targets)
-        adam.step(flat, fusion._backward(ws, cache, targets), 1e-3)
+        adam.step(flat, fusion._backward(ws, cache, targets), 1e-3, scratch)
 
     step(*batches[0])  # warm-up: first-call set-up in numpy and BLAS
     tracemalloc.start()

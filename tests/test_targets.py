@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from lesionbench.errors import DomainError, ShapeError
+from lesionbench.errors import DomainError
 from lesionbench.targets import (
     COLLAPSED_CLASSES,
     FOUR_CLASS_ORDER,
@@ -10,7 +9,6 @@ from lesionbench.targets import (
     class_index,
     collapse,
     map_diagnosis,
-    mel_probability,
 )
 
 # Every known spelling and its nine-class target.
@@ -91,18 +89,3 @@ def test_class_index_rejects_uncollapsed():
     for c in COLLAPSED_CLASSES:
         with pytest.raises(DomainError):
             class_index(c, TargetScheme.FOUR_CLASS)
-
-
-def test_mel_probability():
-    one_hot = np.zeros(9)
-    one_hot[1] = 1.0
-    assert mel_probability(one_hot, TargetScheme.NINE_CLASS) == 1.0
-    assert mel_probability(np.full(9, 1 / 9), TargetScheme.NINE_CLASS) == 1 / 9
-    assert mel_probability([0.1, 0.6, 0.2, 0.1], TargetScheme.FOUR_CLASS) == 0.6
-
-
-def test_mel_probability_shape_error():
-    with pytest.raises(ShapeError):
-        mel_probability(np.full(4, 0.25), TargetScheme.NINE_CLASS)
-    with pytest.raises(ShapeError):
-        mel_probability(np.full(9, 1 / 9), TargetScheme.FOUR_CLASS)
