@@ -6,7 +6,9 @@ write ``<out>.manifest.txt`` beside their output and ``train`` writes
 ``train.manifest.txt`` in its output directory, recording the command, seed,
 every parsed flag, input digests, and toolkit version (manifests differ
 between reruns only in their timestamp line). Exit codes: 0 success, 1 I/O
-or out-of-memory failure, 2 validation failure.
+or out-of-memory failure, 2 validation failure. Each command returns its
+``Lines``: its stdout lines and its warning lines, which ``main`` prints only
+once the command has succeeded, so a failed command prints one error line.
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ from .metrics import (
 )
 from .targets import TargetScheme
 
+Lines = tuple[list[str], list[str]]
+
+
 def _read_input(path: str, digests: dict[str, str] | None = None, key: str = "") -> str:
     """Read one input file, once, as UTF-8 text with LF, CRLF and lone CR all
     made LF (as ``Path.read_text`` does); record its digest when asked."""
@@ -120,8 +125,7 @@ def _write_manifest(out_path: Path, args: argparse.Namespace, digests: dict[str,
 def _check_labels(dataset: Dataset) -> list[str]:
     """Raise on labels that contradict their diagnoses, naming the count and
     the first image; otherwise return one warning line per rule the metadata
-    breaks. Commands print the lines only once they succeed, so a failed
-    command still prints a single error line."""
+    breaks, for the command to return with its own lines."""
     report = validate_consistency(dataset)
     if report.errors:
         first = report.errors[0]
@@ -138,12 +142,7 @@ def _check_labels(dataset: Dataset) -> list[str]:
     return lines
 
 
-def _print_warnings(lines: list[str]) -> None:
-    for line in lines:
-        print(line, file=sys.stderr)
-
-
-def _cmd_split(args: argparse.Namespace) -> int:
+def _cmd_split(args: argparse.Namespace) -> Lines:
     digests: dict[str, str] = {}
     dataset = parse_metadata_csv(_read_input(args.meta, digests, "meta"))
     label_warnings = _check_labels(dataset)
@@ -152,17 +151,11 @@ def _cmd_split(args: argparse.Namespace) -> int:
     _write_output(out_path, write_folds_csv(dataset, assignment))
     _write_manifest(out_path, args, digests)
     report = fold_ratio_report(dataset, assignment)
-    for k, stats in enumerate(report.per_fold):
-        print(
-            f"fold {k}: size={stats.size} positives={stats.positives} "
-            f"ratio={stats.positive_ratio:.6f}"
-        )
-    print(
-        f"total: size={report.total.size} positives={report.total.positives} "
-        f"ratio={report.total.positive_ratio:.6f}"
-    )
-    _print_warnings(label_warnings)
-    return 0
+    lines = [f"fold {k}: size={stats.size} positives={stats.positives} "
+             f"ratio={stats.positive_ratio:.6f}" for k, stats in enumerate(report.per_fold)]
+    lines.append(f"total: size={report.total.size} positives={report.total.positives} "
+                 f"ratio={report.total.positive_ratio:.6f}")
+    return lines, label_warnings
 
 
 def _read_sizes_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -187,21 +180,18 @@ def _metadata_features(dataset: Dataset) -> FeatureTable:
     return FeatureTable(dataset.image_names, encode_dataset(dataset, vocab, stats, n_images))
 
 
-def _cmd_features(args: argparse.Namespace) -> int:
+def _cmd_features(args: argparse.Namespace) -> Lines:
     digests: dict[str, str] = {}
     dataset = parse_metadata_csv(_read_input(args.meta, digests, "meta"))
     if args.sizes:
         dataset = _apply_sizes(dataset, *_read_sizes_csv(_read_input(args.sizes, digests, "sizes")))
-    if not dataset.size.all():
-        print(
-            "warning: image sizes missing for some records; their log-size "
-            "feature encodes as 0",
-            file=sys.stderr,
-        )
     out_path = Path(args.out)
     _write_output(out_path, write_feature_csv(_metadata_features(dataset)))
     _write_manifest(out_path, args, digests)
-    return 0
+    if dataset.size.all():
+        return [], []
+    return [], ["warning: image sizes missing for some records; their log-size "
+                "feature encodes as 0"]
 
 
 def _parse_hidden(text: str) -> tuple[int, int]:
@@ -233,7 +223,7 @@ def _read_folded(args: argparse.Namespace,
     return dataset, assignment, label_warnings
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
+def _cmd_train(args: argparse.Namespace) -> Lines:
     digests: dict[str, str] = {}
     dataset, assignment, label_warnings = _read_folded(args, digests)
     feats = _metadata_features(dataset)
@@ -256,10 +246,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         _write_output(out_dir / f"model_fold{k}.lsnb", save_model(model))
     _write_output(out_dir / "history.csv", write_history_csv(result.history))
     _write_manifest(out_dir / "train", args, digests)
-    report = evaluate_cv(result.oof, dataset, assignment)
-    print(_format_cv(report))
-    _print_warnings(label_warnings)
-    return 0
+    return _format_cv(evaluate_cv(result.oof, dataset, assignment)), label_warnings
 
 
 def write_history_csv(history: Sequence[EpochStats]) -> str:
@@ -274,26 +261,18 @@ def _format_auc(value: float | None) -> str:
     return "undefined" if value is None else f"{value:.6f}"
 
 
-def _format_cv(report) -> str:
-    lines = [
-        f"cv_all={_format_auc(report.cv_all)}",
-        f"cv_2020={_format_auc(report.cv_2020)}",
-    ]
-    for k, value in enumerate(report.per_fold):
-        lines.append(f"fold_{k}={_format_auc(value)}")
-    return "\n".join(lines)
+def _format_cv(report) -> list[str]:
+    return [f"cv_all={_format_auc(report.cv_all)}", f"cv_2020={_format_auc(report.cv_2020)}",
+            *(f"fold_{k}={_format_auc(value)}" for k, value in enumerate(report.per_fold))]
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> Lines:
     dataset, assignment, label_warnings = _read_folded(args, None)
     preds = parse_predictions_csv(_read_input(args.preds))
-    report = evaluate_cv(preds, dataset, assignment)
-    print(_format_cv(report))
-    _print_warnings(label_warnings)
-    return 0
+    return _format_cv(evaluate_cv(preds, dataset, assignment)), label_warnings
 
 
-def _cmd_ensemble(args: argparse.Namespace) -> int:
+def _cmd_ensemble(args: argparse.Namespace) -> Lines:
     pred_paths = [p for p in args.preds.split(",") if p]
     if not pred_paths:
         raise FormatError("--preds expects a comma-separated list of CSV paths")
@@ -306,19 +285,17 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     _write_output(out_path, write_predictions_csv(combined))
     _write_manifest(out_path, args, digests)
-    return 0
+    return [], []
 
 
-def _cmd_stability(args: argparse.Namespace) -> int:
+def _cmd_stability(args: argparse.Namespace) -> Lines:
     if args.scores:
         table = parse_score_table(_read_input(args.scores))
     else:
         table = load_reference_scores()
     result = stability(table)
-    for name, std in zip(METRIC_NAMES, result.stds):
-        print(f"{name} std={std:.6f}")
-    print("ranking: " + " > ".join(result.ranking))
-    return 0
+    return [*(f"{name} std={std:.6f}" for name, std in zip(METRIC_NAMES, result.stds)),
+            "ranking: " + " > ".join(result.ranking)], []
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -377,7 +354,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        stdout, warnings = args.func(args)
+        for line in stdout:
+            print(line)
+        for line in warnings:
+            print(line, file=sys.stderr)
+        return 0
     except LesionbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -232,7 +232,8 @@ class _Workspace:
     worker thread, shared by the folds it trains.
 
     Forward buffers hold ``rows`` rows and backward buffers ``batch_rows``;
-    a pass over n rows writes into the first n rows of each. ``params`` are
+    a pass over n rows writes into the first n rows of each. A forward-only
+    workspace (``batch_rows`` 0) has no gradient buffers. ``params`` are
     live views: updating the flat vector behind them in place is seen by the
     next pass, and each fold-epoch points them at its fold's parameters.
     """
@@ -253,9 +254,10 @@ class _Workspace:
         self.dz1 = np.empty((batch_rows, h1))
         self.live2 = np.empty((batch_rows, h2), dtype=bool)
         self.live1 = np.empty((batch_rows, h1), dtype=bool)
-        shapes = tuple(params[name].shape for name in PARAM_NAMES)
-        self.grad = np.empty(sum(map(math.prod, shapes)))
-        self.grads = _views(self.grad, shapes)
+        if batch_rows:
+            shapes = tuple(params[name].shape for name in PARAM_NAMES)
+            self.grad = np.empty(sum(map(math.prod, shapes)))
+            self.grads = _views(self.grad, shapes)
 
 
 def _forward_cached(
@@ -306,18 +308,6 @@ def forward(
     if single:
         return logits[0], probs[0]
     return logits, probs
-
-
-def cross_entropy(probs: np.ndarray | Sequence[float], target: int) -> float:
-    """Negative log-probability of the target class, floored at 1e-12."""
-    vec = np.asarray(probs, dtype=np.float64)
-    if vec.ndim != 1:
-        raise ShapeError(f"probs must be a vector, got shape {vec.shape}")
-    if not 0 <= target < vec.shape[0]:
-        raise DomainError(
-            f"target {target} out of range for {vec.shape[0]} classes"
-        )
-    return float(-np.log(max(float(vec[target]), PROB_FLOOR)))
 
 
 def mean_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:

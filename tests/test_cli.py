@@ -170,6 +170,30 @@ def test_features_warns_without_sizes(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["missing-out-dir", "eleven-sites"])
+def test_a_failing_features_prints_only_its_error_line(tmp_path, capsys, case):
+    # Without image sizes a successful run warns; a failed one prints one line.
+    d = small_dataset(with_sizes=False)
+    if case == "eleven-sites":
+        d = make_dataset([make_record(f"I{i}", patient_id=f"P{i}", site=f"s{i:02d}")
+                          for i in range(11)])
+    meta = tmp_path / "meta.csv"
+    meta.write_text(write_metadata_csv(d), encoding="utf-8")
+    out = tmp_path / ("missing" if case == "missing-out-dir" else "") / "features.csv"
+    capsys.readouterr()
+    rc = main(["features", "--meta", str(meta), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if case == "missing-out-dir":
+        assert rc == 1
+        assert captured.err == f"io error: [Errno 2] No such file or directory: '{out}'\n"
+    else:
+        assert rc == 2
+        assert captured.err == ("error: found 11 distinct sites, vocabulary holds 10; "
+                                "extras: s10\n")
+    assert not out.exists()
+
+
 def test_features_sizes_file_merge(tmp_path, capsys):
     d = small_dataset(with_sizes=False)
     meta = tmp_path / "meta.csv"

@@ -1,11 +1,14 @@
 """No module of the package imports a name it never uses, or defines a private helper
-that nothing calls.
+that nothing calls; and only ``cli.main`` prints.
 
 No linter ships with the toolchain, so this is the one unused-import check: each
 module is parsed with ``ast``, and every name bound by an import must appear as a
 name elsewhere in it. ``from __future__`` imports and lines marked
 ``# noqa: F401`` are exempt; ``__init__.py`` re-exports by design. Likewise every
 module-level ``_name`` function or class must be named somewhere in the package.
+The commands return their lines, and ``main`` prints them once the command has
+succeeded, so no other code in ``cli.py`` may call ``print`` or name ``sys.stdout``
+or ``sys.stderr``.
 """
 
 import ast
@@ -43,6 +46,35 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_found():
     source = "import os\nfrom typing import Sequence, Mapping\nx: Mapping = os.sep\n"
     assert unused_imports(source) == ["line 2: Sequence"]
+
+
+def output_outside_main(source: str) -> list[str]:
+    """Each call of ``print`` and each use of ``sys.stdout`` or ``sys.stderr`` in
+    ``source`` outside its module-level ``main``, as ``line <n>: <what>``."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) and top.name == "main":
+            continue
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "print"):
+                found.append(f"line {node.lineno}: print")
+            elif (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+                  and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                found.append(f"line {node.lineno}: sys.{node.attr}")
+    return found
+
+
+def test_only_cli_main_prints():
+    cli = Path(lesionbench.__file__).parent / "cli.py"
+    assert output_outside_main(cli.read_text(encoding="utf-8")) == []
+
+
+def test_output_outside_main_is_found():
+    source = ("import sys\n\ndef _cmd(args):\n    print(args)\n    return 0\n\n"
+              "def _warn(line):\n    sys.stderr.write(line)\n\n"
+              "def main():\n    print(_cmd(1), file=sys.stderr)\n    sys.exit(0)\n")
+    assert output_outside_main(source) == ["line 4: print", "line 8: sys.stderr"]
 
 
 def unused_helpers(sources: list[str]) -> list[str]:
