@@ -1,7 +1,7 @@
 """Behaviour lock: the CLI pipeline's artifacts and printed reports, byte for byte.
 
-Runs split -> features -> train (D=0 and D=16) -> ensemble on a fixed small
-cohort and pins the sha256 of every artifact and of every manifest with its
+Runs split -> features -> train (nine-class at D=0 and D=16, four-class at
+D=0) -> ensemble on a fixed small cohort and pins the sha256 of every artifact and of every manifest with its
 ``timestamp=`` line dropped. It also pins the exact stdout of ``stability``
 (shipped table and a ``--scores`` file) and of ``evaluate`` on a scalar, a
 nine-class and a four-class prediction file, and the bytes of the shipped
@@ -15,7 +15,6 @@ import hashlib
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from lesionbench.cli import main, write_history_csv
 from lesionbench.datamodel import (
@@ -71,6 +70,18 @@ GOLDEN = {
         "a0dc870dbf6a62d70dc6219d0aa0a4b2756d8706398a9ff89e479798cebf52e1",
     "wide/train.manifest.txt":
         "0ac948f7f79e5675a1df370624f78fa5c45f0fbce918c18ba223dc374ee18ca2",
+    "four/oof.csv":
+        "fdd35c47aefe94e16ee1b1c85fd38e1c0cf4bcc37b9b1b2a582298de4558e1c1",
+    "four/history.csv":
+        "0c667daa06c6cdb66b58218975f3fde58acbe593ac2e76492b7f0bdccf9ba023",
+    "four/model_fold0.lsnb":
+        "608accf92037cfcb5976b94f90c59aa5ca37fed85829858b9563ef9b5b39280d",
+    "four/model_fold1.lsnb":
+        "48498b7b98798202347f1b7dec458036e2ec0c37fea8c4a3d0f7c7477f3dfc14",
+    "four/model_fold2.lsnb":
+        "24a0c2d4d8b4add5c1ff19473d1df4f839578ce20c7b8a2d84ef7e15dbf2da5e",
+    "four/train.manifest.txt":
+        "df7a2517620cf40ba4168e83aace3cf122ca9162d1caf425c0c5dd72185734ab",
     "ensemble.csv":
         "8ec5a561216c066c579c14e53108cbe949d01dad70a54dea53453b17feea1cfb",
     "ensemble.csv.manifest.txt":
@@ -142,6 +153,7 @@ def test_pipeline_artifacts_are_pinned(tmp_path, monkeypatch):
     assert main(["features", "--meta", "meta.csv", "--out", "features.csv"]) == 0
     assert main(train + ["--out-dir", "meta"]) == 0
     assert main(train + ["--cnn", "cnn.csv", "--out-dir", "wide"]) == 0
+    assert main(train + ["--scheme", "4c", "--out-dir", "four"]) == 0
     assert main(["ensemble", "--preds", "meta/oof.csv,wide/oof.csv",
                  "--out", "ensemble.csv"]) == 0
 
