@@ -136,7 +136,7 @@ def _check_labels(dataset: Dataset) -> list[str]:
     lines = []
     for rule in dict.fromkeys(w.rule for w in report.warnings):
         hits = [w for w in report.warnings if w.rule == rule]
-        where = "" if hits[0].image_name == "*" else (
+        where = "" if hits[0].image_name is None else (
             f"{len(hits)} image(s), first {hits[0].image_name!r}: ")
         lines.append(f"warning: {rule}: {where}{hits[0].message}")
     return lines
@@ -206,11 +206,10 @@ def _parse_hidden(text: str) -> tuple[int, int]:
 
 
 def _parse_scheme(text: str) -> TargetScheme:
-    if text == "9c":
-        return TargetScheme.NINE_CLASS
-    if text == "4c":
-        return TargetScheme.FOUR_CLASS
-    raise FormatError(f"--scheme must be 9c or 4c, got {text!r}")
+    schemes = {f"{s.class_count}c": s for s in TargetScheme}
+    if text not in schemes:
+        raise FormatError(f"--scheme must be {' or '.join(schemes)}, got {text!r}")
+    return schemes[text]
 
 
 def _read_folded(args: argparse.Namespace,
@@ -320,16 +319,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_features)
 
+    cfg = TrainConfig()
     p = sub.add_parser("train", help="train fusion heads per fold, write OOF scores")
     p.add_argument("--meta", required=True)
     p.add_argument("--folds-csv", required=True)
     p.add_argument("--cnn", default=None, help="optional external feature CSV")
-    p.add_argument("--scheme", default="9c", help="9c or 4c")
-    p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=3e-4)
-    p.add_argument("--hidden", default="512,128")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--scheme", default=f"{cfg.scheme.class_count}c", help="9c or 4c")
+    p.add_argument("--epochs", type=int, default=cfg.epochs)
+    p.add_argument("--batch-size", type=int, default=cfg.batch_size)
+    p.add_argument("--lr", type=float, default=cfg.lr_peak)
+    p.add_argument("--hidden", default=",".join(map(str, cfg.hidden)))
+    p.add_argument("--seed", type=int, default=cfg.seed)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_train)
 

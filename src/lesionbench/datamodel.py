@@ -343,7 +343,7 @@ def aligned_rows(table: KeyedTable, d: Dataset, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class ValidationIssue:
-    image_name: str
+    image_name: str | None  # None: the issue is the whole dataset's
     rule: str
     message: str
 
@@ -668,7 +668,8 @@ def validate_consistency(d: Dataset) -> ValidationReport:
     or a malignant label whose present diagnosis maps elsewhere (the binary
     target must agree with the melanoma class). Warnings: records with a
     missing diagnosis, and a 2020-cohort positive ratio that strays from the
-    expected 1.76% by more than a factor of two.
+    expected 1.76% by more than a factor of two (an issue of the whole
+    dataset, so its ``image_name`` is None).
     """
     has_diagnosis = np.array(list(map(bool, d.diagnosis)), dtype=bool)
     is_mel = d.diagnosis_class == DiagnosisClass.MEL.value
@@ -689,7 +690,7 @@ def validate_consistency(d: Dataset) -> ValidationReport:
     ratio = int((d.positive & d.is_2020).sum()) / max(n_2020, 1)
     if n_2020 and not EXPECTED_2020_POSITIVE_RATE / 2 <= ratio <= EXPECTED_2020_POSITIVE_RATE * 2:
         warnings.append(ValidationIssue(
-            "*", "positive-rate-2020", f"2020 positive ratio {ratio:.4f} deviates from "
+            None, "positive-rate-2020", f"2020 positive ratio {ratio:.4f} deviates from "
             f"{EXPECTED_2020_POSITIVE_RATE:.4f} by more than a factor of 2"))
     return ValidationReport(errors, tuple(warnings))
 
@@ -745,13 +746,8 @@ def parse_predictions_csv(text: str) -> PredictionSet:
     is reduced to its MEL column. A file without data rows raises FormatError.
     """
     header, blocks = csv_blocks(text, "prediction")
-    if header == _SCORE_HEADER:
-        scheme = None
-    elif header == _full_header(TargetScheme.NINE_CLASS):
-        scheme = TargetScheme.NINE_CLASS
-    elif header == _full_header(TargetScheme.FOUR_CLASS):
-        scheme = TargetScheme.FOUR_CLASS
-    else:
+    scheme = next((s for s in TargetScheme if header == _full_header(s)), None)
+    if scheme is None and header != _SCORE_HEADER:
         raise FormatError(f"unrecognized prediction header: {','.join(header)!r}")
 
     names, arr = csv_keyed(header, blocks)

@@ -9,8 +9,9 @@ z-scored against statistics that :func:`fit_norm_stats` fits on the dataset
 it is given. The CLI's ``train`` and ``features`` commands fit them on every
 metadata row, validation folds included, so one feature table serves all
 folds. Missing continuous values encode as 0, i.e. the mean. The
-anatomical site occupies ten one-hot slots against a data-derived
-vocabulary; a missing or out-of-vocabulary site leaves the whole block zero.
+anatomical site occupies ten one-hot slots, one per site of a data-derived
+vocabulary (the observed sites, sorted, at most ten); a missing or
+out-of-vocabulary site leaves the whole block zero.
 A FeatureTable is written with ``datamodel.float_rows`` and read with ``csv_keyed``.
 """
 
@@ -51,14 +52,15 @@ FEATURE_NAMES: tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class SiteVocabulary:
-    """Exactly ten site slots: observed sites sorted ascending, then padding."""
+    """The observed sites, sorted ascending: at most ten, one per site slot.
+    Slots past the last site stay zero in every row."""
 
     sites: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(self.sites) != SITE_SLOTS:
-            raise ShapeError(f"site vocabulary must have {SITE_SLOTS} entries")
-        if len(set(self.sites)) != SITE_SLOTS:
+        if len(self.sites) > SITE_SLOTS:
+            raise ShapeError(f"site vocabulary must have at most {SITE_SLOTS} entries")
+        if len(set(self.sites)) != len(self.sites):
             raise UniquenessError("site vocabulary entries must be unique")
 
 
@@ -95,7 +97,7 @@ def compute_n_images(d: Dataset) -> np.ndarray:
 
 
 def build_site_vocab(d: Dataset) -> SiteVocabulary:
-    """Distinct non-missing sites, sorted ascending, padded to ten slots."""
+    """Distinct non-missing sites, sorted ascending."""
     distinct = sorted(set(d.site) - {""})
     if len(distinct) > SITE_SLOTS:
         extras = ", ".join(distinct[SITE_SLOTS:])
@@ -103,8 +105,7 @@ def build_site_vocab(d: Dataset) -> SiteVocabulary:
             f"found {len(distinct)} distinct sites, vocabulary holds "
             f"{SITE_SLOTS}; extras: {extras}"
         )
-    padding = [f"__unused_{i}__" for i in range(SITE_SLOTS - len(distinct))]
-    return SiteVocabulary(tuple(distinct + padding))
+    return SiteVocabulary(tuple(distinct))
 
 
 def _mean_std(values: np.ndarray) -> tuple[float, float, bool]:

@@ -28,10 +28,10 @@ import numpy as np
 from .datamodel import Dataset, PredictionSet, _frozen, aligned_rows, equal_fields, reduce_fields
 from .errors import DomainError, FormatError, ShapeError
 from .features import N_METADATA_FEATURES, FeatureTable, read_feature_csv
-from .folds import FoldAssignment
+from .folds import DEFAULT_SEED, FoldAssignment
 from .hashing import MASK64
 from .metrics import auc_or_none
-from .targets import DiagnosisClass, TargetScheme, class_index, collapse
+from .targets import DiagnosisClass, TargetScheme, class_index
 from .targets import map_diagnosis  # noqa: F401 -- unused; perfbench/layers.py counts its calls
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -83,7 +83,7 @@ class TrainConfig:
     epochs: int = 15
     batch_size: int = 64
     lr_peak: float = 3e-4
-    seed: int = 42
+    seed: int = DEFAULT_SEED
     hidden: tuple[int, int] = (512, 128)
     scheme: TargetScheme = TargetScheme.NINE_CLASS
 
@@ -511,8 +511,7 @@ def train(
     x_meta = feats.select(names, "feature table")
     x_cnn = (aligned_rows(cnn, d, "external feature table") if cnn is not None
              else np.zeros((len(names), 0)))
-    nine = cfg.scheme is TargetScheme.NINE_CLASS
-    column_of = [class_index(c if nine else collapse(c), cfg.scheme) for c in DiagnosisClass]
+    column_of = [class_index(c, cfg.scheme) for c in DiagnosisClass]
     y = np.array(column_of, dtype=np.int64)[d.diagnosis_class]
     y_bin = d.positive.astype(np.int64)
     fold_of = f.select(names, "fold assignment")

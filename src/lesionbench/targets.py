@@ -4,14 +4,14 @@ The two source cohorts label lesions differently: the older one uses short
 codes (``NV``, ``MEL``, ...) while the newer one uses free-text phrases
 (``nevus``, ``melanoma``, ``seborrheic keratosis``, ...). Both vocabularies
 map onto one canonical nine-class target space; a reduced four-class scheme
-keeps NV, MEL, BKL and folds everything else into Unknown.
+keeps NV, MEL, BKL and folds everything else into Unknown. A scheme's
+``classes`` is its column order and the one table of its columns: both
+``map_diagnosis`` and ``class_index`` read it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-
-from .errors import DomainError
 
 
 class DiagnosisClass(Enum):
@@ -28,43 +28,29 @@ class DiagnosisClass(Enum):
     Unknown = 8
 
 
-NINE_CLASS_ORDER: tuple[DiagnosisClass, ...] = tuple(DiagnosisClass)
-
-FOUR_CLASS_ORDER: tuple[DiagnosisClass, ...] = (
-    DiagnosisClass.NV,
-    DiagnosisClass.MEL,
-    DiagnosisClass.BKL,
-    DiagnosisClass.Unknown,
-)
-
-#: Classes that the four-class scheme folds into Unknown.
-COLLAPSED_CLASSES: frozenset[DiagnosisClass] = frozenset(
-    {
-        DiagnosisClass.BCC,
-        DiagnosisClass.AK,
-        DiagnosisClass.SCC,
-        DiagnosisClass.VASC,
-        DiagnosisClass.DF,
-    }
-)
-
-
 class TargetScheme(Enum):
-    """Label space used for training and prediction columns."""
+    """Label space used for training and prediction columns.
 
-    NINE_CLASS = 9
-    FOUR_CLASS = 4
+    Each member is defined by its ``classes``, the scheme's classes in column
+    order, built once; its value is its class count. Unknown, last in both
+    schemes, also stands for every class the scheme has no column for.
+    """
+
+    classes: tuple[DiagnosisClass, ...]
+
+    NINE_CLASS = tuple(DiagnosisClass)
+    FOUR_CLASS = (DiagnosisClass.NV, DiagnosisClass.MEL, DiagnosisClass.BKL,
+                  DiagnosisClass.Unknown)
+
+    def __new__(cls, *classes: DiagnosisClass) -> "TargetScheme":
+        scheme = object.__new__(cls)
+        scheme._value_ = len(classes)
+        scheme.classes = classes
+        return scheme
 
     @property
     def class_count(self) -> int:
         return self.value
-
-    @property
-    def classes(self) -> tuple[DiagnosisClass, ...]:
-        """Classes of this scheme in column order."""
-        if self is TargetScheme.NINE_CLASS:
-            return NINE_CLASS_ORDER
-        return FOUR_CLASS_ORDER
 
 
 # Normalized spelling -> class. Short codes come from the older cohort's
@@ -90,38 +76,23 @@ _DIAGNOSIS_ALIASES: dict[str, DiagnosisClass] = {
 }
 
 
-def collapse(c: DiagnosisClass) -> DiagnosisClass:
-    """Fold a nine-class label into the four-class scheme."""
-    return DiagnosisClass.Unknown if c in COLLAPSED_CLASSES else c
-
-
 def map_diagnosis(
     raw: str | None, scheme: TargetScheme = TargetScheme.NINE_CLASS
 ) -> DiagnosisClass:
-    """Map a raw diagnosis string to its target class.
+    """Map a raw diagnosis string to its target class in ``scheme``.
 
-    Total function: missing and unrecognized strings map to Unknown. Matching
-    is case-insensitive and ignores surrounding whitespace.
+    Total function: missing and unrecognized strings map to Unknown, and so
+    does a class that ``scheme`` has no column for. Matching is
+    case-insensitive and ignores surrounding whitespace.
     """
     if raw is None:
-        cls = DiagnosisClass.Unknown
-    else:
-        cls = _DIAGNOSIS_ALIASES.get(raw.strip().lower(), DiagnosisClass.Unknown)
-    if scheme is TargetScheme.FOUR_CLASS:
-        cls = collapse(cls)
-    return cls
+        return DiagnosisClass.Unknown
+    cls = _DIAGNOSIS_ALIASES.get(raw.strip().lower(), DiagnosisClass.Unknown)
+    return cls if cls in scheme.classes else DiagnosisClass.Unknown
 
 
 def class_index(c: DiagnosisClass, scheme: TargetScheme) -> int:
-    """Position of class ``c`` in the scheme's column order (0-based).
-
-    Under the four-class scheme the class must already be collapsed; the five
-    folded classes have no index of their own there.
-    """
-    if scheme is TargetScheme.NINE_CLASS:
-        return c.value
-    if c in COLLAPSED_CLASSES:
-        raise DomainError(
-            f"{c.name} has no index in the four-class scheme; collapse it first"
-        )
-    return FOUR_CLASS_ORDER.index(c)
+    """The column (0-based) that class ``c`` trains in under ``scheme``: its
+    own, or Unknown's where the scheme has no column for it."""
+    classes = scheme.classes
+    return classes.index(c if c in classes else DiagnosisClass.Unknown)

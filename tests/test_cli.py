@@ -21,8 +21,9 @@ from lesionbench.datamodel import (
     PredictionSet,
 )
 from lesionbench.ensemble import rank_transform
-from lesionbench.errors import CoverageError, UniquenessError
+from lesionbench.errors import CoverageError, DomainError, UniquenessError
 from lesionbench.features import FeatureTable, write_feature_csv
+from lesionbench.fusion import TrainConfig
 from lesionbench.targets import DiagnosisClass, TargetScheme, class_index
 from util import make_dataset, make_record, reference_fnv1a64
 
@@ -194,6 +195,19 @@ def test_a_failing_features_prints_only_its_error_line(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_a_site_named_like_an_unused_slot_takes_its_own_slot(tmp_path, capsys):
+    d = make_dataset([make_record("I1", patient_id="P1", site="__unused_0__"),
+                      make_record("I2", patient_id="P2", site="torso"),
+                      make_record("I3", patient_id="P3", site="torso")])
+    meta = tmp_path / "meta.csv"
+    meta.write_text(write_metadata_csv(d), encoding="utf-8")
+    out = tmp_path / "features.csv"
+    assert main(["features", "--meta", str(meta), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [[float(v) for v in row[3:13]] for row in rows] == [
+        [1.0] + [0.0] * 9, [0.0, 1.0] + [0.0] * 8, [0.0, 1.0] + [0.0] * 8]
+
+
 def test_features_sizes_file_merge(tmp_path, capsys):
     d = small_dataset(with_sizes=False)
     meta = tmp_path / "meta.csv"
@@ -363,9 +377,25 @@ def test_bad_scheme_flag_exits_2(tmp_path, meta_csv, capsys):
     folds = tmp_path / "folds.csv"
     assert main(["split", "--meta", str(meta_csv), "--folds", "2", "--seed", "0",
                  "--out", str(folds)]) == 0
+    capsys.readouterr()
     rc = main(["train", "--meta", str(meta_csv), "--folds-csv", str(folds),
                "--scheme", "5c", "--out-dir", str(tmp_path / "x")])
     assert rc == 2
+    assert _one_error_line(capsys) == "error: --scheme must be 9c or 4c, got '5c'"
+
+
+def test_train_flag_defaults_are_train_config_defaults(tmp_path, meta_csv, monkeypatch):
+    seen = []
+
+    def stop(dataset, feats, cnn, assignment, cfg):
+        seen.append(cfg)
+        raise DomainError("stopped before training")
+
+    monkeypatch.setattr(cli, "train", stop)
+    folds = _split(tmp_path, meta_csv)
+    assert main(["train", "--meta", str(meta_csv), "--folds-csv", str(folds),
+                 "--out-dir", str(tmp_path / "run")]) == 2
+    assert seen == [TrainConfig()]
 
 
 def _split(tmp_path, meta, folds=2):
@@ -616,6 +646,20 @@ def test_missing_diagnoses_give_one_warning_line_per_command(tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 0
         assert capsys.readouterr().err == expected
+
+
+def test_an_image_named_star_is_named_in_its_warning(tmp_path, capsys):
+    # Rows from 2019 only, so the 2020 positive rate has nothing to warn about.
+    records = [make_record(name, patient_id=f"P{p}", diagnosis=None, year=2019)
+               for p, name in enumerate(["*", "I1", "I2"])]
+    meta = tmp_path / "meta.csv"
+    meta.write_text(write_metadata_csv(make_dataset(records)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["split", "--meta", str(meta), "--folds", "2",
+                 "--out", str(tmp_path / "folds.csv")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: diagnosis-missing: 3 image(s), first '*': "
+        "diagnosis missing; melanoma consistency not verifiable\n")
 
 
 def test_split_rejects_more_folds_than_images(tmp_path, meta_csv, capsys):

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lesionbench.datamodel import Sex
-from lesionbench.errors import CapacityError, CoverageError, DomainError, ShapeError
+from lesionbench.errors import (
+    CapacityError,
+    CoverageError,
+    DomainError,
+    ShapeError,
+    UniquenessError,
+)
 from lesionbench.features import (
     FEATURE_NAMES,
     N_METADATA_FEATURES,
@@ -57,7 +63,7 @@ def test_compute_n_images_singletons():
     assert set(compute_n_images(d).tolist()) == {1}
 
 
-def test_site_vocab_sorted_and_padded():
+def test_site_vocab_sorted_not_padded():
     d = make_dataset(
         [
             make_record("I1", site="torso"),
@@ -66,14 +72,22 @@ def test_site_vocab_sorted_and_padded():
         ]
     )
     vocab = build_site_vocab(d)
-    assert vocab.sites[:2] == ("head/neck", "torso")
-    assert vocab.sites[2:] == tuple(f"__unused_{i}__" for i in range(8))
+    assert vocab.sites == ("head/neck", "torso")
 
 
 def test_site_vocab_empty_dataset_area():
     d = make_dataset([make_record("I1", site=None)])
     vocab = build_site_vocab(d)
-    assert vocab.sites == tuple(f"__unused_{i}__" for i in range(10))
+    assert vocab.sites == ()
+
+
+def test_site_vocab_holds_at_most_ten_unique_sites():
+    sites = tuple(f"site{i:02d}" for i in range(SITE_SLOTS + 1))
+    assert SiteVocabulary(sites[:SITE_SLOTS]).sites == sites[:SITE_SLOTS]
+    with pytest.raises(ShapeError, match="at most 10"):
+        SiteVocabulary(sites)
+    with pytest.raises(UniquenessError):
+        SiteVocabulary(("torso", "torso"))
 
 
 def test_site_vocab_capacity_error_lists_extras():
@@ -267,8 +281,7 @@ def test_encode_dataset_equals_stacked_reference_rows(rows, vocab_sites, stats):
     ]
     d = make_dataset(records)
     n_images = compute_n_images(d)
-    padding = [f"__unused_{i}__" for i in range(SITE_SLOTS - len(vocab_sites))]
-    vocab = SiteVocabulary(tuple(sorted(vocab_sites)) + tuple(padding))
+    vocab = SiteVocabulary(tuple(sorted(vocab_sites)))
     if stats is None:
         if not records:
             return

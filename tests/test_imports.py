@@ -1,14 +1,14 @@
-"""No module of the package imports a name it never uses, or defines a private helper
-that nothing calls; and only ``cli.main`` prints.
+"""No module of the package or of the tests imports a name it never uses, no module
+of the package defines a private helper that nothing calls, and only ``cli.main`` prints.
 
 No linter ships with the toolchain, so this is the one unused-import check: each
-module is parsed with ``ast``, and every name bound by an import must appear as a
-name elsewhere in it. ``from __future__`` imports and lines marked
-``# noqa: F401`` are exempt; ``__init__.py`` re-exports by design. Likewise every
-module-level ``_name`` function or class must be named somewhere in the package.
-The commands return their lines, and ``main`` prints them once the command has
-succeeded, so no other code in ``cli.py`` may call ``print`` or name ``sys.stdout``
-or ``sys.stderr``.
+package module and each ``tests/*.py`` file is parsed with ``ast``, and every name
+bound by an import must appear as a name elsewhere in it. ``from __future__``
+imports and lines marked ``# noqa: F401`` are exempt; ``__init__.py`` re-exports
+by design. Likewise every module-level ``_name`` function or class must be named
+somewhere in the package. The commands return their lines, and ``main`` prints
+them once the command has succeeded, so no other code in ``cli.py`` may call
+``print`` or name ``sys.stdout`` or ``sys.stderr``.
 """
 
 import ast
@@ -20,6 +20,7 @@ import lesionbench
 
 MODULES = sorted(p for p in Path(lesionbench.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,7 +39,8 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -1,15 +1,10 @@
 import pytest
 
-from lesionbench.errors import DomainError
-from lesionbench.targets import (
-    COLLAPSED_CLASSES,
-    FOUR_CLASS_ORDER,
-    DiagnosisClass,
-    TargetScheme,
-    class_index,
-    collapse,
-    map_diagnosis,
-)
+from lesionbench.targets import DiagnosisClass, TargetScheme, class_index, map_diagnosis
+
+# The classes the four-class scheme has no column for.
+FOLDED = (DiagnosisClass.BCC, DiagnosisClass.AK, DiagnosisClass.SCC, DiagnosisClass.VASC,
+          DiagnosisClass.DF)
 
 # Every known spelling and its nine-class target.
 MAPPING_TABLE = [
@@ -57,13 +52,14 @@ def test_four_class_collapse():
     assert map_diagnosis("solar lentigo", TargetScheme.FOUR_CLASS) is DiagnosisClass.BKL
 
 
-def test_four_class_commutes_with_collapse():
-    # collapse(nine-class result) == direct four-class result, for any input
+def test_four_class_commutes_with_class_index():
+    # The class in the four-class column of the nine-class result is the direct
+    # four-class result, for any input.
+    four = TargetScheme.FOUR_CLASS
     probes = [raw for raw, _ in MAPPING_TABLE] + [None, "garbage", "  MEL  "]
     for raw in probes:
-        assert map_diagnosis(raw, TargetScheme.FOUR_CLASS) is collapse(
-            map_diagnosis(raw, TargetScheme.NINE_CLASS)
-        )
+        nine = map_diagnosis(raw, TargetScheme.NINE_CLASS)
+        assert four.classes[class_index(nine, four)] is map_diagnosis(raw, four)
 
 
 def test_only_melanoma_spellings_reach_mel():
@@ -81,11 +77,23 @@ def test_class_index_nine_class_order():
 
 
 def test_class_index_four_class_order():
-    assert [class_index(c, TargetScheme.FOUR_CLASS) for c in FOUR_CLASS_ORDER] == [0, 1, 2, 3]
-    assert class_index(DiagnosisClass.Unknown, TargetScheme.FOUR_CLASS) == 3
+    four = TargetScheme.FOUR_CLASS
+    assert [c.name for c in four.classes] == ["NV", "MEL", "BKL", "Unknown"]
+    assert [class_index(c, four) for c in four.classes] == [0, 1, 2, 3]
 
 
-def test_class_index_rejects_uncollapsed():
-    for c in COLLAPSED_CLASSES:
-        with pytest.raises(DomainError):
-            class_index(c, TargetScheme.FOUR_CLASS)
+def test_class_index_folds_into_unknown():
+    # Every nine-class label has a four-class column: its own, or Unknown's.
+    four = TargetScheme.FOUR_CLASS
+    assert set(DiagnosisClass) - set(four.classes) == set(FOLDED)
+    for c in FOLDED:
+        assert class_index(c, four) == 3
+        assert map_diagnosis(c.name, four) is DiagnosisClass.Unknown
+
+
+def test_scheme_classes_are_fixed_tables():
+    for scheme in TargetScheme:
+        assert len(scheme.classes) == scheme.class_count
+        assert scheme.classes[-1] is DiagnosisClass.Unknown
+        assert scheme.classes is scheme.classes
+    assert TargetScheme.NINE_CLASS.classes == tuple(DiagnosisClass)
