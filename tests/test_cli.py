@@ -195,7 +195,7 @@ def test_a_failing_features_prints_only_its_error_line(tmp_path, capsys, case):
     assert not out.exists()
 
 
-def test_a_site_named_like_an_unused_slot_takes_its_own_slot(tmp_path, capsys):
+def test_a_site_named_like_an_unused_slot_takes_its_own_slot(tmp_path):
     d = make_dataset([make_record("I1", patient_id="P1", site="__unused_0__"),
                       make_record("I2", patient_id="P2", site="torso"),
                       make_record("I3", patient_id="P3", site="torso")])
